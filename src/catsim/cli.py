@@ -27,11 +27,11 @@ from .dynamics import SystemParams, characteristic_times, jc_trajectory, \
     lindblad_evolve, pe_trajectory
 from .errors import CatsimError, ConfigError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff, \
-    partial_trace, qubit_state, tensor
-from .phase_space import decayed_css_wigner, fit_negativity_decay, negativity, \
-    raster_grid, slice_grid, wigner
-from .pipeline import ExperimentConfig, cat_decay_time, drive_alpha, \
-    free_decay, negativity_grid, prepare_cat, simulate_tomography
+    qubit_state, tensor
+from .phase_space import decayed_css_wigner, negativity, raster_grid, wigner
+from .pipeline import T1_PHONON_DEFAULT, T1_QUBIT_DEFAULT, T2_QUBIT_DEFAULT, \
+    ExperimentConfig, cat_decay_time, drive_alpha, prepare_cat, \
+    simulate_tomography
 from .tomography import DriveCalibration, ReadoutModel, calibrate_drive, \
     calibrate_parity, extract_fock_populations
 
@@ -50,9 +50,9 @@ def _experiment_fields():
     return {
         "g0": _Field(float, default=ExperimentConfig().g0, desc="JC coupling, rad/us"),
         "t_cat": _Field(float, default=ExperimentConfig().t_cat, desc="interaction time, us"),
-        "t1_phonon": _Field(float, default=84.0, desc="phonon T1, us"),
-        "t1_qubit": _Field(float, default=10.0, desc="qubit T1, us"),
-        "t2_qubit": _Field(float, default=10.0, desc="qubit T2, us"),
+        "t1_phonon": _Field(float, default=T1_PHONON_DEFAULT, desc="phonon T1, us"),
+        "t1_qubit": _Field(float, default=T1_QUBIT_DEFAULT, desc="qubit T1, us"),
+        "t2_qubit": _Field(float, default=T2_QUBIT_DEFAULT, desc="qubit T2, us"),
     }
 
 
@@ -66,9 +66,9 @@ SCHEMAS = {
         "t_max": _Field(float, default=10.0, desc="trajectory end time, us"),
         "n_times": _Field(int, default=501),
         "closed": _Field(bool, default=True, desc="skip dissipation channels"),
-        "t1_phonon": _Field(float, default=84.0),
-        "t1_qubit": _Field(float, default=10.0),
-        "t2_qubit": _Field(float, default=10.0),
+        "t1_phonon": _Field(float, default=T1_PHONON_DEFAULT),
+        "t1_qubit": _Field(float, default=T1_QUBIT_DEFAULT),
+        "t2_qubit": _Field(float, default=T2_QUBIT_DEFAULT),
         "with_states": _Field(bool, default=True,
                               desc="track purity and Bloch components"),
     },
@@ -202,19 +202,18 @@ def _schema_json() -> dict:
 # -- subcommand bodies -------------------------------------------------------
 
 def _cmd_simulate(cfg, out_dir, seed, log):
-    params = SystemParams(
-        g0=cfg["g0"], alpha0=cfg["alpha0"],
-        c_g=complex(*cfg["c_g"]), c_e=complex(*cfg["c_e"]),
-        kappa_phonon=0.0 if cfg["closed"] else 1.0 / cfg["t1_phonon"],
-        gamma_qubit=0.0 if cfg["closed"] else 1.0 / cfg["t1_qubit"],
-        gamma_phi=0.0 if cfg["closed"] else
-        max(1.0 / cfg["t2_qubit"] - 0.5 / cfg["t1_qubit"], 0.0),
-    )
+    c_g, c_e = complex(*cfg["c_g"]), complex(*cfg["c_e"])
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     if cfg["closed"]:
+        params = SystemParams(g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=c_g,
+                              c_e=c_e)
         traj = jc_trajectory(params, times) if cfg["with_states"] \
             else pe_trajectory(params, times)
     else:
+        econf = ExperimentConfig(g0=cfg["g0"], t1_phonon=cfg["t1_phonon"],
+                                 t1_qubit=cfg["t1_qubit"],
+                                 t2_qubit=cfg["t2_qubit"])
+        params = econf.system_params(cfg["alpha0"], c_g, c_e)
         space = HilbertSpace(default_cutoff(cfg["alpha0"]), has_qubit=True)
         initial = tensor(qubit_state(params.c_g, params.c_e),
                          coherent_state(cfg["alpha0"], space.phonon_only()))

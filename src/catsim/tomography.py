@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit, minimize_scalar, nnls
 
 from . import io_utils
 from .errors import FitError, StateValidationError, TruncationError
-from .hilbert import HilbertSpace, JointState, displacement_operator
+from .hilbert import HilbertSpace, JointState, displaced_parity, \
+    displacement_operator
 
 _PARITY_PHASES = 41
 
@@ -61,32 +62,34 @@ class ParityNormalization:
 
 def parity_expectation(state: JointState, beta: complex) -> float:
     """True displaced-parity expectation <Pi_beta> of a phonon state."""
-    dim = state.space.dim
-    d = displacement_operator(beta, dim)
-    parity = (-1.0) ** np.arange(dim)
-    if state.kind == "pure":
-        vec = d.conj().T @ state.data
-        return float(parity @ (np.abs(vec) ** 2))
-    diag = np.einsum("ij,jk,ki->i", d.conj().T, state.data, d, optimize=True)
-    return float((parity @ diag).real)
+    return float(displaced_parity(state, [beta])[0])
 
 
-def simulate_parity_readout(state: JointState, beta: complex,
-                            model: ReadoutModel, rng=None) -> float:
-    """Empirical mean of `shots` Bernoulli parity outcomes, in [-1, 1]."""
+def _check_displacement(state: JointState, beta: complex):
     if abs(beta) > math.sqrt(state.space.n_max):
         raise TruncationError(f"displacement |beta|={abs(beta):.2f} beyond cutoff trust")
-    pi_true = parity_expectation(state, beta)
+
+
+def _draw_parity(pi_true: float, model: ReadoutModel, rng) -> float:
+    """Empirical mean of `shots` Bernoulli parity outcomes around pi_true."""
     p_plus = (1.0 + model.contrast * pi_true + model.offset) / 2.0
     if not 0.0 <= p_plus <= 1.0:
         raise StateValidationError(
             f"readout model gives outcome probability {p_plus}; "
             "contrast/offset are inconsistent"
         )
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     k = rng.binomial(model.shots, p_plus)
     return 2.0 * k / model.shots - 1.0
+
+
+def simulate_parity_readout(state: JointState, beta: complex,
+                            model: ReadoutModel, rng=None) -> float:
+    """Empirical mean of `shots` Bernoulli parity outcomes, in [-1, 1]."""
+    _check_displacement(state, beta)
+    pi_true = parity_expectation(state, beta)
+    if rng is None:
+        rng = np.random.default_rng(model.seed)
+    return _draw_parity(pi_true, model, rng)
 
 
 def calibrate_parity(model: ReadoutModel, n_phases: int = _PARITY_PHASES,
@@ -268,10 +271,12 @@ def sample_wigner(state: JointState, betas, model: ReadoutModel,
     betas = np.asarray(betas, dtype=complex).ravel()
     if normalization is None:
         normalization = ParityNormalization.identity()
+    pi_true = displaced_parity(state, betas)
     raw = np.empty(len(betas))
     for i, beta in enumerate(betas):
+        _check_displacement(state, beta)
         rng = np.random.default_rng(model.seed ^ (i + 1))
-        raw[i] = simulate_parity_readout(state, beta, model, rng=rng)
+        raw[i] = _draw_parity(pi_true[i], model, rng)
     return WignerSampleSet(betas=betas, parities=normalization.apply(raw),
                            shots_per_point=model.shots, normalization=normalization)
 

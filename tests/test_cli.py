@@ -135,6 +135,17 @@ def test_seed_changes_samples(tmp_path, capsys):
         != (out_b / "drive_samples.csv").read_bytes()
 
 
+@pytest.mark.parametrize("field", ["t1_phonon", "t1_qubit", "t2_qubit"])
+def test_open_simulate_rejects_nonpositive_lifetimes(tmp_path, capsys, field):
+    for value in (0.0, -5.0):
+        cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                      "closed": False, field: value})
+        code, _, err = run(capsys, "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert field in err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # contrast + offset push outcome probabilities beyond 1: a model
     # consistency failure deep in the run, not a config-shape problem

@@ -18,6 +18,7 @@ from catsim.hilbert import (
     coherent_amplitudes,
     coherent_state,
     default_cutoff,
+    displaced_parity,
     displacement_operator,
     expectation,
     fidelity,
@@ -144,6 +145,50 @@ def test_displacement_composes_with_phase():
     rhs = np.exp(1j * (b1 * np.conj(b2)).imag) * displacement_operator(b1 + b2, dim)
     # compare on the low-Fock block, away from truncation edge effects
     assert np.allclose(lhs[:10, :10], rhs[:10, :10], atol=1e-8)
+
+
+@pytest.mark.parametrize("dim", [5, 41])
+def test_displaced_parity_is_double_displacement(dim):
+    # Pi anticommutes with the truncated generator, so D(b) Pi D(b)^dag =
+    # D(2b) Pi holds on the truncated space, also at displacements far
+    # beyond the cutoff's accuracy
+    parity = np.diag((-1.0) ** np.arange(dim))
+    for beta in (0.0, 0.7 - 0.3j, -1.2, 2.5 + 0.5j, 4.0j):
+        d = displacement_operator(beta, dim)
+        lhs = d @ parity @ d.conj().T
+        rhs = displacement_operator(2.0 * beta, dim) @ parity
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# beta = 0, the negative real axis (angle +-pi) and off-raster points
+PARITY_POINTS = np.array([0.0, -1.0, -2.5 + 0.0j, complex(-0.4, -0.0), 1e-9,
+                          0.37 - 1.91j, 2.2 + 1.3j, -1.7 - 0.2j, 3.1j])
+
+
+@pytest.mark.parametrize("dim", [5, 41, 112])
+def test_displaced_parity_matches_dense_reference(dim):
+    rng = np.random.default_rng(dim)
+    space = HilbertSpace(dim - 1)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    parity = np.diag((-1.0) ** np.arange(dim))
+    for state in (JointState(space, rho / np.trace(rho).real, "mixed"),
+                  JointState(space, vec / np.linalg.norm(vec), "pure")):
+        dense = state.density_matrix()
+        ref = []
+        for beta in PARITY_POINTS:
+            d = displacement_operator(beta, dim)
+            ref.append(np.trace(dense @ d @ parity @ d.conj().T).real)
+        got = displaced_parity(state, PARITY_POINTS)
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-12
+
+
+def test_displaced_parity_empty_and_joint_inputs():
+    assert displaced_parity(fock_state(1, HilbertSpace(6)), []).shape == (0,)
+    joint = tensor(qubit_state(1.0, 0.0), fock_state(0, HilbertSpace(4)))
+    with pytest.raises(DimensionMismatchError):
+        displaced_parity(joint, [0.0])
 
 
 @settings(max_examples=25, deadline=None)

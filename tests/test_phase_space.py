@@ -144,6 +144,11 @@ def test_trusted_flag_radius():
     assert wg.trusted.tolist() == [True, True, False]
 
 
+def test_empty_points_give_empty_grid():
+    wg = wigner(css_state(1.0, -1.0, 0.0, SPACE), np.array([], dtype=complex))
+    assert wg.points.shape == wg.values.shape == wg.trusted.shape == (0,)
+
+
 def test_negativity_requires_weights():
     wg = wigner(fock_state(1, SPACE), np.array([0.1 + 0.1j]))
     with pytest.raises(FitError):
