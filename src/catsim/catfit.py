@@ -4,6 +4,12 @@ Two target families: the analytical phonon state left by the resonant JC
 interaction (traced over the qubit, with a free phase-space rotation), and
 two-component coherent-state superpositions.  Cat size D is half the
 phase-space distance between the fitted coherent components.
+
+The analytical target is the reduction of a pure joint state, so the fits
+handle it as its low-rank phonon factor V (hilbert.phonon_factor) and
+score it with hilbert.factored_fidelity: an r x r eigenproblem (r <= 2)
+per evaluation, exact to roundoff, with no d x d matrix square root and no
+state validation inside the optimizer loop.
 """
 
 from __future__ import annotations
@@ -20,11 +26,14 @@ from .hilbert import (
     HilbertSpace,
     JointState,
     coherent_amplitudes,
+    factored_fidelity,
     fidelity,
-    partial_trace,
+    phonon_factor,
 )
 
 FIT_FTOL = 1e-8
+# Nelder-Mead iteration cap per start of fit_css / fit_analytical
+FIT_MAXITER = 4000
 
 
 def css_state(alpha1: complex, alpha2: complex, vartheta: float,
@@ -41,16 +50,25 @@ def css_state(alpha1: complex, alpha2: complex, vartheta: float,
     return JointState(space, vec / norm, "pure")
 
 
+def _analytical_factor(alpha: float, theta: float, c_g: complex, c_e: complex,
+                       t_c: float, g0: float, n_max: int) -> np.ndarray:
+    """Phonon factor of the analytical target, rotated by exp(-i theta n).
+
+    jc_evolve_exact keeps its truncation guard and its JC norm check; the
+    rotation acts on the factor's rows, so sigma = V V^dag / Tr(V^dag V) is
+    the rotated reduction.
+    """
+    params = SystemParams(g0=g0, alpha0=alpha, c_g=c_g, c_e=c_e)
+    factor = phonon_factor(jc_evolve_exact(params, t_c, n_max=n_max))
+    return np.exp(-1j * theta * np.arange(n_max + 1))[:, None] * factor
+
+
 def analytical_target(alpha: float, theta: float, c_g: complex, c_e: complex,
                       t_c: float, g0: float, space: HilbertSpace) -> JointState:
     """Phonon state after JC evolution to t_c, rotated by exp(-i theta n)."""
-    params = SystemParams(g0=g0, alpha0=alpha, c_g=c_g, c_e=c_e)
-    joint = jc_evolve_exact(params, t_c, n_max=space.n_max)
-    rho_p = partial_trace(joint, "phonon")
-    n = np.arange(space.n_max + 1)
-    phases = np.exp(-1j * theta * n)
-    rot = (phases[:, None] * rho_p.data) * phases.conj()[None, :]
-    return JointState(space, rot, "mixed")
+    factor = _analytical_factor(alpha, theta, c_g, c_e, t_c, g0, space.n_max)
+    rho = factor @ factor.conj().T
+    return JointState(space, rho / np.trace(rho).real, "mixed")
 
 
 @dataclass(frozen=True)
@@ -60,6 +78,7 @@ class AnalyticalFit:
     fidelity: float
     converged: bool
     n_evals: int
+    n_capped: int  # starts stopped by the iteration cap
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,7 @@ class CssFit:
     D: float
     converged: bool
     n_evals: int
+    n_capped: int  # starts stopped by the iteration cap
 
 
 @dataclass(frozen=True)
@@ -84,21 +104,27 @@ class SensitivityInterval:
 
 
 def _multistart(objective, starts, xatol=1e-5):
+    """Best Nelder-Mead result over the starts.
+
+    Returns (x, fidelity, converged, evaluations, capped starts).
+    """
     best = None
     total_evals = 0
+    capped = 0
     converged = False
     for x0 in starts:
         res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
                        options={"xatol": xatol, "fatol": FIT_FTOL / 10.0,
-                                "maxiter": 4000})
+                                "maxiter": FIT_MAXITER})
         total_evals += res.nfev
+        capped += int(res.nit >= FIT_MAXITER)
         key = (res.fun, tuple(np.round(res.x, 10)))
         if best is None or key < best[0]:
             best = (key, res.x, res.fun)
             converged = bool(res.success)
         elif abs(res.fun - best[2]) < FIT_FTOL:
             converged = converged or bool(res.success)
-    return best[1], -best[2], converged, total_evals
+    return best[1], -best[2], converged, total_evals, capped
 
 
 def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
@@ -106,21 +132,23 @@ def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
     """Maximize fidelity of rho to the analytical JC target over (alpha, theta)."""
     if rho.space.has_qubit:
         raise DimensionMismatchError("fit_analytical expects a phonon-only state")
-    space = rho.space
-    alpha_cap = math.sqrt(space.n_max / 4.0)
+    n_max = rho.space.n_max
+    rho_data = rho.density_matrix()
+    alpha_cap = math.sqrt(n_max / 4.0)
 
     def objective(x):
         alpha, theta = x
         if not (0.0 < alpha <= alpha_cap):
             return 1.0 + abs(alpha)
-        target = analytical_target(alpha, theta, c_g, c_e, t_c, g0, space)
-        return -fidelity(rho, target)
+        factor = _analytical_factor(alpha, theta, c_g, c_e, t_c, g0, n_max)
+        return -factored_fidelity(rho_data, factor)
 
     starts = [(a, th) for a in (0.5, 1.0, 1.5, 2.0)
               for th in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
-    x, f, converged, n_evals = _multistart(objective, starts)
+    x, f, converged, n_evals, n_capped = _multistart(objective, starts)
     return AnalyticalFit(alpha_fit=float(x[0]), theta=float(x[1]) % (2 * math.pi),
-                         fidelity=f, converged=converged, n_evals=n_evals)
+                         fidelity=f, converged=converged, n_evals=n_evals,
+                         n_capped=n_capped)
 
 
 def fit_css(rho: JointState) -> CssFit:
@@ -144,12 +172,12 @@ def fit_css(rho: JointState) -> CssFit:
         for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
             a1 = r * np.exp(1j * phi)
             starts.append((a1.real, a1.imag, -a1.real, -a1.imag, 0.0))
-    x, f, converged, n_evals = _multistart(objective, starts)
+    x, f, converged, n_evals, n_capped = _multistart(objective, starts)
     a1 = complex(x[0], x[1])
     a2 = complex(x[2], x[3])
     return CssFit(alpha1=a1, alpha2=a2, vartheta=float(x[4]) % (2 * math.pi),
                   fidelity=f, D=abs(a1 - a2) / 2.0, converged=converged,
-                  n_evals=n_evals)
+                  n_evals=n_evals, n_capped=n_capped)
 
 
 def find_drop_crossings(profile, best_x: float, best_f: float, drop: float,
@@ -243,16 +271,17 @@ def sensitivity_interval_analytical(rho: JointState, fit: AnalyticalFit,
                                     c_g: complex, c_e: complex, t_c: float,
                                     g0: float, drop: float = 0.01) -> SensitivityInterval:
     """Fidelity-drop interval for alpha_fit, re-optimizing theta per point."""
-    space = rho.space
+    n_max = rho.space.n_max
+    rho_data = rho.density_matrix()
     warm = [fit.theta]
 
     def profile(alpha):
-        if not (0.0 < alpha and alpha ** 2 <= space.n_max / 4.0):
+        if not (0.0 < alpha and alpha ** 2 <= n_max / 4.0):
             return 0.0
 
         def objective(x):
-            target = analytical_target(alpha, x[0], c_g, c_e, t_c, g0, space)
-            return -fidelity(rho, target)
+            factor = _analytical_factor(alpha, x[0], c_g, c_e, t_c, g0, n_max)
+            return -factored_fidelity(rho_data, factor)
 
         res = minimize(objective, warm, method="Nelder-Mead",
                        options={"xatol": 1e-5, "fatol": FIT_FTOL, "maxiter": 1000})

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -38,101 +39,162 @@ from .tomography import DriveCalibration, ReadoutModel, calibrate_drive, \
 SCHEMA_VERSION = 1
 
 
+# (bound keyword, test a value must pass, its wording in messages)
+_BOUNDS = (("minimum", operator.ge, ">="),
+           ("exclusive_minimum", operator.gt, ">"),
+           ("maximum", operator.le, "<="))
+
+
 class _Field:
-    def __init__(self, typ, required=False, default=None, desc=""):
+    """One config field: its type, default and the values it admits.
+
+    minimum / exclusive_minimum / maximum bound a number; length fixes the
+    number of entries of a list, whose entries must be numbers.  Bounds
+    appear in --schema and a value outside them is a config error (exit 2).
+    """
+
+    def __init__(self, typ, required=False, default=None, desc="",
+                 minimum=None, exclusive_minimum=None, maximum=None,
+                 length=None):
         self.typ = typ
         self.required = required
         self.default = default
         self.desc = desc
+        self.minimum = minimum
+        self.exclusive_minimum = exclusive_minimum
+        self.maximum = maximum
+        self.length = length
+
+    def constraints(self) -> dict:
+        keys = [key for key, _, _ in _BOUNDS] + ["length"]
+        return {key: getattr(self, key) for key in keys
+                if getattr(self, key) is not None}
+
+    def check(self, name: str, value):
+        """Raise ConfigError unless value lies within the field's bounds."""
+        if self.length is not None and (len(value) != self.length or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in value)):
+            raise ConfigError(
+                f"config field {name}: expected a list of {self.length} "
+                f"numbers, got {value!r}")
+        for key, admits, wording in _BOUNDS:
+            bound = getattr(self, key)
+            if bound is not None and not admits(value, bound):
+                raise ConfigError(
+                    f"config field {name}: must be {wording} {bound}, "
+                    f"got {value}")
+
+
+# Fock cutoffs grow as 4 |alpha|^2 (hilbert.default_cutoff); |alpha| <= 6
+# keeps every state within the n_max ~ 150 the dense matrices are sized for
+_MAX_AMPLITUDE = 6.0
+
+
+def _amplitude(default=None, required=False, desc=""):
+    return _Field(float, required=required, default=default, desc=desc,
+                  minimum=-_MAX_AMPLITUDE, maximum=_MAX_AMPLITUDE)
+
+
+def _positive(default, desc=""):
+    return _Field(float, default=default, desc=desc, exclusive_minimum=0)
 
 
 def _experiment_fields():
     return {
-        "g0": _Field(float, default=ExperimentConfig().g0, desc="JC coupling, rad/us"),
-        "t_cat": _Field(float, default=ExperimentConfig().t_cat, desc="interaction time, us"),
-        "t1_phonon": _Field(float, default=T1_PHONON_DEFAULT, desc="phonon T1, us"),
-        "t1_qubit": _Field(float, default=T1_QUBIT_DEFAULT, desc="qubit T1, us"),
-        "t2_qubit": _Field(float, default=T2_QUBIT_DEFAULT, desc="qubit T2, us"),
+        "g0": _positive(ExperimentConfig().g0, desc="JC coupling, rad/us"),
+        "t_cat": _positive(ExperimentConfig().t_cat,
+                           desc="interaction time, us"),
+        "t1_phonon": _positive(T1_PHONON_DEFAULT, desc="phonon T1, us"),
+        "t1_qubit": _positive(T1_QUBIT_DEFAULT, desc="qubit T1, us"),
+        "t2_qubit": _positive(T2_QUBIT_DEFAULT, desc="qubit T2, us"),
     }
 
 
 SCHEMAS = {
     "simulate": {
         "schema_version": _Field(int, required=True),
-        "alpha0": _Field(float, required=True, desc="initial coherent amplitude"),
-        "g0": _Field(float, default=ExperimentConfig().g0),
-        "c_g": _Field(list, default=[1.0, 0.0], desc="qubit ground amplitude [re, im]"),
-        "c_e": _Field(list, default=[0.0, 0.0], desc="qubit excited amplitude [re, im]"),
-        "t_max": _Field(float, default=10.0, desc="trajectory end time, us"),
-        "n_times": _Field(int, default=501),
+        "alpha0": _amplitude(required=True, desc="initial coherent amplitude"),
+        "g0": _positive(ExperimentConfig().g0),
+        "c_g": _Field(list, default=[1.0, 0.0], length=2,
+                      desc="qubit ground amplitude [re, im]"),
+        "c_e": _Field(list, default=[0.0, 0.0], length=2,
+                      desc="qubit excited amplitude [re, im]"),
+        "t_max": _positive(10.0, desc="trajectory end time, us"),
+        "n_times": _Field(int, default=501, minimum=2),
         "closed": _Field(bool, default=True, desc="skip dissipation channels"),
-        "t1_phonon": _Field(float, default=T1_PHONON_DEFAULT),
-        "t1_qubit": _Field(float, default=T1_QUBIT_DEFAULT),
-        "t2_qubit": _Field(float, default=T2_QUBIT_DEFAULT),
+        "t1_phonon": _positive(T1_PHONON_DEFAULT),
+        "t1_qubit": _positive(T1_QUBIT_DEFAULT),
+        "t2_qubit": _positive(T2_QUBIT_DEFAULT),
         "with_states": _Field(bool, default=True,
                               desc="track purity and Bloch components"),
     },
     "qubit-phase-scan": {
         "schema_version": _Field(int, required=True),
-        "alpha0": _Field(float, required=True),
-        "g0": _Field(float, default=ExperimentConfig().g0),
-        "n_phases": _Field(int, default=21),
-        "t_max": _Field(float, default=10.0),
-        "n_times": _Field(int, default=201),
+        "alpha0": _amplitude(required=True),
+        "g0": _positive(ExperimentConfig().g0),
+        "n_phases": _Field(int, default=21, minimum=1),
+        "t_max": _positive(10.0),
+        "n_times": _Field(int, default=201, minimum=1),
     },
     "wigner": {
         "schema_version": _Field(int, required=True),
         "state": _Field(str, required=True,
                         desc="'coherent', 'css', 'decayed-css', or 'pipeline'"),
-        "alpha": _Field(float, default=1.5, desc="amplitude (real)"),
+        "alpha": _amplitude(1.5, desc="amplitude (real)"),
         "vartheta": _Field(float, default=0.0, desc="CSS superposition phase"),
-        "kappa_t": _Field(float, default=0.0,
+        "kappa_t": _Field(float, default=0.0, minimum=0,
                           desc="decayed-css: kappa * t of the decay"),
         "drive_amplitude": _Field(float, default=0.35, desc="pipeline preset"),
-        "extent": _Field(float, default=3.0),
-        "n_grid": _Field(int, default=81),
+        "extent": _positive(3.0),
+        "n_grid": _Field(int, default=81, minimum=1),
         **_experiment_fields(),
     },
     "tomo": {
         "schema_version": _Field(int, required=True),
         "drive_amplitude": _Field(float, default=0.35),
-        "contrast": _Field(float, default=0.9),
+        "contrast": _Field(float, default=0.9, exclusive_minimum=0,
+                           maximum=1.0),
         "offset": _Field(float, default=0.02),
-        "shots": _Field(int, default=500),
-        "extent": _Field(float, default=2.2),
-        "n_grid": _Field(int, default=11),
-        "recon_n_max": _Field(int, default=20),
-        "seed": _Field(int, default=0),
+        "shots": _Field(int, default=500, minimum=1),
+        "extent": _positive(2.2),
+        "n_grid": _Field(int, default=11, minimum=1),
+        "recon_n_max": _Field(int, default=20, minimum=1),
+        "seed": _Field(int, default=0, minimum=0),
         **_experiment_fields(),
     },
     "decay": {
         "schema_version": _Field(int, required=True),
         "drive_amplitude": _Field(float, default=0.35),
-        "wait_max": _Field(float, default=40.0, desc="longest wait time, us"),
-        "n_waits": _Field(int, default=11),
+        "wait_max": _positive(40.0, desc="longest wait time, us"),
+        "n_waits": _Field(int, default=11, minimum=4,
+                          desc="the decay fit needs 4 points"),
         **_experiment_fields(),
     },
     "mass": {
         "schema_version": _Field(int, required=True),
-        "w0_um": _Field(float, default=27.0),
-        "length_um": _Field(float, default=435.0),
-        "wavelength_um": _Field(float, default=1.7),
-        "p": _Field(int, default=0),
+        "w0_um": _positive(27.0),
+        "length_um": _positive(435.0),
+        "wavelength_um": _positive(1.7),
+        "p": _Field(int, default=0, minimum=0),
         "l": _Field(int, default=0),
-        "alpha": _Field(float, default=1.61, desc="cat size for delocalization"),
+        "alpha": _Field(float, default=1.61, minimum=0,
+                        desc="cat size for delocalization"),
     },
     "calibrate": {
         "schema_version": _Field(int, required=True),
         "kind": _Field(str, required=True, desc="'drive', 'parity', or 'fock'"),
-        "seed": _Field(int, default=0),
-        "contrast": _Field(float, default=0.9),
+        "seed": _Field(int, default=0, minimum=0),
+        "contrast": _Field(float, default=0.9, exclusive_minimum=0,
+                           maximum=1.0),
         "offset": _Field(float, default=0.02),
-        "shots": _Field(int, default=10000),
-        "drive_b": _Field(float, default=0.2, desc="true drive exponent scale"),
-        "drive_c": _Field(float, default=1.1, desc="true drive prefactor"),
-        "noise": _Field(float, default=0.01, desc="relative noise on samples"),
-        "beta": _Field(float, default=1.3, desc="fock: true coherent amplitude"),
-        "g0": _Field(float, default=ExperimentConfig().g0),
+        "shots": _Field(int, default=10000, minimum=1),
+        "drive_b": _positive(0.2, desc="true drive exponent scale"),
+        "drive_c": _positive(1.1, desc="true drive prefactor"),
+        "noise": _Field(float, default=0.01, minimum=0,
+                        desc="relative noise on samples"),
+        "beta": _amplitude(1.3, desc="fock: true coherent amplitude"),
+        "g0": _positive(ExperimentConfig().g0),
     },
 }
 
@@ -170,6 +232,7 @@ def _load_config(path: str, command: str) -> dict:
             raise ConfigError(
                 f"config field {name}: expected {field.typ.__name__}, "
                 f"got {type(value).__name__}")
+        field.check(name, value)
         out[name] = value
     if out["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
@@ -193,6 +256,7 @@ def _schema_json() -> dict:
                 "required": field.required,
                 "default": field.default,
                 "description": field.desc,
+                **field.constraints(),
             }
             for name, field in schema.items()
         }
@@ -203,6 +267,10 @@ def _schema_json() -> dict:
 
 def _cmd_simulate(cfg, out_dir, seed, log):
     c_g, c_e = complex(*cfg["c_g"]), complex(*cfg["c_e"])
+    norm_sq = abs(c_g) ** 2 + abs(c_e) ** 2
+    if abs(norm_sq - 1.0) > 1e-6:
+        raise ConfigError(
+            f"config fields c_g, c_e: |c_g|^2 + |c_e|^2 = {norm_sq:g}, must be 1")
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     if cfg["closed"]:
         params = SystemParams(g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=c_g,
@@ -427,6 +495,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catsim",
                      description="Deterministic batch pipelines for the "
@@ -439,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config's random seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--quiet", action="store_true",

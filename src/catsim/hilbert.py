@@ -286,6 +286,22 @@ def tensor(qubit_amps: np.ndarray, phonon_state: JointState) -> JointState:
     return JointState(space, vec, "pure")
 
 
+def phonon_factor(state: JointState) -> np.ndarray:
+    """Phonon factor V (phonon_dim x r) of a pure qubit (x) phonon state.
+
+    partial_trace(state, "phonon") is V V^dag / Tr(V^dag V), and its
+    pure-input branch is built from this factor, so a low-rank route
+    through V (factored_fidelity) sees the same reduction as the generic
+    one.  Like the mixed-input branch, the reduction sums the qubit blocks,
+    which leaves one column psi_g + psi_e; the trace over the qubit keeps
+    them as two columns [psi_g psi_e].
+    """
+    if not state.space.has_qubit or state.kind != "pure":
+        raise DimensionMismatchError("phonon_factor expects a pure qubit (x) phonon state")
+    blocks = state.data.reshape(2, state.space.phonon_dim)
+    return blocks.sum(axis=0)[:, None]
+
+
 def partial_trace(state: JointState, keep: str) -> JointState:
     """Trace out one factor of a joint state; keep is 'qubit' or 'phonon'."""
     if not state.space.has_qubit:
@@ -293,14 +309,17 @@ def partial_trace(state: JointState, keep: str) -> JointState:
     if keep not in ("qubit", "phonon"):
         raise ValueError("keep must be 'qubit' or 'phonon'")
     pd = state.space.phonon_dim
-    rho = state.density_matrix().reshape(2, pd, 2, pd)
     if keep == "qubit":
-        red = np.einsum("injn->ij", rho)
+        red = np.einsum("injn->ij", state.density_matrix().reshape(2, pd, 2, pd))
         space = HilbertSpace(1, has_qubit=False)  # 2-level carrier
         # Represent the qubit as a bare 2x2 matrix on a phonon-only space of
         # dim 2 (n_max = 1); the qubit/phonon distinction is bookkeeping only.
     else:
-        red = np.einsum("injm->nm", rho)
+        if state.kind == "pure":
+            factor = phonon_factor(state)
+            red = factor @ factor.conj().T
+        else:
+            red = np.einsum("injm->nm", state.data.reshape(2, pd, 2, pd))
         space = HilbertSpace(state.space.n_max, has_qubit=False)
     red = 0.5 * (red + red.conj().T)
     red = red / np.trace(red).real
@@ -324,7 +343,14 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: JointState, sigma: JointState) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
+    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
+
+    Two mixed states go through two d x d matrix square roots whose
+    roundoff eigenvalues (~1e-17) are clipped at 0; on rank-deficient
+    pairs the square roots of what survives leave a noise floor of ~1e-8
+    in the value.  When sigma is known as a low-rank factor, use
+    factored_fidelity, which is exact to roundoff.
+    """
     if rho.space.dim != sigma.space.dim:
         raise DimensionMismatchError(
             f"fidelity between dims {rho.space.dim} and {sigma.space.dim}"
@@ -339,6 +365,20 @@ def fidelity(rho: JointState, sigma: JointState) -> float:
     sr = _psd_sqrt(rho.data)
     inner = _psd_sqrt(sr @ sigma.data @ sr)
     return float(min(1.0, np.trace(inner).real))
+
+
+def factored_fidelity(rho: np.ndarray, factor: np.ndarray) -> float:
+    """Fidelity of the density matrix rho to sigma = V V^dag / Tr(V^dag V).
+
+    The nonzero eigenvalues of sqrt(rho) V V^dag sqrt(rho) are those of
+    V^dag rho V, so F = Tr sqrt(V^dag rho V / Tr(V^dag V)): an r x r
+    eigenproblem for a d x r factor V, with no d x d square root.  rho is
+    taken as given (a validated JointState's data); nothing is checked
+    here, so optimizer loops can call it per evaluation.
+    """
+    gram = factor.conj().T @ rho @ factor
+    evals = np.linalg.eigvalsh(gram) / np.vdot(factor, factor).real
+    return float(min(1.0, np.sum(np.sqrt(np.clip(evals, 0.0, None)))))
 
 
 def expectation(op: np.ndarray, state: JointState) -> complex:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catsim.catfit import (
+    _analytical_factor,
     analytical_target,
     css_state,
     find_drop_crossings,
@@ -12,7 +13,7 @@ from catsim.catfit import (
     sensitivity_interval,
 )
 from catsim.errors import FitError
-from catsim.hilbert import HilbertSpace, fidelity
+from catsim.hilbert import HilbertSpace, factored_fidelity, fidelity
 
 G0 = math.sqrt(2.0) / 0.9
 SPACE = HilbertSpace(26)
@@ -28,6 +29,43 @@ def test_analytical_self_fit():
     fit = fit_analytical(rho, 1.0, 0.0, _cat_time(alpha), G0)
     assert fit.alpha_fit == pytest.approx(alpha, rel=0.01)
     assert fit.fidelity > 0.999
+
+
+def test_analytical_self_fit_has_no_capped_starts():
+    alpha = 1.62
+    rho = analytical_target(alpha, 0.0, 1.0, 0.0, _cat_time(alpha), G0, SPACE)
+    fit = fit_analytical(rho, 1.0, 0.0, _cat_time(alpha), G0)
+    assert fit.n_capped == 0
+    assert fit.converged
+
+
+def test_analytical_objective_has_no_noise_floor():
+    # a noiseless target is fitted well inside the iteration caps, and the
+    # objective is smooth at the 1e-10 scale: off the optimum its values
+    # follow their linear trend to roundoff, where the generic fidelity
+    # route jitters by ~2e-8 (above the 1e-9 fatol of every start)
+    alpha, theta0, space = 1.3, 0.7, HilbertSpace(12)
+    t_c = _cat_time(alpha)
+    rho = analytical_target(alpha, theta0, 1.0, 0.0, t_c, G0, space)
+    fit = fit_analytical(rho, 1.0, 0.0, t_c, G0)
+    assert fit.converged
+    assert fit.n_capped == 0
+    assert fit.n_evals <= 3000
+    steps = np.arange(20)
+    values = np.array([
+        factored_fidelity(rho.data, _analytical_factor(
+            alpha + 1e-10 * k, theta0 + 0.3, 1.0, 0.0, t_c, G0, space.n_max))
+        for k in steps])
+    trend = np.polyval(np.polyfit(steps, values, 1), steps)
+    assert np.ptp(values - trend) <= 1e-12
+
+
+def test_analytical_target_is_the_factored_state():
+    alpha, theta = 1.4, 2.1
+    t_c = _cat_time(alpha)
+    target = analytical_target(alpha, theta, 1.0, 0.0, t_c, G0, SPACE)
+    factor = _analytical_factor(alpha, theta, 1.0, 0.0, t_c, G0, SPACE.n_max)
+    assert factored_fidelity(target.data, factor) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analytical_fit_recovers_rotation():

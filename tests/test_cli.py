@@ -190,3 +190,46 @@ def test_calibrate_fock_roundtrip(tmp_path, capsys):
     assert code == 0
     doc = json.loads((out_dir / "fock_fit.json").read_text())
     assert doc["beta_fit"] == pytest.approx(1.0, rel=0.05)
+
+
+# out-of-bounds values and an unnormalised qubit state are config errors,
+# caught before any computation, not tracebacks or numerical failures
+@pytest.mark.parametrize("command,payload,field", [
+    ("simulate", {"alpha0": 1.0, "c_g": [1, 0, 0]}, "c_g"),
+    ("simulate", {"alpha0": 1.0, "g0": -1}, "g0"),
+    ("simulate", {"alpha0": 1.0, "n_times": 0}, "n_times"),
+    ("simulate", {"alpha0": 1.0, "t_max": -1}, "t_max"),
+    ("simulate", {"alpha0": 1.0, "c_g": [0.5, 0], "c_e": [0.5, 0]}, "c_g"),
+    ("tomo", {"shots": 0}, "shots"),
+    ("tomo", {"recon_n_max": 0}, "recon_n_max"),
+], ids=["c_g_length", "g0_negative", "n_times_zero", "t_max_negative",
+        "qubit_not_normalized", "tomo_shots_zero", "tomo_recon_n_max_zero"])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, command,
+                                               payload, field):
+    cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    code, _, err = run(capsys, command, "--config", cfg,
+                       "--out", str(tmp_path / "out"), "--quiet")
+    assert code == 2
+    assert "config error" in err and field in err
+
+
+def test_schema_lists_value_bounds(capsys):
+    code, out, _ = run(capsys, "--schema")
+    assert code == 0
+    simulate = json.loads(out)["commands"]["simulate"]
+    assert simulate["g0"]["exclusive_minimum"] == 0
+    assert simulate["n_times"]["minimum"] == 2
+    assert simulate["c_g"]["length"] == 2
+    assert "minimum" not in simulate["closed"]
+    for command, schema in SCHEMAS.items():
+        for name, field in schema.items():
+            if name != "schema_version" and field.default is not None:
+                field.check(name, field.default)  # defaults are admissible
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "drive"})
+    code, _, err = run(capsys, "calibrate", "--config", cfg, "--seed", "-1",
+                       "--out", str(tmp_path / "out"), "--quiet")
+    assert code == 1
+    assert "seed" in err

@@ -21,9 +21,11 @@ from catsim.hilbert import (
     displaced_parity,
     displacement_operator,
     expectation,
+    factored_fidelity,
     fidelity,
     fock_state,
     partial_trace,
+    phonon_factor,
     purity,
     qubit_state,
     tensor,
@@ -117,6 +119,58 @@ def test_fidelity_pure_equals_mixed_route():
     phi = coherent_state(-0.4, space)
     as_mixed = JointState(space, phi.density_matrix(), "mixed")
     assert fidelity(psi, as_mixed) == pytest.approx(fidelity(psi, phi), abs=1e-9)
+
+
+def _random_density(rng, dim):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [5, 13, 41])
+def test_factored_fidelity_matches_generic_route(dim):
+    # sigma = V V^dag / Tr(V^dag V): the generic route clips the roundoff
+    # eigenvalues of its rank-deficient square roots (~1e-8 of bias and
+    # jitter), the factored one is exact, so they agree to that floor for
+    # low-rank V and to roundoff for full-rank V
+    rng = np.random.default_rng(dim)
+    space = HilbertSpace(dim - 1)
+    rho = JointState(space, _random_density(rng, dim), "mixed")
+    for rank, tol in ((1, 1e-7), (2, 1e-7), (dim, 1e-10)):
+        factor = rng.standard_normal((dim, rank)) \
+            + 1j * rng.standard_normal((dim, rank))
+        sigma = factor @ factor.conj().T
+        sigma = JointState(space, sigma / np.trace(sigma).real, "mixed")
+        got = factored_fidelity(rho.data, factor)
+        assert abs(got - fidelity(rho, sigma)) <= tol
+        assert abs(got - fidelity(sigma, rho)) <= tol
+
+
+@pytest.mark.parametrize("n_max", [1, 6, 30])
+def test_phonon_factor_is_the_phonon_reduction(n_max):
+    # both branches of partial_trace(., "phonon") and the factor must give
+    # one reduction, so a change to it cannot reach one route only
+    rng = np.random.default_rng(n_max)
+    space = HilbertSpace(n_max, has_qubit=True)
+    vec = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi = JointState(space, vec / np.linalg.norm(vec), "pure")
+    factor = phonon_factor(psi)
+    assert factor.shape[0] == space.phonon_dim
+    from_factor = factor @ factor.conj().T / np.vdot(factor, factor).real
+    pure_branch = partial_trace(psi, "phonon").data
+    mixed_branch = partial_trace(
+        JointState(space, psi.density_matrix(), "mixed"), "phonon").data
+    assert np.max(np.abs(from_factor - pure_branch)) <= 1e-14
+    assert np.max(np.abs(from_factor - mixed_branch)) <= 1e-14
+
+
+def test_phonon_factor_rejects_mixed_and_phonon_only_states():
+    space = HilbertSpace(3, has_qubit=True)
+    rho = np.eye(space.dim) / space.dim
+    with pytest.raises(DimensionMismatchError):
+        phonon_factor(JointState(space, rho, "mixed"))
+    with pytest.raises(DimensionMismatchError):
+        phonon_factor(fock_state(0, HilbertSpace(3)))
 
 
 def test_psd_sqrt_squares_back():
