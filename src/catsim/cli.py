@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import operator
-import os
 import sys
 from pathlib import Path
 
@@ -522,21 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads() -> int:
-    raw = os.environ.get("CATSIM_THREADS")
-    if raw is None:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CATSIM_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"CATSIM_THREADS must be >= 1, got {n}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    return n
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -558,7 +542,6 @@ def main(argv=None) -> int:
             print(message)
 
     try:
-        _resolve_threads()
         cfg = _load_config(args.config, args.command)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,11 @@
 
 Closed-system evolution uses the exact Fock-basis solution of the resonant
 JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and |e,n-1>), so
-no integrator is involved.  Open-system evolution integrates the Lindblad
-master equation with collapse channels sqrt(kappa) a, sqrt(gamma) sigma-,
-and sqrt(gamma_phi/2) sigma_z.
+no integrator is involved; a trajectory evaluates it once over its time
+grid.  Open-system evolution integrates the Lindblad master equation with
+collapse channels sqrt(kappa) a, sqrt(gamma) sigma-, and
+sqrt(gamma_phi/2) sigma_z.  Both take their observables from one routine,
+vectorised over states.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -26,12 +28,7 @@ from .hilbert import (
     OperatorSet,
     check_truncation,
     coherent_amplitudes,
-    coherent_state,
     default_cutoff,
-    partial_trace,
-    purity,
-    qubit_state,
-    tensor,
 )
 
 _SIGMA = {
@@ -120,19 +117,16 @@ def characteristic_times(params: SystemParams) -> CharacteristicTimes:
     return CharacteristicTimes(t_collapse=t_collapse, t_R=t_r, t_C=t_r / 2.0)
 
 
-def _initial_joint(params: SystemParams, n_max: int) -> JointState:
-    space = HilbertSpace(n_max, has_qubit=False)
-    phonon = coherent_state(params.alpha0, space)
-    return tensor(qubit_state(params.c_g, params.c_e), phonon)
+def _jc_series(params: SystemParams, times, n_max: int) -> np.ndarray:
+    """psi_g(t), psi_e(t) of the exact Fock-basis JC solution on a time grid.
 
-
-def jc_evolve_exact(params: SystemParams, t: float, n_max: int | None = None) -> JointState:
-    """Closed-system JC state at time t, from the exact Fock-basis solution."""
-    if n_max is None:
-        n_max = default_cutoff(params.alpha0)
-    space = HilbertSpace(n_max, has_qubit=True)
-    check_truncation(params.alpha0, space)
+    Returns a (T, 2, n_max + 1) array, normalised per time.  Keeps the
+    truncation guard, and raises IntegrationError at the first time whose
+    truncated state norm deviates from 1 by more than 1e-6.
+    """
+    check_truncation(params.alpha0, HilbertSpace(n_max, has_qubit=True))
     c, _ = coherent_amplitudes(params.alpha0, n_max)
+    t = np.asarray(times, dtype=float)[:, None]
     n = np.arange(n_max + 1)
     sq_n = np.sqrt(n)
     sq_np1 = np.sqrt(n + 1.0)
@@ -142,11 +136,25 @@ def jc_evolve_exact(params: SystemParams, t: float, n_max: int | None = None) ->
         - 1j * c_prev * params.c_e * np.sin(params.g0 * sq_n * t)
     psi_e = c * params.c_e * np.cos(params.g0 * sq_np1 * t) \
         - 1j * c_next * params.c_g * np.sin(params.g0 * sq_np1 * t)
-    vec = np.concatenate((psi_g, psi_e))
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-6:
-        raise IntegrationError(f"truncated JC state norm {norm}; increase n_max")
-    return JointState(space, vec / norm, "pure")
+    flat = np.concatenate((psi_g, psi_e), axis=1)[:, None, :]
+    # squared norms by the BLAS dot np.linalg.norm takes for one vector, so a
+    # trajectory state equals jc_evolve_exact at its time to the last bit
+    norms = np.sqrt(flat.real @ flat.real.swapaxes(1, 2)
+                    + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
+    bad = np.abs(norms - 1.0) > 1e-6
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IntegrationError(
+            f"truncated JC state norm {norms[k]} at t = {t[k, 0]:.4g}; increase n_max")
+    return (flat / norms[:, None, None]).reshape(len(t), 2, n_max + 1)
+
+
+def jc_evolve_exact(params: SystemParams, t: float, n_max: int | None = None) -> JointState:
+    """Closed-system JC state at time t, from the exact Fock-basis solution."""
+    if n_max is None:
+        n_max = default_cutoff(params.alpha0)
+    psi = _jc_series(params, [t], n_max)
+    return JointState(HilbertSpace(n_max, has_qubit=True), psi.ravel(), "pure")
 
 
 def excited_population(params: SystemParams, times, n_max: int | None = None) -> np.ndarray:
@@ -210,40 +218,52 @@ def phi_states(params: SystemParams, t: float, n_max: int | None = None):
     )
 
 
-def _qubit_observables(joint: JointState) -> dict:
-    rho_q = partial_trace(joint, "qubit")
-    out = {"purity": purity(rho_q)}
+def _time_grid(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("the time grid is empty")
+    return times
+
+
+def _observables(data: np.ndarray, space: HilbertSpace) -> dict:
+    """Standard observables of a stack of states on one space.
+
+    data holds pure joint-state vectors (T, dim) or density matrices
+    (T, dim, dim).
+    n_mean comes from the Fock populations.  On a joint space the qubit's
+    2x2 reduction, hermitised and normalised, gives P_e, its purity and
+    <sigma_x,y,z>; a phonon-only stack reports Tr rho^2 as the purity.
+    """
+    pd = space.phonon_dim
+    pure = data.ndim == 2
+    pops = np.abs(data) ** 2 if pure else np.diagonal(data, axis1=1, axis2=2).real
+    obs = {"n_mean": pops @ (np.arange(space.dim) % pd)}
+    if not space.has_qubit:
+        obs["purity"] = np.sum(np.abs(data) ** 2, axis=(1, 2))
+        return obs
+    if pure:
+        psi = data.reshape(-1, 2, pd)
+        red = np.einsum("tin,tjn->tij", psi, psi.conj())
+    else:
+        red = np.einsum("tinjn->tij", data.reshape(-1, 2, pd, 2, pd))
+    red = 0.5 * (red + red.conj().swapaxes(1, 2))
+    red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
+    obs["purity"] = np.sum(np.abs(red) ** 2, axis=(1, 2))
     for name, sig in _SIGMA.items():
-        out[name] = float(np.trace(rho_q.data @ sig).real)
-    out["P_e"] = float(rho_q.data[1, 1].real)
-    return out
-
-
-def _observable_row(state: JointState) -> dict:
-    ops = OperatorSet(state.space)
-    if state.kind == "pure":
-        n_mean = float(np.vdot(state.data, ops.number_op @ state.data).real)
-    else:
-        n_mean = float(np.trace(ops.number_op @ state.data).real)
-    row = {"n_mean": n_mean}
-    if state.space.has_qubit:
-        row.update(_qubit_observables(state))
-    else:
-        row["purity"] = purity(state)
-    return row
-
-
-def _collect(times, states) -> Trajectory:
-    rows = [_observable_row(s) for s in states]
-    names = rows[0].keys()
-    obs = {k: np.array([r[k] for r in rows]) for k in names}
-    return Trajectory(times=np.asarray(times, float), states=list(states), observables=obs)
+        obs[name] = np.trace(red @ sig, axis1=1, axis2=2).real
+    obs["P_e"] = red[:, 1, 1].real
+    return obs
 
 
 def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
     """Closed-system trajectory with states and standard observables."""
-    states = [jc_evolve_exact(params, t, n_max=n_max) for t in times]
-    return _collect(times, states)
+    times = _time_grid(times)
+    if n_max is None:
+        n_max = default_cutoff(params.alpha0)
+    space = HilbertSpace(n_max, has_qubit=True)
+    psi = _jc_series(params, times, n_max).reshape(len(times), -1)
+    states = [JointState(space, vec, "pure") for vec in psi]
+    return Trajectory(times=times, states=states, observables=_observables(psi, space))
 
 
 def pe_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
@@ -266,8 +286,9 @@ def lindblad_evolve(
     Collapse channels: sqrt(kappa_phonon) a, and on joint spaces also
     sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2) sigma_z.  The initial
     state may be joint or phonon-only; the Hamiltonian requires a qubit.
+    A one-point grid returns the initial state, checked like any other.
     """
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     space = initial.space
     ops = OperatorSet(space)
     dim = space.dim
@@ -295,18 +316,23 @@ def lindblad_evolve(
             out += g * (L @ rho @ Ld)
         return out.ravel()
 
-    rho0 = initial.density_matrix().astype(complex)
-    t0, t1 = float(times[0]), float(times[-1])
-    sol = solve_ivp(
-        rhs, (t0, t1), rho0.ravel(), t_eval=times, method="RK45",
-        rtol=rtol, atol=atol, max_step=max_step,
-    )
-    if not sol.success:
-        raise IntegrationError(f"master equation integration failed: {sol.message}")
+    rho0 = initial.density_matrix().astype(complex).ravel()
+    if len(times) == 1:
+        ys = rho0[:, None]
+    else:
+        sol = solve_ivp(
+            rhs, (times[0], times[-1]), rho0, t_eval=times, method="RK45",
+            rtol=rtol, atol=atol, max_step=max_step,
+        )
+        if not sol.success:
+            raise IntegrationError(f"master equation integration failed: {sol.message}")
+        ys = sol.y
 
-    states = []
-    for k in range(sol.y.shape[1]):
-        rho = sol.y[:, k].reshape(dim, dim)
+    # observables per state: stacking the d x d states would double the
+    # memory that sol.y already holds
+    states, rows = [], []
+    for k in range(ys.shape[1]):
+        rho = ys[:, k].reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-8:
@@ -324,7 +350,9 @@ def lindblad_evolve(
             rho = (evecs * evals) @ evecs.conj().T
             rho = rho / np.trace(rho).real
         states.append(JointState(space, rho, "mixed"))
-    return _collect(times, states)
+        rows.append(_observables(rho[None], space))
+    obs = {name: np.concatenate([row[name] for row in rows]) for name in rows[0]}
+    return Trajectory(times=times, states=states, observables=obs)
 
 
 def revival_contrast(traj: Trajectory, t_r: float | None = None) -> float:

@@ -198,36 +198,23 @@ class OperatorSet:
         pd = space.phonon_dim
         a_ph = _destroy(pd)
         n_ph = np.diag(np.arange(pd, dtype=float)).astype(complex)
-        parity_ph = np.diag((-1.0) ** np.arange(pd)).astype(complex)
         if space.has_qubit:
             i2 = np.eye(2, dtype=complex)
             self.a = np.kron(i2, a_ph)
             self.number_op = np.kron(i2, n_ph)
-            self.parity_op = np.kron(i2, parity_ph)
             ip = np.eye(pd, dtype=complex)
             sp = np.zeros((2, 2), dtype=complex)
             sp[1, 0] = 1.0  # |e><g|
             self.sigma_plus = np.kron(sp, ip)
             self.sigma_minus = np.kron(sp.T, ip)
-            self.sigma_x = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), ip)
-            self.sigma_y = np.kron(np.array([[0, -1j], [1j, 0]], dtype=complex), ip)
             self.sigma_z = np.kron(np.array([[-1, 0], [0, 1]], dtype=complex), ip)
         else:
             self.a = a_ph
             self.number_op = n_ph
-            self.parity_op = parity_ph
             self.sigma_plus = None
             self.sigma_minus = None
-            self.sigma_x = None
-            self.sigma_y = None
             self.sigma_z = None
         self.a_dagger = self.a.conj().T
-
-    def displacement(self, beta: complex) -> np.ndarray:
-        d = displacement_operator(beta, self.space.phonon_dim)
-        if self.space.has_qubit:
-            return np.kron(np.eye(2, dtype=complex), d)
-        return d
 
 
 def fock_state(n: int, space: HilbertSpace) -> JointState:

@@ -157,15 +157,6 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in err
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, {"schema_version": 1})
-    monkeypatch.setenv("CATSIM_THREADS", "many")
-    code, _, err = run(capsys, "mass", "--config", cfg, "--out",
-                       str(tmp_path / "out"), "--quiet")
-    assert code == 2
-    assert "CATSIM_THREADS" in err
-
-
 def test_wigner_decayed_css(tmp_path, capsys):
     cfg = write_config(tmp_path, {"schema_version": 1, "state": "decayed-css",
                                   "alpha": 1.2, "kappa_t": 0.1,

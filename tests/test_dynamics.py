@@ -16,14 +16,17 @@ from catsim.dynamics import (
     phi_states,
     revival_contrast,
 )
+from catsim.errors import IntegrationError
 from catsim.hilbert import (
     HilbertSpace,
     JointState,
     OperatorSet,
     coherent_state,
     default_cutoff,
+    expectation,
     fidelity,
     partial_trace,
+    purity,
     qubit_state,
     tensor,
 )
@@ -217,3 +220,105 @@ def test_trajectory_csv_columns(tmp_path):
     traj.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "t,P_e,purity,sx,sy,sz,n_mean"
+
+
+_PAULI = {
+    "sx": np.array([[0, 1], [1, 0]], dtype=complex),
+    "sy": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "sz": np.array([[-1, 0], [0, 1]], dtype=complex),
+}
+
+
+def _reference_observables(state):
+    # one state at a time, through the generic partial trace and operators
+    row = {"n_mean": expectation(OperatorSet(state.space).number_op, state).real}
+    if not state.space.has_qubit:
+        row["purity"] = purity(state)
+        return row
+    rho_q = partial_trace(state, "qubit")
+    row["purity"] = purity(rho_q)
+    row["P_e"] = rho_q.data[1, 1].real
+    for name, sig in _PAULI.items():
+        row[name] = np.trace(rho_q.data @ sig).real
+    return row
+
+
+def _assert_matches_reference(traj):
+    rows = [_reference_observables(s) for s in traj.states]
+    assert set(traj.observables) == set(rows[0])
+    for name, series in traj.observables.items():
+        ref = np.array([row[name] for row in rows])
+        assert np.max(np.abs(series - ref)) <= 1e-12, name
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=0.0, max_value=math.pi),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=-math.pi, max_value=math.pi))
+def test_jc_trajectory_observables_match_per_state_reference(theta, phi,
+                                                             r, arg):
+    params = SystemParams(g0=G0, alpha0=r * np.exp(1j * arg),
+                          c_g=math.cos(theta / 2.0),
+                          c_e=math.sin(theta / 2.0) * np.exp(1j * phi))
+    _assert_matches_reference(jc_trajectory(params, np.linspace(0.0, 9.0, 37)))
+
+
+def test_lindblad_observables_match_per_state_reference():
+    params = SystemParams(g0=G0, alpha0=1.5, c_g=0.6, c_e=0.8j,
+                          kappa_phonon=0.05, gamma_qubit=0.1, gamma_phi=0.2)
+    space = HilbertSpace(default_cutoff(1.5), has_qubit=True)
+    initial = tensor(qubit_state(0.6, 0.8j),
+                     coherent_state(1.5, space.phonon_only()))
+    joint = lindblad_evolve(initial, params, hamiltonian_on=True,
+                            times=np.linspace(0.0, 4.0, 9))
+    _assert_matches_reference(joint)
+    phonon = lindblad_evolve(coherent_state(1.5, space.phonon_only()), params,
+                             hamiltonian_on=False,
+                             times=np.linspace(0.0, 4.0, 9))
+    _assert_matches_reference(phonon)
+
+
+def test_jc_evolve_exact_matches_trajectory_states():
+    params = SystemParams(g0=G0, alpha0=2.0 + 0.5j, c_g=0.6, c_e=0.8j)
+    times = np.linspace(0.0, 8.0, 17)
+    traj = jc_trajectory(params, times)
+    for t, state in zip(times, traj.states):
+        exact = jc_evolve_exact(params, t)
+        assert np.max(np.abs(exact.data - state.data)) <= 1e-15
+
+
+def test_truncated_jc_norm_names_first_failing_time():
+    # |e, n_max> leaks into the dropped |g, n_max + 1>: at n_max = 4 the
+    # norm deficit passes 1e-6 first at the grid's second point
+    params = SystemParams(g0=1.0, alpha0=1.0, c_g=0.0, c_e=1.0)
+    with pytest.raises(IntegrationError, match=r"at t = 0\.5;"):
+        jc_trajectory(params, np.linspace(0.0, 3.0, 7), n_max=4)
+
+
+def test_lindblad_one_point_grid_returns_initial_state():
+    params = SystemParams(g0=G0, alpha0=1.0, c_g=0.6, c_e=0.8,
+                          kappa_phonon=0.1)
+    space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
+    initial = tensor(qubit_state(0.6, 0.8),
+                     coherent_state(1.0, space.phonon_only()))
+    traj = lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.5])
+    assert list(traj.times) == [0.5]
+    assert np.max(np.abs(traj.states[0].data - initial.density_matrix())) < 1e-15
+    assert traj.observables["P_e"][0] == pytest.approx(0.64, abs=1e-14)
+    assert traj.observables["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
+    _assert_matches_reference(traj)
+
+
+@pytest.mark.parametrize("evolve", ["jc_trajectory", "lindblad_evolve"])
+def test_empty_time_grid_is_rejected(evolve):
+    params = SystemParams(g0=G0, alpha0=1.0)
+    if evolve == "jc_trajectory":
+        with pytest.raises(ValueError):
+            jc_trajectory(params, [])
+    else:
+        space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
+        initial = tensor(qubit_state(1.0, 0.0),
+                         coherent_state(1.0, space.phonon_only()))
+        with pytest.raises(ValueError):
+            lindblad_evolve(initial, params, hamiltonian_on=True, times=[])
