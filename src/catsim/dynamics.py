@@ -29,6 +29,8 @@ from .hilbert import (
     check_truncation,
     coherent_amplitudes,
     default_cutoff,
+    partial_trace,
+    purity,
 )
 
 _SIGMA = {
@@ -137,8 +139,9 @@ def _jc_series(params: SystemParams, times, n_max: int) -> np.ndarray:
     psi_e = c * params.c_e * np.cos(params.g0 * sq_np1 * t) \
         - 1j * c_next * params.c_g * np.sin(params.g0 * sq_np1 * t)
     flat = np.concatenate((psi_g, psi_e), axis=1)[:, None, :]
-    # squared norms by the BLAS dot np.linalg.norm takes for one vector, so a
-    # trajectory state equals jc_evolve_exact at its time to the last bit
+    # sqrt(re.re + im.im) by BLAS dots, as np.linalg.norm computes it for one
+    # complex vector: each state is bit-identical to its np.linalg.norm
+    # normalisation, which keeps the catfit and tomo outputs unchanged
     norms = np.sqrt(flat.real @ flat.real.swapaxes(1, 2)
                     + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0]
     bad = np.abs(norms - 1.0) > 1e-6
@@ -225,29 +228,17 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def _observables(data: np.ndarray, space: HilbertSpace) -> dict:
-    """Standard observables of a stack of states on one space.
+def _observables(space: HilbertSpace, pops, red, purities=None) -> dict:
+    """Standard observables of T states on one space.
 
-    data holds pure joint-state vectors (T, dim) or density matrices
-    (T, dim, dim).
-    n_mean comes from the Fock populations.  On a joint space the qubit's
-    2x2 reduction, hermitised and normalised, gives P_e, its purity and
-    <sigma_x,y,z>; a phonon-only stack reports Tr rho^2 as the purity.
+    pops (T, dim) are the states' Fock-basis populations and give n_mean.
+    On a joint space red (T, 2, 2) holds their hermitian, unit-trace qubit
+    reductions, which give P_e, the qubit purity and <sigma_x,y,z>; a
+    phonon-only space (red None) reports the given purities Tr rho^2.
     """
-    pd = space.phonon_dim
-    pure = data.ndim == 2
-    pops = np.abs(data) ** 2 if pure else np.diagonal(data, axis1=1, axis2=2).real
-    obs = {"n_mean": pops @ (np.arange(space.dim) % pd)}
-    if not space.has_qubit:
-        obs["purity"] = np.sum(np.abs(data) ** 2, axis=(1, 2))
-        return obs
-    if pure:
-        psi = data.reshape(-1, 2, pd)
-        red = np.einsum("tin,tjn->tij", psi, psi.conj())
-    else:
-        red = np.einsum("tinjn->tij", data.reshape(-1, 2, pd, 2, pd))
-    red = 0.5 * (red + red.conj().swapaxes(1, 2))
-    red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
+    obs = {"n_mean": pops @ (np.arange(space.dim) % space.phonon_dim)}
+    if red is None:
+        return {**obs, "purity": purities}
     obs["purity"] = np.sum(np.abs(red) ** 2, axis=(1, 2))
     for name, sig in _SIGMA.items():
         obs[name] = np.trace(red @ sig, axis1=1, axis2=2).real
@@ -261,9 +252,14 @@ def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Traj
     if n_max is None:
         n_max = default_cutoff(params.alpha0)
     space = HilbertSpace(n_max, has_qubit=True)
-    psi = _jc_series(params, times, n_max).reshape(len(times), -1)
+    psi = _jc_series(params, times, n_max)
+    red = np.einsum("tin,tjn->tij", psi, psi.conj())
+    red = 0.5 * (red + red.conj().swapaxes(1, 2))
+    red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
+    psi = psi.reshape(len(times), -1)
+    obs = _observables(space, np.abs(psi) ** 2, red)
     states = [JointState(space, vec, "pure") for vec in psi]
-    return Trajectory(times=times, states=states, observables=_observables(psi, space))
+    return Trajectory(times=times, states=states, observables=obs)
 
 
 def pe_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
@@ -330,8 +326,11 @@ def lindblad_evolve(
 
     # observables per state: stacking the d x d states would double the
     # memory that sol.y already holds
-    states, rows = [], []
-    for k in range(ys.shape[1]):
+    states = []
+    pops = np.empty((len(times), dim))
+    red = np.empty((len(times), 2, 2), dtype=complex) if space.has_qubit else None
+    purities = None if space.has_qubit else np.empty(len(times))
+    for k in range(len(times)):
         rho = ys[:, k].reshape(dim, dim)
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
@@ -350,9 +349,13 @@ def lindblad_evolve(
             rho = (evecs * evals) @ evecs.conj().T
             rho = rho / np.trace(rho).real
         states.append(JointState(space, rho, "mixed"))
-        rows.append(_observables(rho[None], space))
-    obs = {name: np.concatenate([row[name] for row in rows]) for name in rows[0]}
-    return Trajectory(times=times, states=states, observables=obs)
+        pops[k] = np.diagonal(rho).real
+        if space.has_qubit:
+            red[k] = partial_trace(states[k], "qubit").data
+        else:
+            purities[k] = purity(states[k])
+    return Trajectory(times=times, states=states,
+                      observables=_observables(space, pops, red, purities))
 
 
 def revival_contrast(traj: Trajectory, t_r: float | None = None) -> float:

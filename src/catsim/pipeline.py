@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .hilbert import HilbertSpace, JointState, coherent_state, default_cutoff, \
     partial_trace, qubit_state, tensor
 from .phase_space import NegativityDecayFit, fit_negativity_decay, negativity, \
-    raster_grid, slice_grid, wigner
+    raster_grid, wigner
 
 # Coherent amplitudes calibrated per drive-amplitude setting.
 DRIVE_PRESETS = {0.25: 1.28, 0.30: 1.74, 0.35: 2.05}
@@ -113,11 +113,6 @@ def free_decay(rho_phonon: JointState, waits,
                           kappa_phonon=config.kappa_phonon)
     traj = lindblad_evolve(rho_phonon, params, hamiltonian_on=False, times=waits)
     return list(traj.states)
-
-
-def fringe_slice(extent: float = 3.0, n: int = 101, offset: float = 0.0):
-    """1D cut along Re(beta) at fixed Im(beta), crossing the cat fringes."""
-    return slice_grid(-extent, extent, n=n, offset=offset, axis="re")
 
 
 def negativity_grid(extent: float = 3.0, n: int = 61):
