@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .errors import DimensionMismatchError, StateValidationError, TruncationError
 
@@ -138,51 +139,60 @@ def displacement_operator(beta: complex, phonon_dim: int) -> np.ndarray:
     return (phases[:, None] * core) * phases.conj()[None, :]
 
 
-# points per BLAS block in displaced_parity; bounds the block x (2 dim - 1)
-# temporaries so peak memory does not grow with the number of points
+# points, and radii, per block in displaced_parity; bounds its block x dim temporaries
 _PARITY_BLOCK = 256
 
 
-def _parity_coefficients(rho: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """T[a, delta + dim - 1] = sum_j (-1)^j V*_{ja} rho_{j,j+delta} V_{j+delta,a}."""
-    dim = rho.shape[0]
-    signed = evecs.conj() * ((-1.0) ** np.arange(dim))[:, None]
-    coef = np.empty((dim, 2 * dim - 1), dtype=complex)
-    for delta in range(1 - dim, dim):
-        lo, hi = max(0, -delta), min(dim, dim - delta)
-        coef[:, delta + dim - 1] = np.diagonal(rho, delta) @ (
-            signed[lo:hi] * evecs[lo + delta:hi + delta])
-    return coef
+def _laguerre_rows(x: np.ndarray, dim: int):
+    """Yield G_n[k, r] = sqrt(n!/(n+k)!) x_r^(k/2) e^(-x_r/2) L_n^(k)(x_r), k < dim - n, by n."""
+    k = np.arange(dim)[:, None]
+    prev, cur = np.zeros((dim, len(x))), np.exp(xlogy(k / 2, x) - x / 2 - 0.5 * gammaln(k + 1))
+    for n in range(dim):
+        yield cur
+        k = k[:-1]
+        nxt = (2 * n + 1 + k - x) * cur[:-1] - np.sqrt(n * (n + k)) * prev[:dim - n - 1]
+        prev, cur = cur, nxt / np.sqrt((n + 1) * (n + 1 + k))
 
 
 def displaced_parity(state: JointState, betas) -> np.ndarray:
     """Displaced-parity expectations Tr[rho D(beta) Pi D^dag(beta)] at every beta.
 
-    The parity Pi anticommutes with the truncated generator a^dag - a, so
-    D(beta) Pi D^dag(beta) = D(2 beta) Pi holds exactly on the truncated
-    space (Royer, PRA 15, 449 (1977)).  With the cached eigenpairs
-    (lambda_a, V) of -i(a^dag - a) and beta = r e^{i phi}, this gives
-
-        <Pi_beta> = Re sum_{a, delta} T[a, delta] e^{2 i r lambda_a} e^{i delta phi}
-
-    with T built once per state in O(d^3) time and O(d^2) memory, then
-    summed over blocks of points at O(d^2) per point.  The operator is the
-    one displacement_operator builds; only the arithmetic is rearranged.
+    Exact for the truncated state, no padding: D(beta) Pi D^dag(beta) = D(2 beta) Pi (Royer,
+    PRA 15, 449 (1977)), <n+k|D(2 beta)|n> = G_n[k] e^{ik arg beta} at x = 4|beta|^2 (Cahill
+    & Glauber, Phys. Rev. 177, 1857 (1969)), and with S_k = sum_n (-1)^n rho_{n,n+k} G_n[k],
+    <Pi> = Re[S_0 + 2 sum_k e^{ik arg beta} S_k]: O(d^2 R + N d) at R distinct |beta|.
     """
     if state.space.has_qubit:
         raise DimensionMismatchError("displaced_parity expects a phonon-only state")
     betas = np.asarray(betas, dtype=complex).ravel()
     dim = state.space.dim
-    evals, evecs = _displacement_basis(dim)
-    coef = _parity_coefficients(state.density_matrix(), evecs)
-    shifts = np.arange(1 - dim, dim)
+    rho = state.density_matrix()
+    radii, which = np.unique(np.abs(betas), return_inverse=True)
+    sums = np.zeros((dim, len(radii)), dtype=complex)
+    for lo in range(0, len(radii), _PARITY_BLOCK):
+        chunk = slice(lo, lo + _PARITY_BLOCK)
+        for n, g in enumerate(_laguerre_rows(4.0 * radii[chunk] ** 2, dim)):
+            sums[:dim - n, chunk] += ((-1) ** n * rho[n, n:])[:, None] * g
+    sums[1:] *= 2.0
     out = np.empty(len(betas))
     for start in range(0, len(betas), _PARITY_BLOCK):
-        block = betas[start:start + _PARITY_BLOCK]
-        radial = np.exp(2j * np.abs(block)[:, None] * evals) @ coef
-        angular = np.exp(1j * np.angle(block)[:, None] * shifts)
-        out[start:start + len(block)] = np.sum(radial * angular, axis=1).real
+        block = slice(start, start + _PARITY_BLOCK)
+        angular = np.exp(1j * np.angle(betas[block])[:, None] * np.arange(dim))
+        out[block] = np.einsum("pk,kp->p", angular, sums[:, which[block]]).real
     return out
+
+
+def parity_kernels(betas: np.ndarray, dim: int) -> np.ndarray:
+    """(N, dim, dim) Hermitian stack K[n+k, n] = (-1)^n G_n[k] e^{ik arg beta} = D Pi D^dag at
+    flat complex betas: displaced_parity's elements, exact, no padding, O(d^2 R + N d^2)."""
+    phases = np.exp(1j * np.angle(betas)[:, None] * np.arange(dim))
+    kernels = np.empty((len(betas), dim, dim), dtype=complex)
+    radii, which = np.unique(np.abs(betas), return_inverse=True)
+    for n, g in enumerate(_laguerre_rows(4.0 * radii ** 2, dim)):
+        col = (-1) ** n * g[:, which].T * phases[:, :dim - n]
+        kernels[:, n:, n] = col
+        kernels[:, n, n + 1:] = col[:, 1:].conj()
+    return kernels
 
 
 class OperatorSet:

@@ -4,10 +4,9 @@ Convention: W(beta) = (2/pi) Tr[D^dag(beta) rho D(beta) Pi], so that a
 coherent state |alpha> gives a Gaussian centered at alpha with peak 2/pi
 and integral over d^2 beta equal to 1.
 
-Pure and mixed states take one route, hilbert.displaced_parity: it uses
-the truncated-space identity D(beta) Pi D^dag(beta) = D(2 beta) Pi to
-evaluate all points of a grid in blocks, with no displacement matrix per
-point.  A raster of N points on a d-level state costs O(d^3 + N d^2).
+Pure and mixed states take one route, hilbert.displaced_parity (exact
+Laguerre elements, no padding): W is exact for the truncated state, at
+O(d^2 R + N d) for N points at R distinct |beta| on a d-level state.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class WignerGrid:
     values: np.ndarray
     weights: np.ndarray
     kind: str
-    trusted: np.ndarray  # per-point truncation-adequacy flag
+    trusted: np.ndarray  # W is exact; flags only the |beta| <= sqrt(n_max)/2 cutoff heuristic
     convention: str = "int W d^2beta = 1"
 
     def to_csv(self, path):

@@ -105,7 +105,7 @@ def free_decay(rho_phonon: JointState, waits,
     """
     config = config or ExperimentConfig()
     waits = np.asarray(waits, dtype=float)
-    if waits[0] != 0.0 or np.any(np.diff(waits) <= 0):
+    if waits.size == 0 or waits[0] != 0.0 or np.any(np.diff(waits) <= 0):
         raise ConfigError("waits must start at 0 and increase")
     if rho_phonon.space.has_qubit:
         raise ConfigError("free_decay expects a phonon-only state")

@@ -17,8 +17,7 @@ from scipy.optimize import curve_fit, minimize_scalar, nnls
 
 from . import io_utils
 from .errors import FitError, StateValidationError, TruncationError
-from .hilbert import HilbertSpace, JointState, displaced_parity, \
-    displacement_operator
+from .hilbert import HilbertSpace, JointState, displaced_parity, parity_kernels
 
 _PARITY_PHASES = 41
 
@@ -65,9 +64,10 @@ def parity_expectation(state: JointState, beta: complex) -> float:
     return float(displaced_parity(state, [beta])[0])
 
 
-def _check_displacement(state: JointState, beta: complex):
-    if abs(beta) > math.sqrt(state.space.n_max):
-        raise TruncationError(f"displacement |beta|={abs(beta):.2f} beyond cutoff trust")
+def _check_displacement(state: JointState, betas):
+    beyond = np.abs(betas)[np.abs(betas) > math.sqrt(state.space.n_max)]
+    if len(beyond):
+        raise TruncationError(f"displacement |beta|={beyond[0]:.2f} beyond cutoff trust")
 
 
 def _draw_parity(pi_true: float, model: ReadoutModel, rng) -> float:
@@ -271,10 +271,10 @@ def sample_wigner(state: JointState, betas, model: ReadoutModel,
     betas = np.asarray(betas, dtype=complex).ravel()
     if normalization is None:
         normalization = ParityNormalization.identity()
+    _check_displacement(state, betas)
     pi_true = displaced_parity(state, betas)
     raw = np.empty(len(betas))
-    for i, beta in enumerate(betas):
-        _check_displacement(state, beta)
+    for i in range(len(betas)):
         rng = np.random.default_rng(model.seed ^ (i + 1))
         raw[i] = _draw_parity(pi_true[i], model, rng)
     return WignerSampleSet(betas=betas, parities=normalization.apply(raw),
@@ -299,6 +299,8 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     """
     if space.has_qubit:
         raise ValueError("reconstruction space must be phonon-only")
+    if len(samples.betas) == 0:
+        raise ValueError("sample set is empty")
     dim = space.dim
     amp = samples.normalization.amplitude
     off = samples.normalization.offset
@@ -318,18 +320,7 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     f_plus = np.clip(f_plus, 0.0, 1.0)
     f_minus = np.clip(f_minus, 0.0, 1.0)
 
-    # evaluate each displaced parity D Pi D^dag on a space large enough for
-    # the displacement to be accurate, then restrict to the reconstruction
-    # subspace; the restriction is exact for states supported there
-    beta_max = float(np.max(np.abs(samples.betas))) if len(samples.betas) else 0.0
-    dim_work = max(dim, math.ceil(4.0 * beta_max ** 2) + 10)
-    parity_work = (-1.0) ** np.arange(dim_work)
-    kernels = []
-    for beta in samples.betas:
-        d = displacement_operator(beta, dim_work)
-        k = (d * parity_work[None, :]) @ d.conj().T  # D Pi D^dag
-        kernels.append(k[:dim, :dim])
-    kernels = np.array(kernels)
+    kernels = parity_kernels(samples.betas, dim)
     eye = np.eye(dim, dtype=complex)
 
     def probs(rho):

@@ -24,12 +24,14 @@ from catsim.hilbert import (
     factored_fidelity,
     fidelity,
     fock_state,
+    parity_kernels,
     partial_trace,
     phonon_factor,
     purity,
     qubit_state,
     tensor,
 )
+from catsim.pipeline import tomography_grid
 
 
 def test_coherent_zero_is_vacuum():
@@ -226,16 +228,59 @@ def test_displaced_parity_matches_dense_reference(dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    parity = np.diag((-1.0) ** np.arange(dim))
+    # the exact operator: a dense D Pi D^dag padded far beyond the state's
+    # levels, restricted to them
+    parity = np.diag((-1.0) ** np.arange(dim + 150))
     for state in (JointState(space, rho / np.trace(rho).real, "mixed"),
                   JointState(space, vec / np.linalg.norm(vec), "pure")):
         dense = state.density_matrix()
         ref = []
         for beta in PARITY_POINTS:
-            d = displacement_operator(beta, dim)
-            ref.append(np.trace(dense @ d @ parity @ d.conj().T).real)
+            d = displacement_operator(beta, dim + 150)
+            ref.append(np.trace(dense @ (d @ parity @ d.conj().T)[:dim, :dim]).real)
         got = displaced_parity(state, PARITY_POINTS)
         assert np.max(np.abs(got - np.array(ref))) <= 1e-12
+
+
+def _padded_kernels(betas, dim, pad):
+    """Dense D Pi D^dag on dim + pad levels, restricted to the first dim."""
+    parity = (-1.0) ** np.arange(dim + pad)
+    kernels = []
+    for beta in betas:
+        d = displacement_operator(beta, dim + pad)[:dim]
+        kernels.append((d * parity) @ d.conj().T)
+    return np.array(kernels)
+
+
+@pytest.mark.parametrize("dim", [13, 21])
+def test_parity_kernels_match_padded_reference(dim):
+    betas = tomography_grid().points
+    kernels = parity_kernels(betas, dim)
+    assert np.max(np.abs(kernels - _padded_kernels(betas, dim, 150))) <= 1e-12
+    assert np.array_equal(kernels, kernels.conj().transpose(0, 2, 1))
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    state = JointState(HilbertSpace(dim - 1), rho, "mixed")
+    traces = np.einsum("kij,ji->k", kernels, rho).real
+    assert np.max(np.abs(traces - displaced_parity(state, betas))) <= 1e-13
+
+
+def test_displaced_parity_exact_far_beyond_the_state():
+    # dim 145 (the cutoff of |alpha| = 6) out to |beta| = 6, where
+    # 4|beta|^2 = 144 reaches the top level; 300 padding levels are enough:
+    # doubling them moves the reference by < 1e-14
+    dim = 145
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    betas = np.array([r * np.exp(0.7j) for r in (0.0, 1e-9, 3.0, 4.24, 6.0)]
+                     + [-3.0, complex(-4.24, -0.0), -6.0])
+    ref = np.einsum("kij,ji->k", _padded_kernels(betas, dim, 300), rho).real
+    doubled = np.einsum("kij,ji->k", _padded_kernels(betas, dim, 600), rho).real
+    assert np.max(np.abs(ref - doubled)) < 1e-14
+    got = displaced_parity(JointState(HilbertSpace(dim - 1), rho, "mixed"), betas)
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_displaced_parity_empty_and_joint_inputs():

@@ -85,6 +85,18 @@ def test_css_slice_matches_analytic_formula():
     assert negativity(numeric) == pytest.approx(negativity(analytic), rel=1e-6)
 
 
+@pytest.mark.parametrize("vartheta, tol", [(0.0, 1e-9), (math.pi, 3e-9)])
+def test_css_raster_exact_at_its_own_cutoff(vartheta, tol):
+    # the corners of the raster lie at |beta| = 4.24, beyond the trusted
+    # radius sqrt(30)/2 = 2.74; exact elements leave only the state's own
+    # truncation at n_max 30 (6.5e-10 even, 1.9e-9 odd).  The odd cat holds
+    # only odd Fock levels, so it also pins the sign of the parity
+    grid = raster_grid(3.0, 81)
+    state = css_state(2.0, -2.0, vartheta, HilbertSpace(default_cutoff(2.0)))
+    analytic = decayed_css_wigner(2.0, 1.0, 0.0, grid, vartheta)
+    assert np.max(np.abs(wigner(state, grid).values - analytic.values)) <= tol
+
+
 def test_decayed_css_full_decay_is_vacuum():
     grid = slice_grid(-2.0, 2.0, n=41)
     wg = decayed_css_wigner(1.2, kappa=1.0, t=200.0, points=grid)

@@ -56,6 +56,11 @@ def test_free_decay_validation():
         free_decay(mixed, [0.0, 2.0, 1.0], config)
 
 
+def test_free_decay_rejects_empty_waits():
+    with pytest.raises(ConfigError, match="waits must start at 0"):
+        free_decay(coherent_state(1.0, HilbertSpace(12)), [], ExperimentConfig())
+
+
 def test_free_decay_drains_energy():
     config = ExperimentConfig(t1_phonon=5.0)
     state = coherent_state(1.0, HilbertSpace(12))

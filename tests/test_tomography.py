@@ -217,6 +217,21 @@ def test_mle_rejects_unphysical_normalization():
         mle_reconstruct(samples, HilbertSpace(4))
 
 
+def test_mle_rejects_empty_sample_set():
+    samples = WignerSampleSet(
+        betas=np.array([], dtype=complex), parities=np.array([]),
+        shots_per_point=100, normalization=ParityNormalization.identity())
+    with pytest.raises(ValueError, match="sample set is empty"):
+        mle_reconstruct(samples, HilbertSpace(4))
+
+
+def test_sample_wigner_names_first_deep_displacement():
+    # sqrt(9) = 3 bounds the readout; the guard runs before any parity
+    model = ReadoutModel(shots=10, seed=1)
+    with pytest.raises(TruncationError, match=r"\|beta\|=4\.00 "):
+        sample_wigner(fock_state(0, HilbertSpace(9)), [0.5, 4.0j, 5.0], model)
+
+
 def test_sample_set_csv_format(tmp_path):
     samples = WignerSampleSet(
         betas=np.array([0.5 + 0.25j]), parities=np.array([0.75]),
