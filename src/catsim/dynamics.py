@@ -3,10 +3,15 @@
 Closed-system evolution uses the exact Fock-basis solution of the resonant
 JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and |e,n-1>), so
 no integrator is involved; a trajectory evaluates it once over its time
-grid.  Open-system evolution integrates the Lindblad master equation with
+grid.  Open-system evolution solves the Lindblad master equation with
 collapse channels sqrt(kappa) a, sqrt(gamma) sigma-, and
-sqrt(gamma_phi/2) sigma_z.  Both take their observables from one routine,
-vectorised over states.
+sqrt(gamma_phi/2) sigma_z exactly: the Hamiltonian and all three channels
+conserve the coherence order k = N_row - N_col of the excitation number
+N = n + q, so the Liouvillian splits into independent blocks, one per k
+(Buca & Prosen, NJP 14, 073007 (2012)), each propagated with one matrix
+exponential per distinct time step.  An adaptive RK45 integration of the
+full equation is kept as the reference route.  Both take their observables
+from one routine, vectorised over states.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from . import io_utils
 from .errors import IntegrationError, StateValidationError
@@ -225,6 +231,8 @@ def _time_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("the time grid is empty")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
     return times
 
 
@@ -268,22 +276,126 @@ def pe_trajectory(params: SystemParams, times, n_max: int | None = None) -> Traj
     return Trajectory(times=np.asarray(times, float), states=None, observables={"P_e": pe})
 
 
+def _excitations(space: HilbertSpace) -> np.ndarray:
+    """N = n + q of every basis index (q = 1 on |e>).
+
+    The JC Hamiltonian and sigma_z keep N; a and sigma- lower it by one.
+    """
+    index = np.arange(space.dim)
+    return index % space.phonon_dim + index // space.phonon_dim
+
+
+def _distinct_steps(times: np.ndarray):
+    """The grid's steps, merging steps that differ only by float rounding.
+
+    Returns (steps, which): each group's mean step, and the group index of
+    every step.  A linspace grid has a few distinct float steps that all
+    round the same value; they share one propagator.
+    """
+    dt = np.diff(times)
+    tol = 8.0 * np.finfo(float).eps * np.abs(times).max()
+    which = np.empty(len(dt), dtype=int)
+    first = -np.inf
+    group = -1
+    for i in np.argsort(dt):
+        if dt[i] - first > tol:
+            first = dt[i]
+            group += 1
+        which[i] = group
+    return np.bincount(which, dt) / np.bincount(which), which
+
+
+def _exact_states(drift, collapse, excitations, rho0, times):
+    """Yield rho(t) on the grid, propagating each coherence-order block.
+
+    The elements rho[i, j] with N_i - N_j = k evolve on their own under
+    S_k[(i,j),(l,m)] = A_il d_jm + d_il conj(A_jm) + sum g L_il conj(L_jm),
+    stepped with one exp(S_k dt) per distinct step.  Only the k >= 0 series
+    are held; the k < 0 blocks are their conjugates, since rho is hermitian.
+    """
+    steps, which = _distinct_steps(times)
+    order = excitations[:, None] - excitations[None, :]
+    blocks = [np.nonzero(order == k) for k in range(order.max() + 1)]
+    series = np.empty((len(times), sum(len(r) for r, _ in blocks)), dtype=complex)
+    stop = 0
+    for rows, cols in blocks:
+        block = slice(stop, stop + len(rows))
+        stop = block.stop
+        gen = drift[np.ix_(rows, rows)] * (cols[:, None] == cols) \
+            + (rows[:, None] == rows) * drift[np.ix_(cols, cols)].conj()
+        for g, L in collapse:
+            gen += g * L[np.ix_(rows, rows)] * L[np.ix_(cols, cols)].conj()
+        props = [expm(gen * h) for h in steps]
+        series[0, block] = rho0[rows, cols]
+        for t, w in enumerate(which):
+            series[t + 1, block] = props[w] @ series[t, block]
+    dim = len(rho0)
+    rows, cols = (np.concatenate(idx) for idx in zip(*blocks))
+    upper, lower = rows * dim + cols, cols * dim + rows
+    for values in series:
+        rho = np.empty(dim * dim, dtype=complex)
+        rho[lower] = values.conj()
+        rho[upper] = values  # written last: k = 0 keeps its own elements
+        yield rho.reshape(dim, dim)
+
+
+def _rk45_states(drift, collapse, rho0, times, rtol=1e-8, atol=1e-10,
+                 max_step=np.inf):
+    """Yield rho(t) on the grid from an adaptive RK45 integration."""
+    dim = len(rho0)
+    jumps = [(g, L, L.conj().T) for g, L in collapse]
+
+    def rhs(_t, y):
+        rho = y.reshape(dim, dim)
+        out = drift @ rho + rho @ drift.conj().T
+        for g, L, Ld in jumps:
+            out += g * (L @ rho @ Ld)
+        return out.ravel()
+
+    if len(times) == 1:
+        ys = rho0.ravel()[:, None]
+    else:
+        sol = solve_ivp(
+            rhs, (times[0], times[-1]), rho0.ravel(), t_eval=times, method="RK45",
+            rtol=rtol, atol=atol, max_step=max_step,
+        )
+        if not sol.success:
+            raise IntegrationError(f"master equation integration failed: {sol.message}")
+        ys = sol.y
+    for k in range(len(times)):
+        yield ys[:, k].reshape(dim, dim)
+
+
 def lindblad_evolve(
     initial: JointState,
     params: SystemParams,
     hamiltonian_on: bool,
     times,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    max_step: float = np.inf,
+    method: str = "exact",
+    rtol: float | None = None,
+    atol: float | None = None,
+    max_step: float | None = None,
 ) -> Trajectory:
-    """Integrate the Lindblad master equation on a time grid.
+    """Solve the Lindblad master equation on a time grid.
 
     Collapse channels: sqrt(kappa_phonon) a, and on joint spaces also
     sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2) sigma_z.  The initial
     state may be joint or phonon-only; the Hamiltonian requires a qubit.
     A one-point grid returns the initial state, checked like any other.
+
+    method "exact" (default) propagates each coherence-order block of the
+    Liouvillian with its matrix exponential; steps that differ only by float
+    rounding share one propagator.  method "rk45" integrates the full
+    equation adaptively as a reference, with rtol (default 1e-8), atol
+    (1e-10) and max_step (inf); those settings are rejected for "exact".
     """
+    if method not in ("exact", "rk45"):
+        raise ValueError(f"unknown method {method!r}; use 'exact' or 'rk45'")
+    settings = {name: value for name, value in
+                (("rtol", rtol), ("atol", atol), ("max_step", max_step))
+                if value is not None}
+    if method == "exact" and settings:
+        raise ValueError(f"{', '.join(settings)} apply only to method='rk45'")
     times = _time_grid(times)
     space = initial.space
     ops = OperatorSet(space)
@@ -303,35 +415,20 @@ def lindblad_evolve(
     drift = -1j * h
     for g, L in collapse:
         drift = drift - 0.5 * g * (L.conj().T @ L)
-    jumps = [(g, L, L.conj().T) for g, L in collapse]
 
-    def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        out = drift @ rho + rho @ drift.conj().T
-        for g, L, Ld in jumps:
-            out += g * (L @ rho @ Ld)
-        return out.ravel()
-
-    rho0 = initial.density_matrix().astype(complex).ravel()
-    if len(times) == 1:
-        ys = rho0[:, None]
+    rho0 = initial.density_matrix().astype(complex)
+    if method == "exact":
+        raw = _exact_states(drift, collapse, _excitations(space), rho0, times)
     else:
-        sol = solve_ivp(
-            rhs, (times[0], times[-1]), rho0, t_eval=times, method="RK45",
-            rtol=rtol, atol=atol, max_step=max_step,
-        )
-        if not sol.success:
-            raise IntegrationError(f"master equation integration failed: {sol.message}")
-        ys = sol.y
+        raw = _rk45_states(drift, collapse, rho0, times, **settings)
 
-    # observables per state: stacking the d x d states would double the
-    # memory that sol.y already holds
+    # observables per state: stacking the d x d states would add to the
+    # memory that the propagated series already holds
     states = []
     pops = np.empty((len(times), dim))
     red = np.empty((len(times), 2, 2), dtype=complex) if space.has_qubit else None
     purities = None if space.has_qubit else np.empty(len(times))
-    for k in range(len(times)):
-        rho = ys[:, k].reshape(dim, dim)
+    for k, rho in enumerate(raw):
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-8:

@@ -45,8 +45,14 @@ def _trapz_weights(x: np.ndarray) -> np.ndarray:
 
 
 def raster_grid(extent: float = DEFAULT_EXTENT, n: int = DEFAULT_RASTER_N) -> GridSpec:
-    """Square 2D raster over [-extent, extent]^2, row-major by Im then Re."""
-    x = np.linspace(-extent, extent, n)
+    """Square 2D raster over [-extent, extent]^2, row-major by Im then Re.
+
+    The axis is its upper half mirrored, so it is exactly antisymmetric:
+    |beta| is bit-identical at (+-x, +-y) and (+-y, +-x), and the Wigner
+    kernel works once per distinct radius.
+    """
+    half = np.linspace(0.0 if n % 2 else extent / (n - 1), extent, (n + 1) // 2)
+    x = np.concatenate((-half[::-1][:n // 2], half))
     wx = _trapz_weights(x)
     re, im = np.meshgrid(x, x)  # rows vary Im, columns vary Re
     pts = (re + 1j * im).ravel()

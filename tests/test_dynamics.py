@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catsim import dynamics
 from catsim.dynamics import (
     SystemParams,
     characteristic_times,
@@ -188,8 +189,8 @@ def test_integrator_order_against_damped_coherent_state():
 
     def err(h):
         traj = lindblad_evolve(initial, params, hamiltonian_on=False,
-                               times=[0.0, t], rtol=1e-3, atol=1e-8,
-                               max_step=h)
+                               times=[0.0, t], method="rk45", rtol=1e-3,
+                               atol=1e-8, max_step=h)
         return np.max(np.abs(traj.states[-1].data - target))
 
     e_coarse, e_fine = err(0.4), err(0.2)
@@ -322,3 +323,87 @@ def test_empty_time_grid_is_rejected(evolve):
                          coherent_state(1.0, space.phonon_only()))
         with pytest.raises(ValueError):
             lindblad_evolve(initial, params, hamiltonian_on=True, times=[])
+
+
+@pytest.mark.parametrize("method", ["exact", "rk45"])
+def test_lindblad_rejects_unordered_grid(method):
+    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lindblad_evolve(initial, params, hamiltonian_on=True,
+                            times=times, method=method)
+
+
+def _lossy_joint(alpha, c_g, c_e):
+    params = SystemParams(g0=G0, alpha0=alpha, c_g=c_g, c_e=c_e,
+                          kappa_phonon=0.05, gamma_qubit=0.1, gamma_phi=0.2)
+    space = HilbertSpace(default_cutoff(alpha), has_qubit=True)
+    initial = tensor(qubit_state(c_g, c_e),
+                     coherent_state(alpha, space.phonon_only()))
+    return params, initial
+
+
+def test_exact_route_matches_tight_rk45():
+    params, initial = _lossy_joint(1.2 + 0.4j, 0.6, 0.8j)
+    times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0]
+    exact = lindblad_evolve(initial, params, hamiltonian_on=True, times=times)
+    reference = lindblad_evolve(initial, params, hamiltonian_on=True,
+                                times=times, method="rk45", rtol=1e-12,
+                                atol=1e-14)
+    for a, b in zip(exact.states, reference.states):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-10
+    assert np.max(np.abs(exact.states[-1].data - initial.density_matrix())) > 0.1
+
+
+def test_lindblad_settings_belong_to_rk45():
+    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    for setting in ({"rtol": 1e-6}, {"atol": 1e-9}, {"max_step": 0.1}):
+        with pytest.raises(ValueError, match="method='rk45'"):
+            lindblad_evolve(initial, params, hamiltonian_on=True,
+                            times=[0.0, 1.0], **setting)
+    with pytest.raises(ValueError, match="unknown method"):
+        lindblad_evolve(initial, params, hamiltonian_on=True,
+                        times=[0.0, 1.0], method="euler")
+
+
+def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
+    params, initial = _lossy_joint(1.0, 0.6, 0.8)
+    n_blocks = initial.space.n_max + 2  # k = 0 .. n_max + 1
+    calls = []
+    expm = dynamics.expm
+
+    def counting_expm(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    grid = np.linspace(0.0, 10.0, 501)
+    assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
+    lindblad_evolve(initial, params, hamiltonian_on=True, times=grid)
+    assert len(calls) == n_blocks
+    calls.clear()
+    lindblad_evolve(initial, params, hamiltonian_on=True,
+                    times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    assert len(calls) == 2 * n_blocks
+
+
+def test_liouvillian_keeps_coherence_order():
+    # the premise of the exact route: H and all three channels couple only
+    # elements rho_ij of equal k = N_i - N_j, N = n + q
+    space = HilbertSpace(4, has_qubit=True)
+    ops = OperatorSet(space)
+    excitations = np.diagonal(ops.number_op + ops.sigma_plus @ ops.sigma_minus).real
+    assert np.array_equal(excitations, dynamics._excitations(space))
+    eye = np.eye(space.dim)
+    h = 1.3 * (ops.sigma_plus @ ops.a + ops.sigma_minus @ ops.a_dagger)
+    # row-major vec: vec(A rho B) = kron(A, B^T) vec(rho)
+    liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for g, L in ((0.2, ops.a), (0.3, ops.sigma_minus), (0.4, ops.sigma_z)):
+        ldl = L.conj().T @ L
+        liouvillian += g * (np.kron(L, L.conj())
+                            - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl.T))
+    order = (excitations[:, None] - excitations[None, :]).ravel()
+    coupled = np.abs(liouvillian) > 0
+    assert coupled.any()
+    assert not np.any(coupled & (order[:, None] != order[None, :]))
+

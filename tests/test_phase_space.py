@@ -212,3 +212,24 @@ def test_small_cat_phase_sensitivity():
     base = max(negs.values())
     spread = (max(negs.values()) - min(negs.values())) / base
     assert spread > 0.05
+
+
+@pytest.mark.parametrize("extent, n", [(3.0, 61), (3.5, 81), (2.2, 11),
+                                       (2.0, 8), (1.5, 2), (1.0, 1)])
+def test_raster_axis_is_exactly_antisymmetric(extent, n):
+    grid = raster_grid(extent, n)
+    pts = grid.points.reshape(n, n)
+    x = pts[0].real
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(pts.imag[:, 0], x)
+    if n > 1:
+        assert x[0] == -extent and x[-1] == extent
+        assert np.max(np.abs(x - np.linspace(-extent, extent, n))) <= 1e-15
+
+
+def test_decay_raster_radii_fold_by_symmetry():
+    # the 61^2 decay raster holds 450 distinct |beta| (a linspace axis gave
+    # 894), so displaced_parity runs its recurrence over half as many radii
+    points = raster_grid(3.0, 61).points
+    assert len(np.unique(np.abs(points))) == 450
+

@@ -1,8 +1,11 @@
+import math
+from math import comb
+
 import numpy as np
 import pytest
 
 from catsim.errors import ConfigError
-from catsim.hilbert import HilbertSpace, coherent_state, fock_state, purity
+from catsim.hilbert import HilbertSpace, JointState, coherent_state, fock_state, purity
 from catsim.pipeline import (
     DRIVE_PRESETS,
     ExperimentConfig,
@@ -69,6 +72,30 @@ def test_free_decay_drains_energy():
                    for s in states]
     assert occupations[0] > occupations[1] > occupations[2]
     assert occupations[1] == pytest.approx(np.exp(-1.0), rel=0.01)
+
+
+def _amplitude_damping(rho, eta):
+    # rho_mn(t) = sum_j sqrt(C(m+j,j) C(n+j,j)) eta^((m+n)/2) (1-eta)^j rho_{m+j,n+j}
+    dim = len(rho)
+    out = np.zeros_like(rho)
+    for m in range(dim):
+        for n in range(dim):
+            for j in range(dim - max(m, n)):
+                out[m, n] += math.sqrt(comb(m + j, j) * comb(n + j, j)) \
+                    * eta ** ((m + n) / 2.0) * (1.0 - eta) ** j * rho[m + j, n + j]
+    return out
+
+
+def test_free_decay_is_the_amplitude_damping_channel():
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
+    rho = g @ g.conj().T
+    state = JointState(HilbertSpace(20), rho / np.trace(rho).real, "mixed")
+    config = ExperimentConfig(t1_phonon=7.0)
+    waits = [0.0, 0.4, 3.0, 3.5, 11.0, 40.0]
+    for t, out in zip(waits, free_decay(state, waits, config)):
+        expected = _amplitude_damping(state.data, math.exp(-t / 7.0))
+        assert np.max(np.abs(out.data - expected)) <= 1e-13, t
 
 
 def test_negativity_series_on_decaying_fock():
