@@ -8,8 +8,13 @@ phase-space distance between the fitted coherent components.
 The analytical target is the reduction of a pure joint state, so the fits
 handle it as its low-rank phonon factor V (hilbert.phonon_factor) and
 score it with hilbert.factored_fidelity: an r x r eigenproblem (r <= 2)
-per evaluation, exact to roundoff, with no d x d matrix square root and no
-state validation inside the optimizer loop.
+per evaluation, exact to roundoff, with no d x d matrix square root.
+
+States are checked once, where they enter: the fits take a validated
+JointState, and the states they build per evaluation (css_state, and the
+JC state behind the analytical factor) are normalised by the code that
+builds them, which checks their norm itself, so no JointState validation
+runs inside an optimizer loop.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def css_state(alpha1: complex, alpha2: complex, vartheta: float,
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise FitError("degenerate CSS (components cancel)")
-    return JointState(space, vec / norm, "pure")
+    return JointState._trusted(space, vec / norm, "pure")
 
 
 def _analytical_factor(alpha: float, theta: float, c_g: complex, c_e: complex,

@@ -23,8 +23,8 @@ from . import __version__, io_utils
 from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
     mass_model
 from .catfit import fit_analytical, fit_css
-from .dynamics import SystemParams, characteristic_times, jc_trajectory, \
-    lindblad_evolve, pe_trajectory
+from .dynamics import SystemParams, characteristic_times, \
+    excited_population, jc_trajectory, lindblad_evolve
 from .errors import CatsimError, ConfigError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff, \
     qubit_state, tensor
@@ -110,6 +110,9 @@ def _experiment_fields():
     }
 
 
+# Counts (n_times, n_phases, n_grid, n_waits, shots, recon_n_max) have a
+# maximum, >= 10x every default, test and benchmark config, so a huge count
+# is a config error instead of a run that exhausts memory or time
 SCHEMAS = {
     "simulate": {
         "schema_version": _Field(int, required=True),
@@ -120,21 +123,19 @@ SCHEMAS = {
         "c_e": _Field(list, default=[0.0, 0.0], length=2,
                       desc="qubit excited amplitude [re, im]"),
         "t_max": _positive(10.0, desc="trajectory end time, us"),
-        "n_times": _Field(int, default=501, minimum=2),
+        "n_times": _Field(int, default=501, minimum=2, maximum=10_000),
         "closed": _Field(bool, default=True, desc="skip dissipation channels"),
         "t1_phonon": _positive(T1_PHONON_DEFAULT),
         "t1_qubit": _positive(T1_QUBIT_DEFAULT),
         "t2_qubit": _positive(T2_QUBIT_DEFAULT),
-        "with_states": _Field(bool, default=True,
-                              desc="track purity and Bloch components"),
     },
     "qubit-phase-scan": {
         "schema_version": _Field(int, required=True),
         "alpha0": _amplitude(required=True),
         "g0": _positive(ExperimentConfig().g0),
-        "n_phases": _Field(int, default=21, minimum=1),
+        "n_phases": _Field(int, default=21, minimum=1, maximum=1_000),
         "t_max": _positive(10.0),
-        "n_times": _Field(int, default=201, minimum=1),
+        "n_times": _Field(int, default=201, minimum=1, maximum=10_000),
     },
     "wigner": {
         "schema_version": _Field(int, required=True),
@@ -146,7 +147,7 @@ SCHEMAS = {
                           desc="decayed-css: kappa * t of the decay"),
         "drive_amplitude": _Field(float, default=0.35, desc="pipeline preset"),
         "extent": _positive(3.0),
-        "n_grid": _Field(int, default=81, minimum=1),
+        "n_grid": _Field(int, default=81, minimum=1, maximum=1_000),
         **_experiment_fields(),
     },
     "tomo": {
@@ -155,10 +156,10 @@ SCHEMAS = {
         "contrast": _Field(float, default=0.9, exclusive_minimum=0,
                            maximum=1.0),
         "offset": _Field(float, default=0.02),
-        "shots": _Field(int, default=500, minimum=1),
+        "shots": _Field(int, default=500, minimum=1, maximum=10_000_000),
         "extent": _positive(2.2),
-        "n_grid": _Field(int, default=11, minimum=1),
-        "recon_n_max": _Field(int, default=20, minimum=1),
+        "n_grid": _Field(int, default=11, minimum=1, maximum=200),
+        "recon_n_max": _Field(int, default=20, minimum=1, maximum=200),
         "seed": _Field(int, default=0, minimum=0),
         **_experiment_fields(),
     },
@@ -166,7 +167,7 @@ SCHEMAS = {
         "schema_version": _Field(int, required=True),
         "drive_amplitude": _Field(float, default=0.35),
         "wait_max": _positive(40.0, desc="longest wait time, us"),
-        "n_waits": _Field(int, default=11, minimum=4,
+        "n_waits": _Field(int, default=11, minimum=4, maximum=1_000,
                           desc="the decay fit needs 4 points"),
         **_experiment_fields(),
     },
@@ -187,7 +188,7 @@ SCHEMAS = {
         "contrast": _Field(float, default=0.9, exclusive_minimum=0,
                            maximum=1.0),
         "offset": _Field(float, default=0.02),
-        "shots": _Field(int, default=10000, minimum=1),
+        "shots": _Field(int, default=10000, minimum=1, maximum=10_000_000),
         "drive_b": _positive(0.2, desc="true drive exponent scale"),
         "drive_c": _positive(1.1, desc="true drive prefactor"),
         "noise": _Field(float, default=0.01, minimum=0,
@@ -274,8 +275,7 @@ def _cmd_simulate(cfg, out_dir, seed, log):
     if cfg["closed"]:
         params = SystemParams(g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=c_g,
                               c_e=c_e)
-        traj = jc_trajectory(params, times) if cfg["with_states"] \
-            else pe_trajectory(params, times)
+        traj = jc_trajectory(params, times)
     else:
         econf = ExperimentConfig(g0=cfg["g0"], t1_phonon=cfg["t1_phonon"],
                                  t1_qubit=cfg["t1_qubit"],
@@ -451,12 +451,10 @@ def _cmd_calibrate(cfg, out_dir, seed, log):
     elif kind == "fock":
         beta = cfg["beta"]
         g0 = cfg["g0"]
-        space = HilbertSpace(default_cutoff(beta))
-        state = coherent_state(beta, space)
         times = np.linspace(0.0, 6.0 * math.pi / g0, 241)
         params = SystemParams(g0=g0, alpha0=beta, c_g=0.0, c_e=1.0)
         # transfer probability out of |e>, which oscillates at 2 g0 sqrt(n+1)
-        p_swap = 1.0 - pe_trajectory(params, times).observables["P_e"]
+        p_swap = 1.0 - excited_population(params, times)
         noisy = np.clip(
             p_swap + cfg["noise"] * rng.standard_normal(len(times)), 0.0, 1.0)
         pops = extract_fock_populations(times, noisy, g0, n_fit=10)

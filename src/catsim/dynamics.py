@@ -90,14 +90,6 @@ class Trajectory:
     states: list | None
     observables: dict
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        for name, series in self.observables.items():
-            if len(series) != len(self.times):
-                raise ValueError(f"observable {name} length mismatch")
-
     def to_csv(self, path):
         cols = [self.observables.get(c) for c in OBSERVABLE_COLUMNS]
         rows = []
@@ -107,13 +99,6 @@ class Trajectory:
                 row.append(float(col[i]) if col is not None else float("nan"))
             rows.append(row)
         io_utils.write_csv(path, ("t",) + OBSERVABLE_COLUMNS, rows)
-
-    def to_json(self, path):
-        payload = {"times": list(self.times)}
-        for c in OBSERVABLE_COLUMNS:
-            if c in self.observables:
-                payload[c] = list(self.observables[c])
-        io_utils.write_json(path, payload)
 
 
 def characteristic_times(params: SystemParams) -> CharacteristicTimes:
@@ -163,7 +148,7 @@ def jc_evolve_exact(params: SystemParams, t: float, n_max: int | None = None) ->
     if n_max is None:
         n_max = default_cutoff(params.alpha0)
     psi = _jc_series(params, [t], n_max)
-    return JointState(HilbertSpace(n_max, has_qubit=True), psi.ravel(), "pure")
+    return JointState._trusted(HilbertSpace(n_max, has_qubit=True), psi.ravel(), "pure")
 
 
 def excited_population(params: SystemParams, times, n_max: int | None = None) -> np.ndarray:
@@ -266,14 +251,15 @@ def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Traj
     red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
     psi = psi.reshape(len(times), -1)
     obs = _observables(space, np.abs(psi) ** 2, red)
-    states = [JointState(space, vec, "pure") for vec in psi]
+    states = [JointState._trusted(space, vec, "pure") for vec in psi]
     return Trajectory(times=times, states=states, observables=obs)
 
 
 def pe_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
     """Observable-only trajectory carrying just the exact P_e series."""
+    times = _time_grid(times)
     pe = excited_population(params, times, n_max=n_max)
-    return Trajectory(times=np.asarray(times, float), states=None, observables={"P_e": pe})
+    return Trajectory(times=times, states=None, observables={"P_e": pe})
 
 
 def _excitations(space: HilbertSpace) -> np.ndarray:
@@ -422,8 +408,10 @@ def lindblad_evolve(
     else:
         raw = _rk45_states(drift, collapse, rho0, times, **settings)
 
-    # observables per state: stacking the d x d states would add to the
-    # memory that the propagated series already holds
+    # the loop makes JointState's checks on every state (hermitian, unit
+    # trace, eigenvalues clipped at 0), so it builds them unchecked; and it
+    # takes observables per state: stacking the d x d states would add to
+    # the memory that the propagated series already holds
     states = []
     pops = np.empty((len(times), dim))
     red = np.empty((len(times), 2, 2), dtype=complex) if space.has_qubit else None
@@ -432,8 +420,10 @@ def lindblad_evolve(
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-8:
+            advice = "; tighten rtol/atol" if method == "rk45" else ""
             raise IntegrationError(
-                f"trace drift {tr - 1.0:.3e} at t = {times[k]:.4g}; tighten tolerances"
+                f"trace drift {tr - 1.0:.3e} at t = {times[k]:.4g} on the "
+                f"{method} route{advice}"
             )
         rho = rho / tr
         evals, evecs = np.linalg.eigh(rho)
@@ -445,7 +435,7 @@ def lindblad_evolve(
             evals = np.clip(evals, 0.0, None)
             rho = (evecs * evals) @ evecs.conj().T
             rho = rho / np.trace(rho).real
-        states.append(JointState(space, rho, "mixed"))
+        states.append(JointState._trusted(space, rho, "mixed"))
         pops[k] = np.diagonal(rho).real
         if space.has_qubit:
             red[k] = partial_trace(states[k], "qubit").data

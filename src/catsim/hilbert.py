@@ -66,11 +66,29 @@ def check_truncation(alpha: complex, space: HilbertSpace):
 
 @dataclass(frozen=True)
 class JointState:
-    """A pure state vector or density matrix over a HilbertSpace."""
+    """A pure state vector or density matrix over a HilbertSpace.
+
+    Each state is checked once, where it is made: the constructor checks
+    shape, norm or trace, hermiticity and eigenvalues, and freezes data.
+    Producers that make those checks themselves on every state they build
+    (the JC series, the Lindblad loop, css_state) use _trusted, which
+    freezes data without checking it again.
+    """
 
     space: HilbertSpace
     data: np.ndarray
     kind: str  # "pure" or "mixed"
+
+    @classmethod
+    def _trusted(cls, space: HilbertSpace, data: np.ndarray, kind: str) -> "JointState":
+        """The state (space, data, kind), unchecked: data must be a complex array
+        that the caller has already checked as the constructor would."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "space", space)
+        object.__setattr__(state, "data", data)
+        object.__setattr__(state, "kind", kind)
+        data.setflags(write=False)
+        return state
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)

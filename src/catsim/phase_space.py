@@ -88,21 +88,10 @@ class WignerGrid:
     weights: np.ndarray
     kind: str
     trusted: np.ndarray  # W is exact; flags only the |beta| <= sqrt(n_max)/2 cutoff heuristic
-    convention: str = "int W d^2beta = 1"
 
     def to_csv(self, path):
         rows = [(p.real, p.imag, v) for p, v in zip(self.points, self.values)]
         io_utils.write_csv(path, ("re_beta", "im_beta", "w"), rows)
-
-    def to_json(self, path):
-        io_utils.write_json(path, {
-            "convention": self.convention,
-            "kind": self.kind,
-            "re_beta": list(self.points.real),
-            "im_beta": list(self.points.imag),
-            "w": list(self.values),
-            "trusted": [bool(t) for t in self.trusted],
-        })
 
 
 def _as_grid(points) -> GridSpec:

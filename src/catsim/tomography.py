@@ -55,9 +55,6 @@ class ParityNormalization:
     def unapply(self, parity):
         return np.asarray(parity, dtype=float) * self.amplitude + self.offset
 
-    def as_dict(self):
-        return {"amplitude": self.amplitude, "offset": self.offset}
-
 
 def parity_expectation(state: JointState, beta: complex) -> float:
     """True displaced-parity expectation <Pi_beta> of a phonon state."""
@@ -250,15 +247,6 @@ class WignerSampleSet:
         rows = [(b.real, b.imag, p, float(self.shots_per_point))
                 for b, p in zip(self.betas, self.parities)]
         io_utils.write_csv(path, ("re_beta", "im_beta", "parity", "shots"), rows)
-
-    def to_json(self, path):
-        io_utils.write_json(path, {
-            "re_beta": list(self.betas.real),
-            "im_beta": list(self.betas.imag),
-            "parity": list(self.parities),
-            "shots_per_point": self.shots_per_point,
-            "normalization": self.normalization.as_dict(),
-        })
 
 
 def sample_wigner(state: JointState, betas, model: ReadoutModel,

@@ -193,8 +193,20 @@ def test_calibrate_fock_roundtrip(tmp_path, capsys):
     ("simulate", {"alpha0": 1.0, "c_g": [0.5, 0], "c_e": [0.5, 0]}, "c_g"),
     ("tomo", {"shots": 0}, "shots"),
     ("tomo", {"recon_n_max": 0}, "recon_n_max"),
+    ("simulate", {"alpha0": 1.0, "n_times": 10**9}, "n_times"),
+    ("qubit-phase-scan", {"alpha0": 1.0, "n_times": 10**9}, "n_times"),
+    ("qubit-phase-scan", {"alpha0": 1.0, "n_phases": 10**9}, "n_phases"),
+    ("wigner", {"state": "coherent", "n_grid": 10**9}, "n_grid"),
+    ("tomo", {"n_grid": 10**9}, "n_grid"),
+    ("tomo", {"shots": 10**9}, "shots"),
+    ("tomo", {"recon_n_max": 10**9}, "recon_n_max"),
+    ("decay", {"n_waits": 10**9}, "n_waits"),
+    ("calibrate", {"kind": "parity", "shots": 10**9}, "shots"),
 ], ids=["c_g_length", "g0_negative", "n_times_zero", "t_max_negative",
-        "qubit_not_normalized", "tomo_shots_zero", "tomo_recon_n_max_zero"])
+        "qubit_not_normalized", "tomo_shots_zero", "tomo_recon_n_max_zero",
+        "n_times_huge", "scan_n_times_huge", "n_phases_huge",
+        "wigner_n_grid_huge", "tomo_n_grid_huge", "tomo_shots_huge",
+        "recon_n_max_huge", "n_waits_huge", "calibrate_shots_huge"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command,
                                                payload, field):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
@@ -210,6 +222,7 @@ def test_schema_lists_value_bounds(capsys):
     simulate = json.loads(out)["commands"]["simulate"]
     assert simulate["g0"]["exclusive_minimum"] == 0
     assert simulate["n_times"]["minimum"] == 2
+    assert simulate["n_times"]["maximum"] == 10_000
     assert simulate["c_g"]["length"] == 2
     assert "minimum" not in simulate["closed"]
     for command, schema in SCHEMAS.items():

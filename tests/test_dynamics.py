@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catsim import dynamics
+from catsim.catfit import css_state, fit_css
 from catsim.dynamics import (
     SystemParams,
     characteristic_times,
@@ -407,3 +408,61 @@ def test_liouvillian_keeps_coherence_order():
     assert coupled.any()
     assert not np.any(coupled & (order[:, None] != order[None, :]))
 
+
+
+def test_trace_drift_names_the_route(monkeypatch):
+    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+
+    def drifting(drift, collapse, excitations, rho0, times):
+        for _ in times:
+            yield 1.1 * rho0
+
+    monkeypatch.setattr(dynamics, "_exact_states", drifting)
+    with pytest.raises(IntegrationError,
+                       match=r"^trace drift 1\.000e-01 at t = 0 on the exact route$"):
+        lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
+
+
+def _assert_constructor_accepts(states):
+    """The states, built unchecked, pass JointState's checks and are read-only."""
+    assert states
+    for state in states:
+        JointState(state.space, state.data.copy(), state.kind)
+        assert not state.data.flags.writeable
+
+
+def test_jc_and_css_states_pass_the_constructor():
+    params = SystemParams(g0=G0, alpha0=1.5, c_g=0.6, c_e=0.8j)
+    _assert_constructor_accepts(jc_trajectory(params, np.linspace(0.0, 3.0, 7)).states)
+    _assert_constructor_accepts([jc_evolve_exact(params, 1.1)])
+    _assert_constructor_accepts([css_state(1.2, -1.2j, 0.4, HilbertSpace(12))])
+
+
+@pytest.mark.parametrize("method", ["exact", "rk45"])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "phonon"])
+@pytest.mark.parametrize("times", [[0.0, 0.4, 1.5], [0.7]], ids=["grid", "one_point"])
+def test_lindblad_states_pass_the_constructor(method, joint, times):
+    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    if not joint:
+        initial = coherent_state(1.0, initial.space.phonon_only())
+    traj = lindblad_evolve(initial, params, hamiltonian_on=joint, times=times,
+                           method=method)
+    _assert_constructor_accepts(traj.states)
+
+
+def test_evolved_states_are_not_validated_again(monkeypatch):
+    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    target = css_state(1.2, -1.2j, 0.4, HilbertSpace(12))
+    validated = []
+    check = JointState.__post_init__
+
+    def counting(state):
+        validated.append(state.space.dim)
+        check(state)
+
+    monkeypatch.setattr(JointState, "__post_init__", counting)
+    jc_trajectory(params, np.linspace(0.0, 3.0, 7))
+    lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 0.4, 1.5])
+    fit_css(target)
+    # only lindblad_evolve's 2 x 2 qubit reductions, one per time
+    assert validated == [2, 2, 2]
