@@ -12,8 +12,14 @@ same lines, so
     python3 scripts/output_digest.py NEW_TREE > new.txt
     diff old.txt new.txt
 
-shows whether a change keeps every output byte-identical.  The whole run
-takes about fifteen seconds on one core.
+shows whether a change keeps every output byte-identical.  Given two trees,
+
+    python3 scripts/output_digest.py OLD_TREE NEW_TREE
+
+runs both and prints one line per output file: `same` when the bytes agree,
+else the largest numeric difference and where it is (a JSON key path or a
+CSV row and column), so a roundoff-only move reads as such instead of as a
+bare hash mismatch.  One tree takes about fifteen seconds on one core.
 """
 
 import argparse
@@ -46,10 +52,11 @@ RUNS = [
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def digests(tree: Path, work: Path):
-    """Yield (run/file, sha256) for every output file of every run."""
+def outputs(tree: Path, work: Path):
+    """Yield (run/file, path) for every output file of every run of tree."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            **{var: "1" for var in THREAD_VARS}}
+    work.mkdir(exist_ok=True)
     for name, command, config in RUNS:
         cfg = work / f"{name}.json"
         cfg.write_text(json.dumps({"schema_version": 1, **config}))
@@ -58,7 +65,54 @@ def digests(tree: Path, work: Path):
                         "--config", str(cfg), "--seed", str(SEED),
                         "--out", str(out), "--quiet"], env=env, check=True)
         for path in sorted(out.iterdir()):
-            yield f"{name}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest()
+            yield f"{name}/{path.name}", path
+
+
+def _fields(path: Path) -> dict:
+    """{location: value} of a JSON or CSV output, numbers as floats."""
+    def flatten(obj, where):
+        if isinstance(obj, dict):
+            for key, val in obj.items():
+                yield from flatten(val, f"{where}.{key}" if where else key)
+        elif isinstance(obj, list):
+            for i, val in enumerate(obj):
+                yield from flatten(val, f"{where}[{i}]")
+        else:
+            yield where, obj
+
+    if path.suffix == ".json":
+        return dict(flatten(json.loads(path.read_text()), ""))
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    fields = {}
+    for i, row in enumerate(rows, start=1):
+        for col, text in zip(header, row):
+            try:
+                fields[f"row {i} {col}"] = float(text)
+            except ValueError:
+                fields[f"row {i} {col}"] = text
+    return fields
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare(old: Path, new: Path) -> str:
+    """'same', or the largest numeric difference between two outputs and where."""
+    if old.read_bytes() == new.read_bytes():
+        return "same"
+    a, b = _fields(old), _fields(new)
+    if a.keys() != b.keys():
+        return f"differs in layout: {sorted(a.keys() ^ b.keys())[:3]}"
+    moved = [key for key in a if a[key] != b[key]]
+    if not moved:
+        return "same values, different bytes"
+    for key in moved:
+        if not (_is_number(a[key]) and _is_number(b[key])):
+            return f"differs at {key}: {a[key]!r} -> {b[key]!r}"
+    worst = max(moved, key=lambda key: abs(b[key] - a[key]))
+    return (f"max |diff| {abs(b[worst] - a[worst]):.3g} at {worst}: "
+            f"{a[worst]!r} -> {b[worst]!r} ({len(moved)} of {len(a)} values differ)")
 
 
 def main():
@@ -66,10 +120,22 @@ def main():
     ap.add_argument("tree", nargs="?", default=Path(__file__).resolve().parents[1],
                     type=Path, help="source tree holding src/catsim "
                                     "(default: this script's tree)")
+    ap.add_argument("new_tree", nargs="?", type=Path,
+                    help="second tree: compare its outputs with tree's")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as work:
-        for label, digest in digests(args.tree.resolve(), Path(work)):
-            print(f"{label} {digest}")
+        work = Path(work)
+        if args.new_tree is None:
+            for label, path in outputs(args.tree.resolve(), work):
+                print(f"{label} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+            return
+        old = dict(outputs(args.tree.resolve(), work / "old"))
+        new = dict(outputs(args.new_tree.resolve(), work / "new"))
+        for label in sorted(old.keys() | new.keys()):
+            if label not in old or label not in new:
+                print(f"{label} only in {'new' if label in new else 'old'} tree")
+            else:
+                print(f"{label} {compare(old[label], new[label])}")
 
 
 if __name__ == "__main__":

@@ -113,6 +113,14 @@ def _experiment_fields():
 # Counts (n_times, n_phases, n_grid, n_waits, shots, recon_n_max) have a
 # maximum, >= 10x every default, test and benchmark config, so a huge count
 # is a config error instead of a run that exhausts memory or time
+#
+# tomo's MLE holds one complex parity kernel per grid point, an
+# n_grid^2 x (recon_n_max + 1)^2 x 16 B stack; the joint budget is ~78x the
+# defaults' 0.85 MB (and ~200x the benchmark's), so the two fields at their
+# maxima (~26 GB) are a config error too
+_KERNEL_STACK_BYTES = 64 * 2 ** 20
+_STACK_LIMIT = (f"n_grid^2 * (recon_n_max + 1)^2 * 16 B must not exceed "
+                f"{_KERNEL_STACK_BYTES} B (the MLE kernel stack)")
 SCHEMAS = {
     "simulate": {
         "schema_version": _Field(int, required=True),
@@ -158,8 +166,12 @@ SCHEMAS = {
         "offset": _Field(float, default=0.02),
         "shots": _Field(int, default=500, minimum=1, maximum=10_000_000),
         "extent": _positive(2.2),
-        "n_grid": _Field(int, default=11, minimum=1, maximum=200),
-        "recon_n_max": _Field(int, default=20, minimum=1, maximum=200),
+        "n_grid": _Field(int, default=11, minimum=1, maximum=200,
+                         desc="tomography raster points per axis; "
+                              + _STACK_LIMIT),
+        "recon_n_max": _Field(int, default=20, minimum=1, maximum=200,
+                              desc="reconstruction Fock cutoff; "
+                                   + _STACK_LIMIT),
         "seed": _Field(int, default=0, minimum=0),
         **_experiment_fields(),
     },
@@ -345,6 +357,10 @@ def _cmd_wigner(cfg, out_dir, seed, log):
 
 
 def _cmd_tomo(cfg, out_dir, seed, log):
+    stack = cfg["n_grid"] ** 2 * (cfg["recon_n_max"] + 1) ** 2 * 16
+    if stack > _KERNEL_STACK_BYTES:
+        raise ConfigError(f"config fields n_grid, recon_n_max: {_STACK_LIMIT}, "
+                          f"got {stack} B")
     econf = _experiment_config(cfg)
     alpha0 = drive_alpha(cfg["drive_amplitude"])
     rho = prepare_cat(alpha0, econf, n_max=max(40, default_cutoff(alpha0)))
@@ -371,7 +387,9 @@ def _cmd_tomo(cfg, out_dir, seed, log):
             "fidelity": fa.fidelity,
         },
     })
-    log(f"wrote samples.csv and reconstruction.json (D = {fc.D:.3f})")
+    log(f"wrote samples.csv and reconstruction.json (D = {fc.D:.3f}; MLE "
+        f"{mle.iterations} iterations, stationarity gap "
+        f"{mle.stationarity_gap:.2e})")
 
 
 def _cmd_decay(cfg, out_dir, seed, log):

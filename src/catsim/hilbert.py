@@ -255,14 +255,23 @@ def fock_state(n: int, space: HilbertSpace) -> JointState:
     return JointState(space, vec, "pure")
 
 
+@lru_cache(maxsize=32)
+def _fock_table(n_max: int):
+    """Read-only (n, log n!) for n = 0..n_max, shared by every coherent_amplitudes call."""
+    n = np.arange(n_max + 1)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
+    n.setflags(write=False)
+    log_fact.setflags(write=False)
+    return n, log_fact
+
+
 def coherent_amplitudes(alpha: complex, n_max: int):
     """Truncated coherent-state amplitudes and the norm deficit of the tail.
 
     Returns (amps, deficit) with amps renormalized on 0..n_max and
     deficit = 1 - sum |c_n|^2 before renormalization.
     """
-    n = np.arange(n_max + 1)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
+    n, log_fact = _fock_table(n_max)
     log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha) if alpha != 0 else 1.0) - 0.5 * log_fact
     if alpha == 0:
         amps = np.zeros(n_max + 1, dtype=complex)

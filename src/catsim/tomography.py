@@ -275,6 +275,27 @@ class MleResult:
     log_likelihoods: np.ndarray
     converged: bool
     iterations: int
+    stationarity_gap: float  # lambda_max(R)/Tr(R rho) - 1 at state; 0 at the ML estimate
+
+
+def _flat_kernels(betas, dim: int) -> np.ndarray:
+    """The parity_kernels stack at betas as one real (N, 2 dim^2) matrix: a view, not a copy.
+
+    Each row holds the (re, im) pairs of one Hermitian kernel K_k, so for a
+    Hermitian rho, Tr(K_k rho) = sum_ij K_ij conj(rho_ij) is _kernel_traces,
+    and sum_k c_k K_k for real c_k is _kernel_sum: one real GEMV each.
+    """
+    return parity_kernels(betas, dim).reshape(len(betas), -1).view(float)
+
+
+def _kernel_traces(kflat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(K_k rho) for every kernel row of kflat and a Hermitian rho."""
+    return kflat @ rho.ravel().view(float)
+
+
+def _kernel_sum(coeffs: np.ndarray, kflat: np.ndarray, dim: int) -> np.ndarray:
+    """sum_k coeffs_k K_k, a dim x dim complex matrix, for real coeffs."""
+    return (coeffs @ kflat).view(complex).reshape(dim, dim)
 
 
 def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
@@ -282,8 +303,13 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     """Iterative maximum-likelihood reconstruction from parity samples.
 
     Binary displaced-parity POVMs adjusted by the sample set's readout
-    amplitude/offset; multiplicative R rho R updates with dilution fallback
-    so the log-likelihood never decreases.
+    amplitude/offset; multiplicative R rho R updates (Rehacek et al., PRA 75,
+    042108 (2007)) with dilution fallback so the log-likelihood never
+    decreases.  The kernels are held once, as the real view _flat_kernels, so
+    each likelihood evaluation is two real GEMVs: _kernel_traces for the
+    probabilities and _kernel_sum for R.  The result reports the stationarity
+    (KKT) gap lambda_max(R)/Tr(R rho) - 1 of the returned state, from one
+    d x d eigvalsh: it is >= 0, and 0 only at the ML estimate.
     """
     if space.has_qubit:
         raise ValueError("reconstruction space must be phonon-only")
@@ -308,11 +334,11 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     f_plus = np.clip(f_plus, 0.0, 1.0)
     f_minus = np.clip(f_minus, 0.0, 1.0)
 
-    kernels = parity_kernels(samples.betas, dim)
+    kflat = _flat_kernels(samples.betas, dim)
     eye = np.eye(dim, dtype=complex)
 
     def probs(rho):
-        pi_exp = np.einsum("kij,ji->k", kernels, rho).real
+        pi_exp = _kernel_traces(kflat, rho)
         p_plus = (1.0 + amp * pi_exp + off) / 2.0
         return np.clip(p_plus, 1e-12, 1.0 - 1e-12)
 
@@ -326,7 +352,7 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
         w_minus = f_minus / (1.0 - p_plus)
         c_i = 0.5 * np.sum(w_plus * (1.0 + off) + w_minus * (1.0 - off))
         c_k = 0.5 * (w_plus - w_minus) * amp
-        return c_i * eye + np.einsum("k,kij->ij", c_k, kernels)
+        return c_i * eye + _kernel_sum(c_k, kflat, dim)
 
     rho = eye / dim
     p_cur = probs(rho)
@@ -369,5 +395,8 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     rho = (evecs * evals) @ evecs.conj().T
     rho = rho / np.trace(rho).real
     state = JointState(space, rho, "mixed")
+    r = r_op(probs(rho))
+    gap = np.linalg.eigvalsh(r)[-1] / np.vdot(rho, r).real - 1.0
     return MleResult(state=state, log_likelihoods=np.array(ll),
-                     converged=converged, iterations=len(ll) - 1)
+                     converged=converged, iterations=len(ll) - 1,
+                     stationarity_gap=float(gap))

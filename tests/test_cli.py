@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from catsim import __version__
+from catsim import __version__, cli
 from catsim.cli import SCHEMAS, main
 
 
@@ -214,6 +215,31 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command,
                        "--out", str(tmp_path / "out"), "--quiet")
     assert code == 2
     assert "config error" in err and field in err
+
+
+def test_tomo_kernel_stack_budget_is_a_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # each field alone is in bounds, but together they ask for a ~26 GB
+    # parity-kernel stack: rejected before any state is prepared
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tomo ran past config validation")
+
+    monkeypatch.setattr(cli, "prepare_cat", unreachable)
+    cfg = write_config(tmp_path, {"schema_version": 1, "n_grid": 200,
+                                  "recon_n_max": 200})
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "tomo", "--config", cfg,
+                           "--out", str(tmp_path / "out"), "--quiet")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "n_grid" in err and "recon_n_max" in err
+    assert peak < 2 ** 20
+    tomo = SCHEMAS["tomo"]
+    assert "recon_n_max" in tomo["n_grid"].desc
+    assert "n_grid" in tomo["recon_n_max"].desc
 
 
 def test_schema_lists_value_bounds(capsys):

@@ -14,6 +14,7 @@ from catsim.hilbert import (
     HilbertSpace,
     JointState,
     OperatorSet,
+    _fock_table,
     _psd_sqrt,
     coherent_amplitudes,
     coherent_state,
@@ -60,6 +61,33 @@ def test_coherent_norm_deficit_matches_poisson_tail():
     tail = 1.0 - sum(math.exp(t) for t in log_terms)
     assert abs(deficit) < 1e-12
     assert deficit == pytest.approx(tail, abs=1e-13)
+
+
+@pytest.mark.parametrize("n_max", [1, 12, 40, 144])
+def test_coherent_amplitudes_cached_table_is_bit_identical(n_max):
+    # the cached (n, log n!) table must leave the arithmetic, and so every
+    # amplitude, exactly as the inline formula computes it
+    n = np.arange(n_max + 1)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
+    for alpha in (0.0, 1.3, -0.4 + 2.1j, 3.7j):
+        amps, deficit = coherent_amplitudes(alpha, n_max)
+        if alpha == 0:
+            expected = np.zeros(n_max + 1, dtype=complex)
+            expected[0] = 1.0
+            assert np.array_equal(amps, expected) and deficit == 0.0
+            continue
+        log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_fact
+        raw = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+        norm_sq = float(np.sum(np.abs(raw) ** 2))
+        assert np.array_equal(amps, raw / math.sqrt(norm_sq))
+        assert deficit == 1.0 - norm_sq
+
+
+def test_coherent_amplitudes_table_is_read_only():
+    coherent_amplitudes(0.5, 12)
+    for table in _fock_table(12):
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_truncation_guard():

@@ -5,12 +5,14 @@ import pytest
 
 from catsim.dynamics import SystemParams, excited_population
 from catsim.errors import FitError, StateValidationError, TruncationError
+from catsim.catfit import css_state
 from catsim.hilbert import (
     HilbertSpace,
     coherent_state,
     default_cutoff,
     fidelity,
     fock_state,
+    parity_kernels,
     purity,
 )
 from catsim.phase_space import raster_grid
@@ -19,6 +21,9 @@ from catsim.tomography import (
     ParityNormalization,
     ReadoutModel,
     WignerSampleSet,
+    _flat_kernels,
+    _kernel_sum,
+    _kernel_traces,
     calibrate_drive,
     calibrate_parity,
     extract_fock_populations,
@@ -241,3 +246,85 @@ def test_sample_set_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "re_beta,im_beta,parity,shots"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("dim", [5, 13, 21])
+def test_flat_kernels_match_einsum_contractions(dim):
+    # dual route: the real (N, 2 d^2) view gives Tr(K_k rho) and sum_k c_k K_k
+    # as the complex einsum contractions of the kernel stack do
+    rng = np.random.default_rng(dim)
+    betas = rng.normal(size=30) + 1j * rng.normal(size=30)
+    kernels = parity_kernels(betas, dim)
+    kflat = _flat_kernels(betas, dim)
+    assert kflat.shape == (30, 2 * dim * dim) and not kflat.flags.owndata
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m + m.conj().T
+    coeffs = rng.normal(size=30)
+    traces = np.einsum("kij,ji->k", kernels, rho).real
+    assert np.max(np.abs(_kernel_traces(kflat, rho) - traces)) <= 1e-13 * np.max(np.abs(traces))
+    r_op = np.einsum("k,kij->ij", coeffs, kernels)
+    assert np.max(np.abs(_kernel_sum(coeffs, kflat, dim) - r_op)) <= 1e-13 * np.max(np.abs(r_op))
+
+
+def _einsum_mle(samples, dim, max_iters=30000, tol=1e-12):
+    """Reference RrhoR iteration with dilution fallback on einsum contractions."""
+    kernels = parity_kernels(samples.betas, dim)
+    amp, off = samples.normalization.amplitude, samples.normalization.offset
+    f_plus = (1.0 + samples.normalization.unapply(samples.parities)) / 2.0
+    f_plus, f_minus = np.clip(f_plus, 0.0, 1.0), np.clip(1.0 - f_plus, 0.0, 1.0)
+    eye = np.eye(dim, dtype=complex)
+
+    def probs(rho):
+        pi_exp = np.einsum("kij,ji->k", kernels, rho).real
+        return np.clip((1.0 + amp * pi_exp + off) / 2.0, 1e-12, 1.0 - 1e-12)
+
+    def loglike(rho):
+        p = probs(rho)
+        return samples.shots_per_point * np.sum(f_plus * np.log(p) + f_minus * np.log(1.0 - p))
+
+    def step(t_op, rho):
+        cand = t_op @ rho @ t_op.conj().T
+        cand = cand / np.trace(cand).real
+        return 0.5 * (cand + cand.conj().T)
+
+    rho, ll = eye / dim, [loglike(eye / dim)]
+    for _ in range(max_iters):
+        p = probs(rho)
+        w_plus, w_minus = f_plus / p, f_minus / (1.0 - p)
+        r = 0.5 * np.sum(w_plus * (1.0 + off) + w_minus * (1.0 - off)) * eye \
+            + np.einsum("k,kij->ij", 0.5 * (w_plus - w_minus) * amp, kernels)
+        cand, mu = step(r, rho), 0.5
+        while loglike(cand) < ll[-1] and mu > 1e-8:
+            cand, mu = step((eye + mu * r / len(kernels)) / (1.0 + mu), rho), mu / 2.0
+        if loglike(cand) < ll[-1]:
+            break
+        rho = cand
+        ll.append(loglike(cand))
+        if ll[-1] - ll[-2] < tol * max(1.0, abs(ll[-1])):
+            break
+    return np.array(ll)
+
+
+def _css_samples(shots=100, seed=3):
+    model = ReadoutModel(contrast=0.9, offset=0.02, shots=shots, seed=seed)
+    state = css_state(1.2, -1.2, 0.0, HilbertSpace(30))
+    return sample_wigner(state, raster_grid(2.0, 7).points, model,
+                         calibrate_parity(model))
+
+
+def test_mle_matches_einsum_reference_iteration():
+    samples = _css_samples()
+    result = mle_reconstruct(samples, HilbertSpace(6))
+    reference = _einsum_mle(samples, 7)
+    assert result.iterations == len(reference) - 1
+    assert np.max(np.abs(result.log_likelihoods - reference) / np.abs(reference)) <= 1e-12
+
+
+def test_mle_stationarity_gap():
+    # lambda_max(R) >= Tr(R rho) for every state, with equality only at the
+    # ML estimate, so the gap is >= 0 and shrinks as the iteration converges
+    samples = _css_samples()
+    early = mle_reconstruct(samples, HilbertSpace(6), max_iters=20)
+    done = mle_reconstruct(samples, HilbertSpace(6))
+    assert done.converged and not early.converged
+    assert early.stationarity_gap > done.stationarity_gap >= -1e-12
