@@ -32,6 +32,7 @@ from .hilbert import (
     HilbertSpace,
     JointState,
     OperatorSet,
+    _psd_certified,
     check_truncation,
     coherent_amplitudes,
     default_cutoff,
@@ -409,9 +410,13 @@ def lindblad_evolve(
         raw = _rk45_states(drift, collapse, rho0, times, **settings)
 
     # the loop makes JointState's checks on every state (hermitian, unit
-    # trace, eigenvalues clipped at 0), so it builds them unchecked; and it
-    # takes observables per state: stacking the d x d states would add to
-    # the memory that the propagated series already holds
+    # trace, and the constructor's eigenvalue bound by its own Cholesky
+    # certificate), so it builds them unchecked.  Only a state that fails
+    # the certificate is diagonalised: below -1e-7 it is an error, above it
+    # the negative eigenvalues are clipped (RK45 can leave ~1e-8 there); a
+    # certified state is kept as computed.  Observables are taken per state:
+    # stacking the d x d states would add to the memory that the propagated
+    # series already holds
     states = []
     pops = np.empty((len(times), dim))
     red = np.empty((len(times), 2, 2), dtype=complex) if space.has_qubit else None
@@ -426,14 +431,14 @@ def lindblad_evolve(
                 f"{method} route{advice}"
             )
         rho = rho / tr
-        evals, evecs = np.linalg.eigh(rho)
-        if evals.min() < -1e-7:
-            raise IntegrationError(
-                f"negative eigenvalue {evals.min():.3e} at t = {times[k]:.4g}"
-            )
-        if evals.min() < 0:
-            evals = np.clip(evals, 0.0, None)
-            rho = (evecs * evals) @ evecs.conj().T
+        if not _psd_certified(rho):
+            evals, evecs = np.linalg.eigh(rho)
+            if evals.min() < -1e-7:
+                raise IntegrationError(
+                    f"negative eigenvalue {evals.min():.3e} below -1e-7 at "
+                    f"t = {times[k]:.4g} on the {method} route"
+                )
+            rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
             rho = rho / np.trace(rho).real
         states.append(JointState._trusted(space, rho, "mixed"))
         pops[k] = np.diagonal(rho).real

@@ -64,15 +64,32 @@ def check_truncation(alpha: complex, space: HilbertSpace):
         )
 
 
+def _psd_certified(rho: np.ndarray) -> bool:
+    """Whether the Hermitian rho has no eigenvalue below -_EIG_TOL.
+
+    rho + _EIG_TOL I has a Cholesky factor exactly when it is positive
+    definite, so one factorisation decides the bound, up to d eps roundoff,
+    at a fraction of the cost of an eigendecomposition.  Only the lower
+    triangle is read.
+    """
+    try:
+        np.linalg.cholesky(rho + _EIG_TOL * np.eye(len(rho)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class JointState:
     """A pure state vector or density matrix over a HilbertSpace.
 
     Each state is checked once, where it is made: the constructor checks
-    shape, norm or trace, hermiticity and eigenvalues, and freezes data.
-    Producers that make those checks themselves on every state they build
-    (the JC series, the Lindblad loop, css_state) use _trusted, which
-    freezes data without checking it again.
+    shape, norm or trace, hermiticity and, for a density matrix, that no
+    eigenvalue lies below -_EIG_TOL (by _psd_certified, one Cholesky
+    factorisation), and freezes data.  Producers that make those checks
+    themselves on every state they build (the JC series, the Lindblad loop,
+    which certifies each state with the same _psd_certified, css_state) use
+    _trusted, which freezes data without checking it again.
     """
 
     space: HilbertSpace
@@ -82,7 +99,8 @@ class JointState:
     @classmethod
     def _trusted(cls, space: HilbertSpace, data: np.ndarray, kind: str) -> "JointState":
         """The state (space, data, kind), unchecked: data must be a complex array
-        that the caller has already checked as the constructor would."""
+        that the caller has already checked as the constructor would, with
+        _psd_certified for the eigenvalue bound of a density matrix."""
         state = object.__new__(cls)
         object.__setattr__(state, "space", space)
         object.__setattr__(state, "data", data)
@@ -111,8 +129,8 @@ class JointState:
                 raise StateValidationError(f"density matrix trace {tr} deviates from 1")
             if np.max(np.abs(data - data.conj().T)) > max(_HERM_TOL, 1e-10 * np.max(np.abs(data))):
                 raise StateValidationError("density matrix is not Hermitian")
-            evals = np.linalg.eigvalsh(data)
-            if evals.min() < -_EIG_TOL:
+            if not _psd_certified(data):
+                evals = np.linalg.eigvalsh(data)
                 raise StateValidationError(f"density matrix has eigenvalue {evals.min()}")
         else:
             raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")

@@ -423,6 +423,86 @@ def test_trace_drift_names_the_route(monkeypatch):
         lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
 
 
+def _with_negative_eigenvalue(pure, eps):
+    """(1 + eps)|psi><psi| - eps|phi><phi|, phi orthogonal to psi: unit trace,
+    eigenvalues 1 + eps, -eps and 0."""
+    psi = pure.data
+    phi = np.zeros_like(psi)
+    phi[-1] = 1.0
+    phi -= np.vdot(psi, phi) * psi
+    phi /= np.linalg.norm(phi)
+    return (1.0 + eps) * np.outer(psi, psi.conj()) - eps * np.outer(phi, phi.conj())
+
+
+def test_negative_eigenvalue_names_route_and_bound(monkeypatch):
+    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    states = [initial.density_matrix(), _with_negative_eigenvalue(initial, 1e-6)]
+    monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
+    with pytest.raises(IntegrationError,
+                       match=r"^negative eigenvalue -1\.000e-06 below -1e-7 at "
+                             r"t = 1 on the exact route$"):
+        lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
+
+
+def test_small_negative_eigenvalue_is_clipped(monkeypatch):
+    # -1e-8 fails the certificate but not the -1e-7 bound: the loop clips it
+    # and renormalises, which here leaves exactly |psi><psi|
+    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    pure = initial.density_matrix()
+    states = [pure, _with_negative_eigenvalue(initial, 1e-8)]
+    monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
+    traj = lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
+    rho = traj.states[1].data
+    assert abs(np.trace(rho) - 1.0) <= 1e-14
+    assert np.max(np.abs(rho - pure)) <= 1e-12
+    JointState(traj.states[1].space, rho.copy(), "mixed")
+
+
+def test_certified_states_match_eigh_and_clip_reference(monkeypatch):
+    # the loop before the certificate: every state diagonalised, negative
+    # eigenvalues clipped at 0 and the trace restored
+    params, initial = _lossy_joint(2.0, 1.0, 0.0)
+    raw = []
+    exact_states = dynamics._exact_states
+
+    def recording(*args):
+        for rho in exact_states(*args):
+            raw.append(rho.copy())
+            yield rho
+
+    monkeypatch.setattr(dynamics, "_exact_states", recording)
+    traj = lindblad_evolve(initial, params, hamiltonian_on=True,
+                           times=np.linspace(0.0, 10.0, 40))
+    assert len(raw) == len(traj.states) == 40
+    for rho, state in zip(raw, traj.states):
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        evals, evecs = np.linalg.eigh(rho)
+        if evals.min() < 0:
+            rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
+            rho = rho / np.trace(rho).real
+        assert np.max(np.abs(state.data - rho)) <= 1e-13
+
+
+def test_open_run_diagonalises_no_state(monkeypatch):
+    # each state is certified by one Cholesky factorisation; an eigensolver
+    # per state would cost several times as much
+    params, initial = _lossy_joint(2.0, 1.0, 0.0)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(*args, _solver=solver, **kwargs):
+            calls.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    traj = lindblad_evolve(initial, params, hamiltonian_on=True,
+                           times=np.linspace(0.0, 10.0, 501))
+    assert len(traj.states) == 501
+    assert calls == []
+
+
 def _assert_constructor_accepts(states):
     """The states, built unchecked, pass JointState's checks and are read-only."""
     assert states

@@ -15,6 +15,7 @@ from catsim.hilbert import (
     JointState,
     OperatorSet,
     _fock_table,
+    _psd_certified,
     _psd_sqrt,
     coherent_amplitudes,
     coherent_state,
@@ -209,6 +210,28 @@ def test_psd_sqrt_squares_back():
     mat = m @ m.conj().T
     root = _psd_sqrt(mat)
     assert np.linalg.norm(root @ root - mat) < 1e-9 * np.linalg.norm(mat)
+
+
+@pytest.mark.parametrize("dim", [8, 62, 88])
+def test_psd_certificate_matches_eigenvalue_oracle(dim):
+    # the Cholesky certificate, and so the constructor, accepts exactly the
+    # matrices whose smallest eigvalsh eigenvalue is >= -1e-9
+    rng = np.random.default_rng(dim)
+    space = HilbertSpace(dim - 1)
+    for lam_min in (-1e-6, -2e-9, -5e-10, 0.0, 1e-12):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))
+        evals = np.concatenate(([lam_min], (1.0 - lam_min) * rng.dirichlet(np.ones(dim - 1))))
+        rho = (q * evals) @ q.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        oracle = np.linalg.eigvalsh(rho).min()
+        assert abs(oracle + 1e-9) >= 1e-10  # every case stays clear of the bound
+        assert _psd_certified(rho) == (oracle >= -1e-9)
+        if oracle >= -1e-9:
+            JointState(space, rho, "mixed")
+        else:
+            with pytest.raises(StateValidationError, match="has eigenvalue"):
+                JointState(space, rho, "mixed")
 
 
 def test_displacement_is_unitary_and_displaces_vacuum():
