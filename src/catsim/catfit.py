@@ -10,15 +10,23 @@ handle it as its low-rank phonon factor V (hilbert.phonon_factor) and
 score it with hilbert.factored_fidelity: an r x r eigenproblem (r <= 2)
 per evaluation, exact to roundoff, with no d x d matrix square root.
 
+The CSS fit scores raw amplitude vectors: _coherent_pair builds both
+truncated coherent components in one expression, and for a fixed pair
+(u, v) the fidelity of N(u + e^{i t} v) to rho is a ratio of two
+sinusoids in t, maximised in closed form by _css_phase.  Nelder-Mead
+therefore searches only (alpha1, alpha2); the reported fidelity comes
+from one public hilbert.fidelity(css_state(...), rho) at the optimum.
+
 States are checked once, where they enter: the fits take a validated
-JointState, and the states they build per evaluation (css_state, and the
-JC state behind the analytical factor) are normalised by the code that
-builds them, which checks their norm itself, so no JointState validation
-runs inside an optimizer loop.
+JointState, and the states they build per evaluation (the CSS pair, and
+the JC state behind the analytical factor) are normalised by the code
+that builds them, which checks their norm itself, so no JointState
+validation runs inside an optimizer loop.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +38,7 @@ from .errors import DimensionMismatchError, FitError
 from .hilbert import (
     HilbertSpace,
     JointState,
-    coherent_amplitudes,
+    _fock_table,
     factored_fidelity,
     fidelity,
     phonon_factor,
@@ -41,13 +49,70 @@ FIT_FTOL = 1e-8
 FIT_MAXITER = 4000
 
 
+def _coherent_pair(alpha1: complex, alpha2: complex, n_max: int) -> np.ndarray:
+    """(2, n_max + 1): the renormalised truncated coherent vectors of alpha1, alpha2.
+
+    alpha^n / sqrt(n!) = exp(n log alpha - log(n!) / 2) for both amplitudes
+    in one expression; the renormalisation absorbs e^{-|alpha|^2/2}.  log 0
+    would make the n = 0 term NaN (0 * -inf), so a vacuum component is set
+    to |0> explicitly.
+    """
+    n, log_fact = _fock_table(n_max)
+    logs = [cmath.log(alpha1 or 1.0), cmath.log(alpha2 or 1.0)]
+    pair = np.exp(np.multiply.outer(logs, n) - 0.5 * log_fact)
+    if alpha1 == 0 or alpha2 == 0:
+        for row, alpha in zip(pair, (alpha1, alpha2)):
+            if alpha == 0:
+                row[:] = n == 0
+    pair /= np.sqrt((pair.view(float) ** 2).sum(axis=1, keepdims=True))
+    return pair
+
+
+def _css_phase(alpha1: complex, alpha2: complex, rho: np.ndarray):
+    """Best phase t of N(|alpha1> + e^{it} |alpha2>) for rho, and its fidelity.
+
+    With u, v the rows of _coherent_pair, x = u + z v = (1 + z) u + z e for
+    z = e^{it} and e = v - u, so with the 2 x 2 forms G = B^dag rho B and
+    S = B^dag B of B = [u e], F^2(t) = c^dag G c / c^dag S c at c = (1 + z, z).
+    Expanded, that is a ratio of sinusoids (P + Re(z Q)) / (D + Re(z T)); in
+    exact arithmetic D = 2, P = u^dag rho u + v^dag rho v, Q = 2 u^dag rho v
+    and T = 2 u^dag v.  Its stationary points solve Im(z W) = -Im(conj(Q) T),
+    W = P T - D Q: two roots on the circle, a maximum and a minimum, of which
+    the larger value is kept (W = 0 makes F^2 constant, so any t is optimal).
+    Each root is scored in the (1 + z, z) form, which stays accurate where
+    the expanded one cancels to roundoff (alpha2 -> alpha1, |1 + z| ~ |e|).
+    Returns (t, F), F clipped to [0, 1] as hilbert.fidelity clips it.
+    """
+    pair = _coherent_pair(alpha1, alpha2, len(rho) - 1)
+    basis = pair.copy()
+    basis[1] -= pair[0]  # e, elementwise, so it keeps its digits as v -> u
+    conj = basis.conj()
+    g00, g01, _, g11 = (conj @ rho @ basis.T).ravel().tolist()
+    s00, s01, _, s11 = (conj @ basis.T).ravel().tolist()
+    p = 2.0 * (g00.real + g01.real) + g11.real
+    q = 2.0 * (g00 + g01)
+    d = 2.0 * (s00.real + s01.real) + s11.real
+    t = 2.0 * (s00 + s01)
+    w = p * t - d * q
+    rhs = -(q.conjugate() * t).imag
+    root = math.asin(max(-1.0, min(1.0, rhs / abs(w)))) if w else 0.0
+    best_t, best_f2 = 0.0, -math.inf
+    for phase in (root - cmath.phase(w), math.pi - root - cmath.phase(w)):
+        y = 1.0 + cmath.exp(1j * phase)
+        norm_sq = abs(y) ** 2 * s00.real + s11.real + 2.0 * (y * s01).real
+        if norm_sq > 0.0:
+            f2 = (abs(y) ** 2 * g00.real + g11.real + 2.0 * (y * g01).real) / norm_sq
+            if f2 > best_f2:
+                best_t, best_f2 = phase, f2
+    return best_t, math.sqrt(min(1.0, max(best_f2, 0.0)))
+
+
 def css_state(alpha1: complex, alpha2: complex, vartheta: float,
               space: HilbertSpace) -> JointState:
     """Normalized superposition N(|alpha1> + e^{i vartheta} |alpha2>)."""
     if space.has_qubit:
         raise DimensionMismatchError("css_state builds phonon-only states")
-    c1, _ = coherent_amplitudes(alpha1, space.n_max)
-    c2, _ = coherent_amplitudes(alpha2, space.n_max)
+    c1, c2 = _coherent_pair(alpha1, alpha2, space.n_max)
     vec = c1 + np.exp(1j * vartheta) * c2
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
@@ -157,10 +222,17 @@ def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
 
 
 def fit_css(rho: JointState) -> CssFit:
-    """Maximize fidelity of rho to N(|a1> + e^{i t}|a2>) over (a1, a2, t)."""
+    """Maximize fidelity of rho to N(|a1> + e^{i t}|a2>) over (a1, a2, t).
+
+    Nelder-Mead searches (a1, a2); t is the closed-form best phase of each
+    pair (_css_phase).  The reported fidelity is the public
+    hilbert.fidelity of css_state at the optimum, which cross-checks the
+    closed form.
+    """
     if rho.space.has_qubit:
         raise DimensionMismatchError("fit_css expects a phonon-only state")
     space = rho.space
+    rho_data = rho.density_matrix()
 
     def objective(x):
         a1 = complex(x[0], x[1])
@@ -169,19 +241,21 @@ def fit_css(rho: JointState) -> CssFit:
             return 1.0 + abs(a1) + abs(a2)
         if abs(a1 - a2) < 1e-6:
             return 1.0
-        target = css_state(a1, a2, x[4], space)
-        return -fidelity(target, rho)
+        return -_css_phase(a1, a2, rho_data)[1]
 
     starts = []
     for r in (0.75, 1.25, 1.75, 2.25):
         for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
             a1 = r * np.exp(1j * phi)
-            starts.append((a1.real, a1.imag, -a1.real, -a1.imag, 0.0))
-    x, f, converged, n_evals, n_capped = _multistart(objective, starts)
+            starts.append((a1.real, a1.imag, -a1.real, -a1.imag))
+    x, _, converged, n_evals, n_capped = _multistart(objective, starts)
     a1 = complex(x[0], x[1])
     a2 = complex(x[2], x[3])
-    return CssFit(alpha1=a1, alpha2=a2, vartheta=float(x[4]) % (2 * math.pi),
-                  fidelity=f, D=abs(a1 - a2) / 2.0, converged=converged,
+    vartheta, _ = _css_phase(a1, a2, rho_data)
+    vartheta %= 2 * math.pi
+    return CssFit(alpha1=a1, alpha2=a2, vartheta=vartheta,
+                  fidelity=fidelity(css_state(a1, a2, vartheta, space), rho),
+                  D=abs(a1 - a2) / 2.0, converged=converged,
                   n_evals=n_evals, n_capped=n_capped)
 
 
@@ -243,8 +317,8 @@ def sensitivity_interval(rho: JointState, fit, param: str, drop: float = 0.01,
         if param != "D":
             raise ValueError("CSS fits constrain param='D'")
         center = (fit.alpha1 + fit.alpha2) / 2.0
-        phi0 = np.angle(fit.alpha1 - fit.alpha2)
-        warm = [center.real, center.imag, phi0, fit.vartheta]
+        warm = [center.real, center.imag, np.angle(fit.alpha1 - fit.alpha2)]
+        rho_data = rho.density_matrix()
 
         def profile(d_val):
             if d_val <= 0:
@@ -252,11 +326,11 @@ def sensitivity_interval(rho: JointState, fit, param: str, drop: float = 0.01,
 
             def objective(x):
                 c = complex(x[0], x[1])
-                a1 = c + d_val * np.exp(1j * x[2])
-                a2 = c - d_val * np.exp(1j * x[2])
+                a1 = c + d_val * cmath.exp(1j * x[2])
+                a2 = c - d_val * cmath.exp(1j * x[2])
                 if max(abs(a1), abs(a2)) ** 2 > space.n_max / 4.0:
                     return 1.0
-                return -fidelity(css_state(a1, a2, x[3], space), rho)
+                return -_css_phase(a1, a2, rho_data)[1]
 
             res = minimize(objective, warm, method="Nelder-Mead",
                            options={"xatol": 1e-4, "fatol": FIT_FTOL, "maxiter": 2000})

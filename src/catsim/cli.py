@@ -389,7 +389,9 @@ def _cmd_tomo(cfg, out_dir, seed, log):
     })
     log(f"wrote samples.csv and reconstruction.json (D = {fc.D:.3f}; MLE "
         f"{mle.iterations} iterations, stationarity gap "
-        f"{mle.stationarity_gap:.2e})")
+        f"{mle.stationarity_gap:.2e}; fit_css {fc.n_evals} evaluations, "
+        f"{fc.n_capped} capped; fit_analytical {fa.n_evals} evaluations, "
+        f"{fa.n_capped} capped)")
 
 
 def _cmd_decay(cfg, out_dir, seed, log):

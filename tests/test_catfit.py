@@ -5,6 +5,9 @@ import pytest
 
 from catsim.catfit import (
     _analytical_factor,
+    _coherent_pair,
+    _css_phase,
+    _multistart,
     analytical_target,
     css_state,
     find_drop_crossings,
@@ -13,7 +16,13 @@ from catsim.catfit import (
     sensitivity_interval,
 )
 from catsim.errors import FitError
-from catsim.hilbert import HilbertSpace, factored_fidelity, fidelity
+from catsim.hilbert import (
+    HilbertSpace,
+    JointState,
+    coherent_amplitudes,
+    factored_fidelity,
+    fidelity,
+)
 
 G0 = math.sqrt(2.0) / 0.9
 SPACE = HilbertSpace(26)
@@ -102,6 +111,108 @@ def test_css_swap_symmetry():
 def test_css_degenerate_components_rejected():
     with pytest.raises(FitError):
         css_state(1.0, 1.0, math.pi, SPACE)
+
+
+@pytest.mark.parametrize("a1, a2", [(0.0, 1.2), (1.2 + 0.3j, -1.0),
+                                    (-0.7j, 0.0)])
+def test_css_state_matches_coherent_amplitudes(a1, a2):
+    # the pair builder against one coherent_amplitudes call per component,
+    # vacuum components included (log 0 would make the n = 0 term NaN)
+    vt = 0.8
+    c1, _ = coherent_amplitudes(a1, SPACE.n_max)
+    c2, _ = coherent_amplitudes(a2, SPACE.n_max)
+    ref = c1 + np.exp(1j * vt) * c2
+    ref /= np.linalg.norm(ref)
+    assert np.max(np.abs(css_state(a1, a2, vt, SPACE).data - ref)) <= 1e-14
+    assert np.max(np.abs(_coherent_pair(a1, a2, SPACE.n_max)
+                         - np.array([c1, c2]))) <= 1e-14
+
+
+def _random_state(rng, space, rank):
+    m = rng.normal(size=(space.dim, rank)) + 1j * rng.normal(size=(space.dim, rank))
+    rho = m @ m.conj().T
+    return JointState(space, rho / np.trace(rho).real, "mixed")
+
+
+def test_css_phase_is_the_scan_maximum():
+    # oracle: on random (a1, a2, rho) the closed-form phase beats a
+    # 721-point scan of the relative phase, and the public route through
+    # css_state reproduces its value
+    rng = np.random.default_rng(11)
+    space = HilbertSpace(12)
+    scan = np.linspace(0.0, 2.0 * math.pi, 721)
+    for trial in range(30):
+        rho = _random_state(rng, space, rank=1 + trial % 4)
+        a1, a2 = rng.normal(scale=0.9, size=2) + 1j * rng.normal(scale=0.9, size=2)
+        vt, f = _css_phase(a1, a2, rho.data)
+        scanned = max(fidelity(css_state(a1, a2, t, space), rho) for t in scan)
+        assert f ** 2 >= scanned ** 2 - 1e-12
+        assert fidelity(css_state(a1, a2, vt, space), rho) == pytest.approx(f, abs=1e-12)
+
+
+def test_css_phase_near_equal_components():
+    # expanded, F^2 is a ratio of two terms that cancel to ~|a1 - a2|^2,
+    # which leaves ~1e-16 / |a1 - a2|^2 of noise; the scored form keeps
+    # the value of the public route near the |a1 - a2| >= 1e-6 guard
+    rho = _random_state(np.random.default_rng(5), SPACE, rank=2)
+    a1 = 0.4 + 0.2j
+    for gap in (1e-3, 1e-4, 1e-5):
+        a2 = a1 + gap * (0.6 + 0.8j)
+        vt, f = _css_phase(a1, a2, rho.data)
+        assert fidelity(css_state(a1, a2, vt, SPACE), rho) == pytest.approx(f, abs=1e-9)
+
+
+def test_css_fit_reports_the_public_fidelity():
+    rho = _random_state(np.random.default_rng(3), HilbertSpace(8), rank=2)
+    fit = fit_css(rho)
+    assert fit.fidelity == fidelity(
+        css_state(fit.alpha1, fit.alpha2, fit.vartheta, rho.space), rho)
+
+
+def _reference_fit_css(rho):
+    """The 5-parameter route: Nelder-Mead over (a1, a2, t), scored by the
+    public fidelity of css_state, from the same 16 starts."""
+    space = rho.space
+
+    def objective(x):
+        a1, a2 = complex(x[0], x[1]), complex(x[2], x[3])
+        if abs(a1) ** 2 > space.n_max / 4.0 or abs(a2) ** 2 > space.n_max / 4.0:
+            return 1.0 + abs(a1) + abs(a2)
+        if abs(a1 - a2) < 1e-6:
+            return 1.0
+        return -fidelity(css_state(a1, a2, x[4], space), rho)
+
+    starts = [(a.real, a.imag, -a.real, -a.imag, 0.0)
+              for a in (r * np.exp(1j * phi) for r in (0.75, 1.25, 1.75, 2.25)
+                        for phi in np.arange(4) * math.pi / 4)]
+    x, f, *_ = _multistart(objective, starts)
+    return complex(x[0], x[1]), complex(x[2], x[3]), x[4] % (2 * math.pi), f
+
+
+@pytest.mark.parametrize("case", ["noisy_css", "dephased_cat"])
+def test_css_fit_matches_five_parameter_route(case):
+    space = HilbertSpace(12)
+    if case == "noisy_css":
+        cat = css_state(1.1 + 0.4j, -0.9 - 0.6j, 0.9, space).density_matrix()
+        thermal = np.diag(0.6 ** np.arange(13))
+        rho = 0.85 * cat + 0.15 * thermal / np.trace(thermal)
+    else:
+        plus = css_state(0.3 + 1.3j, 0.6 - 1.2j, 0.0, space).density_matrix()
+        minus = css_state(0.3 + 1.3j, 0.6 - 1.2j, math.pi, space).density_matrix()
+        rho = 0.7 * plus + 0.3 * minus
+    rho = JointState(space, rho, "mixed")
+    a1, a2, vt, f = _reference_fit_css(rho)
+    fit = fit_css(rho)
+    b1, b2, bt = fit.alpha1, fit.alpha2, fit.vartheta
+    if abs(b1 - a2) < abs(b1 - a1):
+        # (a1, a2, t) and (a2, a1, -t) are one state; the starts tie to
+        # roundoff between the two orderings
+        b1, b2, bt = b2, b1, -bt
+    assert abs(b1 - a1) <= 1e-4 and abs(b2 - a2) <= 1e-4
+    assert fit.D == pytest.approx(abs(a1 - a2) / 2.0, abs=1e-4)
+    assert abs((bt - vt + math.pi) % (2 * math.pi) - math.pi) <= 1e-4
+    assert fit.fidelity >= f - 1e-8
+    assert fit.n_capped == 0
 
 
 def test_drop_crossings_quadratic_profile_oracle():

@@ -1,9 +1,10 @@
+import functools
 import json
 import tracemalloc
 
 import pytest
 
-from catsim import __version__, cli
+from catsim import __version__, cli, tomography
 from catsim.cli import SCHEMAS, main
 
 
@@ -134,6 +135,32 @@ def test_seed_changes_samples(tmp_path, capsys):
         str(out_b), "--quiet")
     assert (out_a / "drive_samples.csv").read_bytes() \
         != (out_b / "drive_samples.csv").read_bytes()
+
+
+def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
+    fits = {}
+
+    def keep(name, fit):
+        def wrapped(*args):
+            fits[name] = fit(*args)
+            return fits[name]
+        return wrapped
+
+    for name in ("fit_css", "fit_analytical"):
+        monkeypatch.setattr(cli, name, keep(name, getattr(cli, name)))
+    # a short MLE: the line is under test, not the reconstruction
+    monkeypatch.setattr(tomography, "mle_reconstruct",
+                        functools.partial(tomography.mle_reconstruct,
+                                          max_iters=200))
+    cfg = write_config(tmp_path, {"schema_version": 1, "drive_amplitude": 0.25,
+                                  "n_grid": 5, "recon_n_max": 6, "shots": 50})
+    code, out, _ = run(capsys, "tomo", "--config", cfg,
+                       "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert set(fits) == {"fit_css", "fit_analytical"}
+    for name, fit in fits.items():
+        assert (f"{name} {fit.n_evals} evaluations, {fit.n_capped} capped"
+                in out)
 
 
 @pytest.mark.parametrize("field", ["t1_phonon", "t1_qubit", "t2_qubit"])
