@@ -68,9 +68,7 @@ from .tomography import (
     calibrate_parity,
     extract_fock_populations,
     mle_reconstruct,
-    parity_expectation,
     sample_wigner,
-    simulate_parity_readout,
 )
 from .catfit import (
     AnalyticalFit,

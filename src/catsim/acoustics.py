@@ -28,10 +28,6 @@ def um_to_m(x_um: float) -> float:
     return x_um * UM
 
 
-def m_to_um(x_m: float) -> float:
-    return x_m / UM
-
-
 @dataclass(frozen=True)
 class AcousticMode:
     """Standing-wave acoustic mode with a Laguerre-Gaussian transverse profile."""
@@ -92,14 +88,6 @@ def lg_profile(mode: AcousticMode, r_um, phi=0.0):
     radial = pref * (r * math.sqrt(2.0) / w0) ** la * np.exp(-(r / w0) ** 2) \
         * eval_genlaguerre(mode.p, la, x)
     return radial * np.exp(-1j * mode.l * np.asarray(phi, dtype=float))
-
-
-def lg_norm_integral(mode: AcousticMode, r_max_factor: float = 8.0) -> float:
-    """Quadrature of |LG|^2 r dr dphi; should equal w0^2."""
-    r_max = r_max_factor * mode.w0_um
-    val, _ = quad(lambda r: abs(lg_profile(mode, r)) ** 2 * r, 0.0, r_max,
-                  limit=200)
-    return 2.0 * math.pi * val
 
 
 def lg_rms_factor(mode: AcousticMode, radius_factor: float = 2.0) -> float:

@@ -296,7 +296,7 @@ def _cmd_simulate(cfg, out_dir, seed, log):
         space = HilbertSpace(default_cutoff(cfg["alpha0"]), has_qubit=True)
         initial = tensor(qubit_state(params.c_g, params.c_e),
                          coherent_state(cfg["alpha0"], space.phonon_only()))
-        traj = lindblad_evolve(initial, params, hamiltonian_on=True, times=times)
+        traj = lindblad_evolve(initial, params, times)
     traj.to_csv(out_dir / "trajectory.csv")
     if abs(params.alpha0) > 0:
         ct = characteristic_times(params)

@@ -9,9 +9,10 @@ sqrt(gamma_phi/2) sigma_z exactly: the Hamiltonian and all three channels
 conserve the coherence order k = N_row - N_col of the excitation number
 N = n + q, so the Liouvillian splits into independent blocks, one per k
 (Buca & Prosen, NJP 14, 073007 (2012)), each propagated with one matrix
-exponential per distinct time step.  An adaptive RK45 integration of the
-full equation is kept as the reference route.  Both take their observables
-from one routine, vectorised over states.
+exponential per distinct time step.  Closed and open trajectories take
+their observables from one routine, vectorised over states.  Free decay of
+a phonon state alone is the amplitude-damping channel, applied in closed
+form by pipeline.free_decay.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -23,11 +24,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from . import io_utils
-from .errors import IntegrationError, StateValidationError
+from .errors import DimensionMismatchError, IntegrationError, StateValidationError
 from .hilbert import (
     HilbertSpace,
     JointState,
@@ -37,7 +37,6 @@ from .hilbert import (
     coherent_amplitudes,
     default_cutoff,
     partial_trace,
-    purity,
 )
 
 _SIGMA = {
@@ -222,21 +221,18 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def _observables(space: HilbertSpace, pops, red, purities=None) -> dict:
-    """Standard observables of T states on one space.
+def _observables(space: HilbertSpace, pops, red) -> dict:
+    """Standard observables of T states on one qubit (x) phonon space.
 
-    pops (T, dim) are the states' Fock-basis populations and give n_mean.
-    On a joint space red (T, 2, 2) holds their hermitian, unit-trace qubit
-    reductions, which give P_e, the qubit purity and <sigma_x,y,z>; a
-    phonon-only space (red None) reports the given purities Tr rho^2.
+    pops (T, dim) are the states' Fock-basis populations and give n_mean;
+    red (T, 2, 2) holds their hermitian, unit-trace qubit reductions, which
+    give P_e, the qubit purity and <sigma_x,y,z>.
     """
-    obs = {"n_mean": pops @ (np.arange(space.dim) % space.phonon_dim)}
-    if red is None:
-        return {**obs, "purity": purities}
-    obs["purity"] = np.sum(np.abs(red) ** 2, axis=(1, 2))
+    obs = {"n_mean": pops @ (np.arange(space.dim) % space.phonon_dim),
+           "purity": np.sum(np.abs(red) ** 2, axis=(1, 2)),
+           "P_e": red[:, 1, 1].real}
     for name, sig in _SIGMA.items():
         obs[name] = np.trace(red @ sig, axis1=1, axis2=2).real
-    obs["P_e"] = red[:, 1, 1].real
     return obs
 
 
@@ -326,128 +322,66 @@ def _exact_states(drift, collapse, excitations, rho0, times):
         yield rho.reshape(dim, dim)
 
 
-def _rk45_states(drift, collapse, rho0, times, rtol=1e-8, atol=1e-10,
-                 max_step=np.inf):
-    """Yield rho(t) on the grid from an adaptive RK45 integration."""
-    dim = len(rho0)
-    jumps = [(g, L, L.conj().T) for g, L in collapse]
+def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Trajectory:
+    """Solve the Lindblad master equation of the lossy JC system on a time grid.
 
-    def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        out = drift @ rho + rho @ drift.conj().T
-        for g, L, Ld in jumps:
-            out += g * (L @ rho @ Ld)
-        return out.ravel()
-
-    if len(times) == 1:
-        ys = rho0.ravel()[:, None]
-    else:
-        sol = solve_ivp(
-            rhs, (times[0], times[-1]), rho0.ravel(), t_eval=times, method="RK45",
-            rtol=rtol, atol=atol, max_step=max_step,
-        )
-        if not sol.success:
-            raise IntegrationError(f"master equation integration failed: {sol.message}")
-        ys = sol.y
-    for k in range(len(times)):
-        yield ys[:, k].reshape(dim, dim)
-
-
-def lindblad_evolve(
-    initial: JointState,
-    params: SystemParams,
-    hamiltonian_on: bool,
-    times,
-    method: str = "exact",
-    rtol: float | None = None,
-    atol: float | None = None,
-    max_step: float | None = None,
-) -> Trajectory:
-    """Solve the Lindblad master equation on a time grid.
-
-    Collapse channels: sqrt(kappa_phonon) a, and on joint spaces also
-    sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2) sigma_z.  The initial
-    state may be joint or phonon-only; the Hamiltonian requires a qubit.
-    A one-point grid returns the initial state, checked like any other.
-
-    method "exact" (default) propagates each coherence-order block of the
-    Liouvillian with its matrix exponential; steps that differ only by float
-    rounding share one propagator.  method "rk45" integrates the full
-    equation adaptively as a reference, with rtol (default 1e-8), atol
-    (1e-10) and max_step (inf); those settings are rejected for "exact".
+    The initial state lives on a qubit (x) phonon space.  Collapse channels:
+    sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2)
+    sigma_z.  Each coherence-order block of the Liouvillian is propagated
+    with its matrix exponential; steps that differ only by float rounding
+    share one propagator.  A one-point grid returns the initial state,
+    checked like any other.
     """
-    if method not in ("exact", "rk45"):
-        raise ValueError(f"unknown method {method!r}; use 'exact' or 'rk45'")
-    settings = {name: value for name, value in
-                (("rtol", rtol), ("atol", atol), ("max_step", max_step))
-                if value is not None}
-    if method == "exact" and settings:
-        raise ValueError(f"{', '.join(settings)} apply only to method='rk45'")
     times = _time_grid(times)
     space = initial.space
+    if not space.has_qubit:
+        raise DimensionMismatchError(
+            "lindblad_evolve needs a qubit (x) phonon state; the free decay "
+            "of a phonon state is pipeline.free_decay")
     ops = OperatorSet(space)
     dim = space.dim
-    if hamiltonian_on and not space.has_qubit:
-        raise ValueError("hamiltonian_on requires a qubit (x) phonon state")
-
-    collapse = [(params.kappa_phonon, ops.a)]
-    if space.has_qubit:
-        collapse.append((params.gamma_qubit, ops.sigma_minus))
-        collapse.append((params.gamma_phi / 2.0, ops.sigma_z))
-    collapse = [(g, L) for g, L in collapse if g > 0]
-
-    h = params.g0 * (ops.sigma_plus @ ops.a + ops.sigma_minus @ ops.a_dagger) \
-        if hamiltonian_on else np.zeros((dim, dim), dtype=complex)
+    collapse = [(g, L) for g, L in ((params.kappa_phonon, ops.a),
+                                    (params.gamma_qubit, ops.sigma_minus),
+                                    (params.gamma_phi / 2.0, ops.sigma_z))
+                if g > 0]
+    h = params.g0 * (ops.sigma_plus @ ops.a + ops.sigma_minus @ ops.a_dagger)
     # drift A = -iH - 1/2 sum g L^dag L; rhs = A rho + rho A^dag + sum g L rho L^dag
     drift = -1j * h
     for g, L in collapse:
         drift = drift - 0.5 * g * (L.conj().T @ L)
-
     rho0 = initial.density_matrix().astype(complex)
-    if method == "exact":
-        raw = _exact_states(drift, collapse, _excitations(space), rho0, times)
-    else:
-        raw = _rk45_states(drift, collapse, rho0, times, **settings)
+    raw = _exact_states(drift, collapse, _excitations(space), rho0, times)
 
     # the loop makes JointState's checks on every state (hermitian, unit
     # trace, and the constructor's eigenvalue bound by its own Cholesky
     # certificate), so it builds them unchecked.  Only a state that fails
     # the certificate is diagonalised: below -1e-7 it is an error, above it
-    # the negative eigenvalues are clipped (RK45 can leave ~1e-8 there); a
-    # certified state is kept as computed.  Observables are taken per state:
-    # stacking the d x d states would add to the memory that the propagated
-    # series already holds
+    # the negative eigenvalues, which only roundoff can leave, are clipped;
+    # a certified state is kept as computed.  Observables are taken per
+    # state: stacking the d x d states would add to the memory that the
+    # propagated series already holds
     states = []
     pops = np.empty((len(times), dim))
-    red = np.empty((len(times), 2, 2), dtype=complex) if space.has_qubit else None
-    purities = None if space.has_qubit else np.empty(len(times))
+    red = np.empty((len(times), 2, 2), dtype=complex)
     for k, rho in enumerate(raw):
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-8:
-            advice = "; tighten rtol/atol" if method == "rk45" else ""
-            raise IntegrationError(
-                f"trace drift {tr - 1.0:.3e} at t = {times[k]:.4g} on the "
-                f"{method} route{advice}"
-            )
+            raise IntegrationError(f"trace drift {tr - 1.0:.3e} at t = {times[k]:.4g}")
         rho = rho / tr
         if not _psd_certified(rho):
             evals, evecs = np.linalg.eigh(rho)
             if evals.min() < -1e-7:
                 raise IntegrationError(
                     f"negative eigenvalue {evals.min():.3e} below -1e-7 at "
-                    f"t = {times[k]:.4g} on the {method} route"
-                )
+                    f"t = {times[k]:.4g}")
             rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
             rho = rho / np.trace(rho).real
         states.append(JointState._trusted(space, rho, "mixed"))
         pops[k] = np.diagonal(rho).real
-        if space.has_qubit:
-            red[k] = partial_trace(states[k], "qubit").data
-        else:
-            purities[k] = purity(states[k])
+        red[k] = partial_trace(states[k], "qubit").data
     return Trajectory(times=times, states=states,
-                      observables=_observables(space, pops, red, purities))
+                      observables=_observables(space, pops, red))
 
 
 def revival_contrast(traj: Trajectory, t_r: float | None = None) -> float:

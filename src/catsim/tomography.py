@@ -56,11 +56,6 @@ class ParityNormalization:
         return np.asarray(parity, dtype=float) * self.amplitude + self.offset
 
 
-def parity_expectation(state: JointState, beta: complex) -> float:
-    """True displaced-parity expectation <Pi_beta> of a phonon state."""
-    return float(displaced_parity(state, [beta])[0])
-
-
 def _check_displacement(state: JointState, betas):
     beyond = np.abs(betas)[np.abs(betas) > math.sqrt(state.space.n_max)]
     if len(beyond):
@@ -77,16 +72,6 @@ def _draw_parity(pi_true: float, model: ReadoutModel, rng) -> float:
         )
     k = rng.binomial(model.shots, p_plus)
     return 2.0 * k / model.shots - 1.0
-
-
-def simulate_parity_readout(state: JointState, beta: complex,
-                            model: ReadoutModel, rng=None) -> float:
-    """Empirical mean of `shots` Bernoulli parity outcomes, in [-1, 1]."""
-    _check_displacement(state, beta)
-    pi_true = parity_expectation(state, beta)
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
-    return _draw_parity(pi_true, model, rng)
 
 
 def calibrate_parity(model: ReadoutModel, n_phases: int = _PARITY_PHASES,
@@ -166,14 +151,8 @@ class FockPopulations:
     poisson_residual: float
 
 
-def rabi_trace_model(times, populations, g0: float, gamma_d: float) -> np.ndarray:
-    """Damped resonant Rabi trace Sum_n p_n (1 - cos(2 g0 sqrt(n+1) t) e^{-g t})/2."""
-    times = np.asarray(times, dtype=float)
-    basis = _rabi_basis(times, g0, len(populations), gamma_d)
-    return basis @ np.asarray(populations, dtype=float)
-
-
 def _rabi_basis(times, g0, n_terms, gamma_d):
+    """Damped resonant Rabi traces: column n is (1 - cos(2 g0 sqrt(n+1) t) e^{-gamma_d t})/2."""
     times = np.asarray(times, dtype=float)
     n = np.arange(n_terms)
     phase = 2.0 * g0 * np.sqrt(n + 1.0)[None, :] * times[:, None]

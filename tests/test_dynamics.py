@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from catsim import dynamics
 from catsim.catfit import css_state, fit_css
@@ -18,7 +19,8 @@ from catsim.dynamics import (
     phi_states,
     revival_contrast,
 )
-from catsim.errors import IntegrationError
+from catsim.pipeline import ExperimentConfig, free_decay
+from catsim.errors import DimensionMismatchError, IntegrationError
 from catsim.hilbert import (
     HilbertSpace,
     JointState,
@@ -134,8 +136,7 @@ def test_lindblad_zero_rates_matches_exact():
     space = HilbertSpace(default_cutoff(2.0), has_qubit=True)
     initial = tensor(qubit_state(1.0, 0.0),
                      coherent_state(2.0, space.phonon_only()))
-    traj = lindblad_evolve(initial, params, hamiltonian_on=True,
-                           times=[0.0, t_c])
+    traj = lindblad_evolve(initial, params, times=[0.0, t_c])
     exact = jc_evolve_exact(params, t_c, n_max=space.n_max)
     assert fidelity(traj.states[-1], exact) > 1.0 - 1e-6
 
@@ -145,12 +146,10 @@ def test_damped_coherent_state_analytic_oracle():
     kappa, t, alpha = 0.2, 3.0, 1.5
     space = HilbertSpace(default_cutoff(alpha))
     initial = coherent_state(alpha, space)
-    params = SystemParams(g0=1.0, alpha0=0.0, kappa_phonon=kappa)
-    traj = lindblad_evolve(initial, params, hamiltonian_on=False,
-                           times=[0.0, t])
+    decayed = free_decay(initial, [0.0, t], ExperimentConfig(t1_phonon=1.0 / kappa))[-1]
     target = coherent_state(alpha * math.exp(-kappa * t / 2.0), space)
-    assert fidelity(target, traj.states[-1]) > 1.0 - 1e-6
-    evals = np.linalg.eigvalsh(traj.states[-1].data)
+    assert fidelity(target, decayed) > 1.0 - 1e-6
+    evals = np.linalg.eigvalsh(decayed.data)
     assert evals.min() >= -1e-7
 
 
@@ -163,8 +162,7 @@ def test_revival_contrast_decreases_with_phonon_loss():
         space = HilbertSpace(default_cutoff(2.0), has_qubit=True)
         initial = tensor(qubit_state(1.0, 0.0),
                          coherent_state(2.0, space.phonon_only()))
-        traj = lindblad_evolve(initial, params, hamiltonian_on=True,
-                               times=times)
+        traj = lindblad_evolve(initial, params, times=times)
         contrasts.append(revival_contrast(traj, t_r))
     assert contrasts[0] > contrasts[1] > contrasts[2]
 
@@ -177,22 +175,56 @@ def test_closed_system_energy_conservation():
     assert np.max(np.abs(energy - energy[0])) < 1e-8
 
 
+def _rk45_states(hamiltonian, channels, rho0, times, rtol, atol, max_step=np.inf):
+    """Reference route: rho(t) on the grid from an adaptive RK45 integration of
+    d rho/dt = -i[H, rho] + sum g (L rho L^dag - 1/2 {L^dag L, rho}) over the
+    channels (g, L)."""
+    dim = len(rho0)
+    # drift A = -iH - 1/2 sum g L^dag L; rhs = A rho + rho A^dag + sum g L rho L^dag
+    drift = -1j * hamiltonian - 0.5 * sum(g * (L.conj().T @ L) for g, L in channels)
+
+    def rhs(_t, y):
+        rho = y.reshape(dim, dim)
+        out = drift @ rho + rho @ drift.conj().T
+        for g, L in channels:
+            out += g * (L @ rho @ L.conj().T)
+        return out.ravel()
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.astype(complex).ravel(),
+                    t_eval=times, method="RK45", rtol=rtol, atol=atol,
+                    max_step=max_step)
+    assert sol.success, sol.message
+    return [y.reshape(dim, dim) for y in sol.y.T]
+
+
+def _jc_master_equation(space, params):
+    """H and the channels (g, L) that lindblad_evolve integrates."""
+    ops = OperatorSet(space)
+    h = params.g0 * (ops.sigma_plus @ ops.a + ops.sigma_minus @ ops.a_dagger)
+    return h, [(params.kappa_phonon, ops.a), (params.gamma_qubit, ops.sigma_minus),
+               (params.gamma_phi / 2.0, ops.sigma_z)]
+
+
+def _phonon_loss(space, kappa):
+    """H = 0 and the one channel sqrt(kappa) a of free decay."""
+    return np.zeros((space.dim, space.dim)), [(kappa, OperatorSet(space).a)]
+
+
 def test_integrator_order_against_damped_coherent_state():
-    # step-size scaling against the analytic damped-coherent solution:
-    # with a loose error tolerance the step cap dominates, and halving it
-    # should shrink the error by roughly the integrator's 5th order (~32x)
+    # step-size scaling of the reference route against the analytic
+    # damped-coherent solution: with a loose error tolerance the step cap
+    # dominates, and halving it should shrink the error by roughly the
+    # integrator's 5th order (~32x)
     kappa, t, alpha = 0.3, 2.0, 1.2
     space = HilbertSpace(default_cutoff(alpha))
-    initial = coherent_state(alpha, space)
-    params = SystemParams(g0=1.0, kappa_phonon=kappa)
+    initial = coherent_state(alpha, space).density_matrix()
     target = coherent_state(alpha * math.exp(-kappa * t / 2.0),
                             space).density_matrix()
 
     def err(h):
-        traj = lindblad_evolve(initial, params, hamiltonian_on=False,
-                               times=[0.0, t], method="rk45", rtol=1e-3,
-                               atol=1e-8, max_step=h)
-        return np.max(np.abs(traj.states[-1].data - target))
+        final = _rk45_states(*_phonon_loss(space, kappa), initial, [0.0, t],
+                             rtol=1e-3, atol=1e-8, max_step=h)[-1]
+        return np.max(np.abs(final - target))
 
     e_coarse, e_fine = err(0.4), err(0.2)
     assert e_fine < e_coarse / 8.0
@@ -234,9 +266,6 @@ _PAULI = {
 def _reference_observables(state):
     # one state at a time, through the generic partial trace and operators
     row = {"n_mean": expectation(OperatorSet(state.space).number_op, state).real}
-    if not state.space.has_qubit:
-        row["purity"] = purity(state)
-        return row
     rho_q = partial_trace(state, "qubit")
     row["purity"] = purity(rho_q)
     row["P_e"] = rho_q.data[1, 1].real
@@ -272,13 +301,8 @@ def test_lindblad_observables_match_per_state_reference():
     space = HilbertSpace(default_cutoff(1.5), has_qubit=True)
     initial = tensor(qubit_state(0.6, 0.8j),
                      coherent_state(1.5, space.phonon_only()))
-    joint = lindblad_evolve(initial, params, hamiltonian_on=True,
-                            times=np.linspace(0.0, 4.0, 9))
+    joint = lindblad_evolve(initial, params, times=np.linspace(0.0, 4.0, 9))
     _assert_matches_reference(joint)
-    phonon = lindblad_evolve(coherent_state(1.5, space.phonon_only()), params,
-                             hamiltonian_on=False,
-                             times=np.linspace(0.0, 4.0, 9))
-    _assert_matches_reference(phonon)
 
 
 def test_jc_evolve_exact_matches_trajectory_states():
@@ -304,7 +328,7 @@ def test_lindblad_one_point_grid_returns_initial_state():
     space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
     initial = tensor(qubit_state(0.6, 0.8),
                      coherent_state(1.0, space.phonon_only()))
-    traj = lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.5])
+    traj = lindblad_evolve(initial, params, times=[0.5])
     assert list(traj.times) == [0.5]
     assert np.max(np.abs(traj.states[0].data - initial.density_matrix())) < 1e-15
     assert traj.observables["P_e"][0] == pytest.approx(0.64, abs=1e-14)
@@ -323,16 +347,21 @@ def test_empty_time_grid_is_rejected(evolve):
         initial = tensor(qubit_state(1.0, 0.0),
                          coherent_state(1.0, space.phonon_only()))
         with pytest.raises(ValueError):
-            lindblad_evolve(initial, params, hamiltonian_on=True, times=[])
+            lindblad_evolve(initial, params, times=[])
 
 
-@pytest.mark.parametrize("method", ["exact", "rk45"])
-def test_lindblad_rejects_unordered_grid(method):
+def test_lindblad_rejects_unordered_grid():
     params, initial = _lossy_joint(1.0, 1.0, 0.0)
     for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            lindblad_evolve(initial, params, hamiltonian_on=True,
-                            times=times, method=method)
+            lindblad_evolve(initial, params, times)
+
+
+def test_lindblad_rejects_phonon_only_state():
+    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    phonon = coherent_state(1.0, initial.space.phonon_only())
+    with pytest.raises(DimensionMismatchError, match="free_decay"):
+        lindblad_evolve(phonon, params, [0.0, 1.0])
 
 
 def _lossy_joint(alpha, c_g, c_e):
@@ -347,24 +376,12 @@ def _lossy_joint(alpha, c_g, c_e):
 def test_exact_route_matches_tight_rk45():
     params, initial = _lossy_joint(1.2 + 0.4j, 0.6, 0.8j)
     times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0]
-    exact = lindblad_evolve(initial, params, hamiltonian_on=True, times=times)
-    reference = lindblad_evolve(initial, params, hamiltonian_on=True,
-                                times=times, method="rk45", rtol=1e-12,
-                                atol=1e-14)
-    for a, b in zip(exact.states, reference.states):
-        assert np.max(np.abs(a.data - b.data)) <= 1e-10
+    exact = lindblad_evolve(initial, params, times)
+    reference = _rk45_states(*_jc_master_equation(initial.space, params),
+                             initial.density_matrix(), times, rtol=1e-12, atol=1e-14)
+    for a, b in zip(exact.states, reference):
+        assert np.max(np.abs(a.data - b)) <= 1e-10
     assert np.max(np.abs(exact.states[-1].data - initial.density_matrix())) > 0.1
-
-
-def test_lindblad_settings_belong_to_rk45():
-    params, initial = _lossy_joint(1.0, 1.0, 0.0)
-    for setting in ({"rtol": 1e-6}, {"atol": 1e-9}, {"max_step": 0.1}):
-        with pytest.raises(ValueError, match="method='rk45'"):
-            lindblad_evolve(initial, params, hamiltonian_on=True,
-                            times=[0.0, 1.0], **setting)
-    with pytest.raises(ValueError, match="unknown method"):
-        lindblad_evolve(initial, params, hamiltonian_on=True,
-                        times=[0.0, 1.0], method="euler")
 
 
 def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
@@ -380,11 +397,10 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     grid = np.linspace(0.0, 10.0, 501)
     assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
-    lindblad_evolve(initial, params, hamiltonian_on=True, times=grid)
+    lindblad_evolve(initial, params, times=grid)
     assert len(calls) == n_blocks
     calls.clear()
-    lindblad_evolve(initial, params, hamiltonian_on=True,
-                    times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    lindblad_evolve(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
     assert len(calls) == 2 * n_blocks
 
 
@@ -419,8 +435,8 @@ def test_trace_drift_names_the_route(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_exact_states", drifting)
     with pytest.raises(IntegrationError,
-                       match=r"^trace drift 1\.000e-01 at t = 0 on the exact route$"):
-        lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
+                       match=r"^trace drift 1\.000e-01 at t = 0$"):
+        lindblad_evolve(initial, params, times=[0.0, 1.0])
 
 
 def _with_negative_eigenvalue(pure, eps):
@@ -440,8 +456,8 @@ def test_negative_eigenvalue_names_route_and_bound(monkeypatch):
     monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
     with pytest.raises(IntegrationError,
                        match=r"^negative eigenvalue -1\.000e-06 below -1e-7 at "
-                             r"t = 1 on the exact route$"):
-        lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
+                             r"t = 1$"):
+        lindblad_evolve(initial, params, times=[0.0, 1.0])
 
 
 def test_small_negative_eigenvalue_is_clipped(monkeypatch):
@@ -451,7 +467,7 @@ def test_small_negative_eigenvalue_is_clipped(monkeypatch):
     pure = initial.density_matrix()
     states = [pure, _with_negative_eigenvalue(initial, 1e-8)]
     monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
-    traj = lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 1.0])
+    traj = lindblad_evolve(initial, params, times=[0.0, 1.0])
     rho = traj.states[1].data
     assert abs(np.trace(rho) - 1.0) <= 1e-14
     assert np.max(np.abs(rho - pure)) <= 1e-12
@@ -471,8 +487,7 @@ def test_certified_states_match_eigh_and_clip_reference(monkeypatch):
             yield rho
 
     monkeypatch.setattr(dynamics, "_exact_states", recording)
-    traj = lindblad_evolve(initial, params, hamiltonian_on=True,
-                           times=np.linspace(0.0, 10.0, 40))
+    traj = lindblad_evolve(initial, params, times=np.linspace(0.0, 10.0, 40))
     assert len(raw) == len(traj.states) == 40
     for rho, state in zip(raw, traj.states):
         rho = 0.5 * (rho + rho.conj().T)
@@ -497,8 +512,7 @@ def test_open_run_diagonalises_no_state(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    traj = lindblad_evolve(initial, params, hamiltonian_on=True,
-                           times=np.linspace(0.0, 10.0, 501))
+    traj = lindblad_evolve(initial, params, times=np.linspace(0.0, 10.0, 501))
     assert len(traj.states) == 501
     assert calls == []
 
@@ -518,16 +532,39 @@ def test_jc_and_css_states_pass_the_constructor():
     _assert_constructor_accepts([css_state(1.2, -1.2j, 0.4, HilbertSpace(12))])
 
 
-@pytest.mark.parametrize("method", ["exact", "rk45"])
-@pytest.mark.parametrize("joint", [True, False], ids=["joint", "phonon"])
 @pytest.mark.parametrize("times", [[0.0, 0.4, 1.5], [0.7]], ids=["grid", "one_point"])
-def test_lindblad_states_pass_the_constructor(method, joint, times):
+def test_lindblad_states_pass_the_constructor(times):
     params, initial = _lossy_joint(1.0, 0.6, 0.8j)
-    if not joint:
-        initial = coherent_state(1.0, initial.space.phonon_only())
-    traj = lindblad_evolve(initial, params, hamiltonian_on=joint, times=times,
-                           method=method)
-    _assert_constructor_accepts(traj.states)
+    _assert_constructor_accepts(lindblad_evolve(initial, params, times).states)
+
+
+def _random_mixed(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return JointState(HilbertSpace(dim - 1), rho / np.trace(rho).real, "mixed")
+
+
+def test_free_decay_matches_rk45_reference():
+    # the closed-form channel against an integration of
+    # d rho/dt = kappa (a rho a^dag - 1/2 {a^dag a, rho})
+    state = _random_mixed(21, 5)
+    config = ExperimentConfig(t1_phonon=7.0)
+    waits = [0.0, 0.4, 3.0, 40.0]
+    reference = _rk45_states(*_phonon_loss(state.space, config.kappa_phonon),
+                             state.data, waits, rtol=1e-12, atol=1e-14)
+    for t, out, ref in zip(waits, free_decay(state, waits, config), reference):
+        assert np.max(np.abs(out.data - ref)) <= 1e-9, t
+    assert np.max(np.abs(reference[-1] - state.data)) > 0.1
+
+
+def test_free_decay_at_wait_zero_returns_the_input():
+    state = _random_mixed(21, 8)
+    first = free_decay(state, [0.0, 2.0])[0]
+    assert first.kind == "mixed"
+    assert np.array_equal(first.data, state.data)
+    pure = coherent_state(1.3, HilbertSpace(12))
+    assert np.array_equal(free_decay(pure, [0.0])[0].data, pure.density_matrix())
 
 
 def test_evolved_states_are_not_validated_again(monkeypatch):
@@ -542,7 +579,7 @@ def test_evolved_states_are_not_validated_again(monkeypatch):
 
     monkeypatch.setattr(JointState, "__post_init__", counting)
     jc_trajectory(params, np.linspace(0.0, 3.0, 7))
-    lindblad_evolve(initial, params, hamiltonian_on=True, times=[0.0, 0.4, 1.5])
+    lindblad_evolve(initial, params, times=[0.0, 0.4, 1.5])
     fit_css(target)
     # only lindblad_evolve's 2 x 2 qubit reductions, one per time
     assert validated == [2, 2, 2]

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from catsim.catfit import css_state
-from catsim.dynamics import SystemParams, lindblad_evolve
 from catsim.errors import FitError
 from catsim.hilbert import (
     HilbertSpace,
@@ -24,6 +23,7 @@ from catsim.phase_space import (
     tau_cat_large_alpha,
     wigner,
 )
+from catsim.pipeline import ExperimentConfig, free_decay
 
 SPACE = HilbertSpace(30)
 # trusted radius sqrt(60)/2 = 3.87 covers the corners of a 2.5-extent raster
@@ -111,10 +111,9 @@ def test_decayed_css_matches_master_equation():
     t = math.log(2.0) / kappa  # epsilon^2 = 1/2, fringe factor e^{-4}
     space = HilbertSpace(default_cutoff(a))
     state = css_state(a, -a, 0.0, space)
-    traj = lindblad_evolve(state, SystemParams(g0=1.0, kappa_phonon=kappa),
-                           hamiltonian_on=False, times=[0.0, t])
+    decayed = free_decay(state, [0.0, t], ExperimentConfig(t1_phonon=1.0 / kappa))[-1]
     pts = slice_grid(-2.5, 2.5, n=61, axis="im")
-    numeric = wigner(traj.states[-1], pts)
+    numeric = wigner(decayed, pts)
     analytic = decayed_css_wigner(a, kappa, t, pts)
     assert np.max(np.abs(numeric.values - analytic.values)) < 1e-4
 

@@ -52,7 +52,7 @@ def test_prepare_cat_returns_phonon_state():
 def test_free_decay_validation():
     config = ExperimentConfig()
     state = coherent_state(1.0, HilbertSpace(12))
-    mixed = state  # pure phonon state is accepted by lindblad_evolve
+    mixed = state  # a pure phonon state is accepted: free_decay takes its density matrix
     with pytest.raises(ConfigError):
         free_decay(mixed, [1.0, 2.0], config)
     with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ from catsim.hilbert import (
     HilbertSpace,
     coherent_state,
     default_cutoff,
+    displaced_parity,
     fidelity,
     fock_state,
     parity_kernels,
@@ -28,10 +29,7 @@ from catsim.tomography import (
     calibrate_parity,
     extract_fock_populations,
     mle_reconstruct,
-    parity_expectation,
-    rabi_trace_model,
     sample_wigner,
-    simulate_parity_readout,
 )
 
 G0 = math.sqrt(2.0) / 0.9
@@ -39,8 +37,8 @@ G0 = math.sqrt(2.0) / 0.9
 
 def test_parity_expectation_eigenstates():
     space = HilbertSpace(20)
-    assert parity_expectation(fock_state(0, space), 0.0) == pytest.approx(1.0)
-    assert parity_expectation(fock_state(1, space), 0.0) == pytest.approx(-1.0)
+    assert displaced_parity(fock_state(0, space), [0.0])[0] == pytest.approx(1.0)
+    assert displaced_parity(fock_state(1, space), [0.0])[0] == pytest.approx(-1.0)
 
 
 def test_parity_expectation_coherent():
@@ -49,13 +47,14 @@ def test_parity_expectation_coherent():
     state = coherent_state(1.1, space)
     for beta in (0.0, 0.5 + 0.3j, 1.1):
         expected = math.exp(-2.0 * abs(1.1 - beta) ** 2)
-        assert parity_expectation(state, beta) == pytest.approx(expected, abs=1e-8)
+        assert displaced_parity(state, [beta])[0] == pytest.approx(expected, abs=1e-8)
 
 
 def test_readout_mean_within_binomial_error():
     space = HilbertSpace(10)
     model = ReadoutModel(contrast=0.8, offset=0.0, shots=10000, seed=5)
-    raw = simulate_parity_readout(fock_state(0, space), 0.0, model)
+    # one point, identity normalisation: the parity is the raw readout mean
+    raw = sample_wigner(fock_state(0, space), [0.0], model).parities[0]
     p_plus = (1.0 + 0.8) / 2.0
     sigma = 2.0 * math.sqrt(p_plus * (1.0 - p_plus) / model.shots)
     assert abs(raw - 0.8) < 3.0 * sigma
@@ -65,7 +64,7 @@ def test_readout_rejects_deep_displacement():
     space = HilbertSpace(9)
     model = ReadoutModel()
     with pytest.raises(TruncationError):
-        simulate_parity_readout(fock_state(0, space), 4.0, model)
+        sample_wigner(fock_state(0, space), [4.0], model)
 
 
 def test_parity_calibration_ideal_model():
@@ -164,10 +163,12 @@ def test_fock_extraction_with_noise():
 
 def test_fock_extraction_dual_route_model():
     # the exact series for an excited qubit on a coherent state equals the
-    # damped-Rabi fitting model with zero damping
+    # damped-Rabi fitting model with zero damping,
+    # sum_n p_n (1 - cos(2 g0 sqrt(n+1) t))/2
     times, trace = _swap_trace(0.9)
     pops_true = np.abs(coherent_state(0.9, HilbertSpace(20)).data) ** 2
-    modeled = rabi_trace_model(times, pops_true[:13], G0, 0.0)
+    rabi = 2.0 * G0 * np.sqrt(np.arange(13) + 1.0)
+    modeled = (1.0 - np.cos(np.outer(times, rabi))) / 2.0 @ pops_true[:13]
     assert np.max(np.abs(modeled - trace)) < 1e-8
 
 
@@ -190,7 +191,7 @@ def test_mle_vacuum_reconstruction():
     space = HilbertSpace(40)  # large source space: exact sampled parities
     state = fock_state(0, space)
     grid = raster_grid(2.0, 9)
-    parities = np.array([parity_expectation(state, b) for b in grid.points])
+    parities = displaced_parity(state, grid.points)
     samples = WignerSampleSet(betas=grid.points, parities=parities,
                               shots_per_point=100000,
                               normalization=ParityNormalization.identity())
