@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.integrate import quad
-from scipy.special import eval_genlaguerre
 
 SAPPHIRE_DENSITY = 3980.0   # kg/m^3, inferred default
 SAPPHIRE_C33 = 3.92e11      # Pa, inferred default
 
 UM = 1e-6
+
+hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s, the exact SI value of h / 2 pi
 
 
 def um_to_m(x_um: float) -> float:
@@ -77,6 +76,8 @@ def lg_profile(mode: AcousticMode, r_um, phi=0.0):
 
     Normalized so that the integral of |LG|^2 r dr dphi equals w0^2.
     """
+    from scipy.special import eval_genlaguerre
+
     r = np.asarray(r_um, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be >= 0")
@@ -92,6 +93,8 @@ def lg_profile(mode: AcousticMode, r_um, phi=0.0):
 
 def lg_rms_factor(mode: AcousticMode, radius_factor: float = 2.0) -> float:
     """RMS of |LG| over a disk of radius radius_factor * w0 (l=0 conventions)."""
+    from scipy.integrate import quad
+
     r_disk = radius_factor * mode.w0_um
     area = math.pi * r_disk ** 2
     val, _ = quad(lambda r: abs(lg_profile(mode, r)) ** 2 * r, 0.0, r_disk,

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import SystemParams, jc_evolve_exact
 from .errors import DimensionMismatchError, FitError
@@ -178,6 +177,8 @@ def _multistart(objective, starts, xatol=1e-5):
 
     Returns (x, fidelity, converged, evaluations, capped starts).
     """
+    from scipy.optimize import minimize
+
     best = None
     total_evals = 0
     capped = 0
@@ -303,6 +304,8 @@ def sensitivity_interval(rho: JointState, fit, param: str, drop: float = 0.01,
     the profile fidelity is `drop` below the best fit.  Analytical fits
     need the target context (c_g, c_e, t_c, g0) as keyword arguments.
     """
+    from scipy.optimize import minimize
+
     space = rho.space
     if isinstance(fit, AnalyticalFit):
         if param != "alpha_fit":
@@ -350,6 +353,8 @@ def sensitivity_interval_analytical(rho: JointState, fit: AnalyticalFit,
                                     c_g: complex, c_e: complex, t_c: float,
                                     g0: float, drop: float = 0.01) -> SensitivityInterval:
     """Fidelity-drop interval for alpha_fit, re-optimizing theta per point."""
+    from scipy.optimize import minimize
+
     n_max = rho.space.n_max
     rho_data = rho.density_matrix()
     warm = [fit.theta]

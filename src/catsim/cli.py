@@ -562,7 +562,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir}: {exc}") from exc
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         COMMANDS[args.command](cfg, out_dir, seed, log)
     except ConfigError as exc:

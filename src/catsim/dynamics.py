@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import io_utils
 from .errors import DimensionMismatchError, IntegrationError, StateValidationError
@@ -296,6 +295,8 @@ def _exact_states(drift, collapse, excitations, rho0, times):
     stepped with one exp(S_k dt) per distinct step.  Only the k >= 0 series
     are held; the k < 0 blocks are their conjugates, since rho is hermitian.
     """
+    from scipy.linalg import expm
+
     steps, which = _distinct_steps(times)
     order = excitations[:, None] - excitations[None, :]
     blocks = [np.nonzero(order == k) for k in range(order.max() + 1)]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import DimensionMismatchError, StateValidationError, TruncationError
 
@@ -181,6 +180,8 @@ _PARITY_BLOCK = 256
 
 def _laguerre_rows(x: np.ndarray, dim: int):
     """Yield G_n[k, r] = sqrt(n!/(n+k)!) x_r^(k/2) e^(-x_r/2) L_n^(k)(x_r), k < dim - n, by n."""
+    from scipy.special import gammaln, xlogy
+
     k = np.arange(dim)[:, None]
     prev, cur = np.zeros((dim, len(x))), np.exp(xlogy(k / 2, x) - x / 2 - 0.5 * gammaln(k + 1))
     for n in range(dim):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import io_utils
 from .errors import DimensionMismatchError, FitError
@@ -166,6 +165,8 @@ class NegativityDecayFit:
 
 def fit_negativity_decay(taus, deltas) -> NegativityDecayFit:
     """Least-squares fit of a negativity time series to exp decay + offset."""
+    from scipy.optimize import curve_fit
+
     taus = np.asarray(taus, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     if len(taus) < 4:

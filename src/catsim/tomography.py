@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize_scalar, nnls
 
 from . import io_utils
 from .errors import FitError, StateValidationError, TruncationError
@@ -117,6 +116,8 @@ class DriveCalibration:
 
 def calibrate_drive(samples) -> DriveCalibration:
     """Fit (B, C) of |beta| = C (e^{A/B} - 1) to (A, |beta|) samples."""
+    from scipy.optimize import curve_fit
+
     samples = [(float(a), float(b)) for a, b in samples]
     if len(samples) < 3:
         raise FitError("need at least 3 (A, |beta|) samples")
@@ -165,6 +166,8 @@ def extract_fock_populations(times, p_e, g0: float, n_fit: int) -> FockPopulatio
     Nonnegative least squares over p_0..p_{n_fit} at each candidate shared
     damping gamma_d, with a 1D outer search over gamma_d.
     """
+    from scipy.optimize import minimize_scalar, nnls
+
     times = np.asarray(times, dtype=float)
     p_e = np.asarray(p_e, dtype=float)
     t_rabi = math.pi / g0  # vacuum Rabi period of the model

@@ -4,6 +4,7 @@ import pytest
 from scipy.constants import hbar
 from scipy.integrate import quad
 
+from catsim import acoustics
 from catsim.acoustics import (
     AcousticMode,
     delocalization,
@@ -23,6 +24,12 @@ MODE = AcousticMode.from_wavelength(27.0, 435.0, 1.7)
 def test_longitudinal_index_selection():
     assert MODE.m == round(2.0 * 435.0 / 1.7)
     assert MODE.wavelength_um == pytest.approx(1.7, rel=2e-3)
+
+
+def test_hbar_is_scipy_codata_value():
+    # the literal h / 2 pi must equal scipy's value bit for bit, so that the
+    # mass outputs do not move
+    assert acoustics.hbar == hbar
 
 
 def test_unit_roundtrip_exact():

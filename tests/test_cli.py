@@ -1,9 +1,14 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import catsim
 from catsim import __version__, cli, tomography
 from catsim.cli import SCHEMAS, main
 
@@ -290,3 +295,62 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
                        "--out", str(tmp_path / "out"), "--quiet")
     assert code == 1
     assert "seed" in err
+
+
+def test_uncreatable_out_dir_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                  "n_times": 2})
+    blocker = tmp_path / "some_file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    code, _, err = run(capsys, "simulate", "--config", cfg,
+                       "--out", str(blocker / "x"), "--quiet")
+    assert code == 2
+    assert "config error: cannot create output directory" in err
+
+
+# importing catsim and running the commands that need no scipy routine must
+# not load scipy; each entry is (label, argv, expected exit code)
+_SCIPY_FREE_SCRIPT = """
+import json, sys
+import catsim
+from catsim import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = [("import catsim", 0, scipy_modules())]
+for label, argv, _ in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append((label, code, scipy_modules()))
+print(json.dumps(report))
+"""
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    bad = write_config(tmp_path, {"schema_version": 1}, name="bad.json")
+    closed = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                     "t_max": 2.0, "n_times": 11},
+                          name="closed.json")
+    scan = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                   "n_phases": 3, "n_times": 5},
+                        name="scan.json")
+    out = str(tmp_path / "out")
+    steps = [
+        ("--schema", ["--schema"], 0),
+        ("config error", ["simulate", "--config", bad, "--out", out], 2),
+        ("closed simulate", ["simulate", "--config", closed, "--out", out,
+                             "--quiet"], 0),
+        ("qubit-phase-scan", ["qubit-phase-scan", "--config", scan,
+                              "--out", out, "--quiet"], 0),
+    ]
+    src = str(Path(catsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(steps)],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    expected = [("import catsim", 0)] + [(label, code) for label, _, code in steps]
+    assert [(label, code) for label, code, _ in report] == expected
+    for label, _, scipy_modules in report:
+        assert scipy_modules == [], label

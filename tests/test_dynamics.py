@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -388,13 +389,14 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     params, initial = _lossy_joint(1.0, 0.6, 0.8)
     n_blocks = initial.space.n_max + 2  # k = 0 .. n_max + 1
     calls = []
-    expm = dynamics.expm
+    expm = scipy.linalg.expm
 
     def counting_expm(m):
         calls.append(m.shape)
         return expm(m)
 
-    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    # _exact_states imports expm when it runs, so it picks up the patch
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     grid = np.linspace(0.0, 10.0, 501)
     assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
     lindblad_evolve(initial, params, times=grid)
