@@ -12,7 +12,6 @@ from pathlib import Path
 from catsim import (
     DRIVE_PRESETS,
     ExperimentConfig,
-    default_cutoff,
     fit_css,
     negativity,
     prepare_cat,
@@ -35,7 +34,7 @@ def main():
     grid = raster_grid(args.extent, args.n_grid)
     summary = {}
     for amp, alpha0 in sorted(DRIVE_PRESETS.items()):
-        rho = prepare_cat(alpha0, config, n_max=max(40, default_cutoff(alpha0)))
+        rho = prepare_cat(alpha0, config)
         wg = wigner(rho, grid)
         tag = f"A{amp:.2f}".replace(".", "p")
         wg.to_csv(out / f"wigner_{tag}.csv")

@@ -19,7 +19,6 @@ from catsim import (
     prepare_cat,
     tau_cat_large_alpha,
 )
-from catsim.hilbert import default_cutoff
 from catsim.io_utils import write_csv
 
 
@@ -34,9 +33,8 @@ def main():
     waits = np.linspace(0.0, args.wait_max, args.n_waits)
     rows = []
     for amp, alpha0 in sorted(DRIVE_PRESETS.items()):
-        rho = prepare_cat(alpha0, config, n_max=max(40, default_cutoff(alpha0)))
-        d = fit_css(rho).D
-        result = cat_decay_time(alpha0, config, waits=waits)
+        d = fit_css(prepare_cat(alpha0, config)).D
+        result = cat_decay_time(alpha0, config, waits)
         tau_ref = tau_cat_large_alpha(d, config.t1_phonon)
         rows.append((amp, alpha0, d, result.fit.tau_cat, tau_ref))
         print(f"A = {amp:.2f}: D = {d:.3f}, tau_cat = {result.fit.tau_cat:.2f} us "

@@ -2,10 +2,10 @@
 """SHA-256 digests of the CLI outputs of a source tree at fixed configs and seed.
 
 Runs `simulate` (open at alpha0 2 and 3, closed at 2), `qubit-phase-scan`,
-`tomo`, `decay`, `wigner` (pipeline and css), `calibrate` (drive, parity and
-fock) and `mass`, each in a fresh interpreter with the tree's `src` on
-PYTHONPATH and single-threaded BLAS, and prints one `<run>/<file> <sha256>`
-line per output file.  Two trees that compute the same outputs print the
+`tomo`, `decay`, `wigner` (pipeline, coherent, css and decayed-css),
+`calibrate` (drive, parity and fock) and `mass`, each in a fresh interpreter
+with the tree's `src` on PYTHONPATH and single-threaded BLAS, and prints one
+`<run>/<file> <sha256>` line per output file.  Two trees that compute the same outputs print the
 same lines, so
 
     python3 scripts/output_digest.py OLD_TREE > old.txt
@@ -42,7 +42,10 @@ RUNS = [
     ("tomo", "tomo", {"drive_amplitude": 0.3, "recon_n_max": 12}),
     ("decay", "decay", {"drive_amplitude": 0.35}),
     ("wigner_pipeline", "wigner", {"state": "pipeline"}),
+    ("wigner_coherent", "wigner", {"state": "coherent", "alpha": 2.0}),
     ("wigner_css", "wigner", {"state": "css", "alpha": 2.0}),
+    ("wigner_decayed_css", "wigner",
+     {"state": "decayed-css", "alpha": 2.0, "kappa_t": 0.1}),
     ("calibrate_drive", "calibrate", {"kind": "drive"}),
     ("calibrate_parity", "calibrate", {"kind": "parity"}),
     ("calibrate_fock", "calibrate", {"kind": "fock"}),

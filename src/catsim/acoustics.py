@@ -20,6 +20,8 @@ SAPPHIRE_C33 = 3.92e11      # Pa, inferred default
 
 UM = 1e-6
 
+DISK_RADIUS_W0 = 2.0  # disk radius / w0 of the RMS and section-mass estimates
+
 hbar = 6.62607015e-34 / (2.0 * math.pi)  # J s, the exact SI value of h / 2 pi
 
 
@@ -91,11 +93,11 @@ def lg_profile(mode: AcousticMode, r_um, phi=0.0):
     return radial * np.exp(-1j * mode.l * np.asarray(phi, dtype=float))
 
 
-def lg_rms_factor(mode: AcousticMode, radius_factor: float = 2.0) -> float:
-    """RMS of |LG| over a disk of radius radius_factor * w0 (l=0 conventions)."""
+def lg_rms_factor(mode: AcousticMode) -> float:
+    """RMS of |LG| over a disk of radius DISK_RADIUS_W0 * w0 (l=0 conventions)."""
     from scipy.integrate import quad
 
-    r_disk = radius_factor * mode.w0_um
+    r_disk = DISK_RADIUS_W0 * mode.w0_um
     area = math.pi * r_disk ** 2
     val, _ = quad(lambda r: abs(lg_profile(mode, r)) ** 2 * r, 0.0, r_disk,
                   limit=200)
@@ -161,11 +163,11 @@ def delocalization(model: MassModel, alpha: float):
     return x_eff, 2.0 * x_eff
 
 
-def half_wavelength_mass(mode: AcousticMode, radius_factor: float = 2.0) -> float:
+def half_wavelength_mass(mode: AcousticMode) -> float:
     """Order-of-magnitude mass (kg) of one half-wavelength section.
 
-    Cross-section convention: a disk of radius radius_factor * w0 (the same
+    Cross-section convention: a disk of radius DISK_RADIUS_W0 * w0 (the same
     disk as the RMS displacement estimate); the result is indicative only.
     """
-    radius = radius_factor * um_to_m(mode.w0_um)
+    radius = DISK_RADIUS_W0 * um_to_m(mode.w0_um)
     return mode.density * math.pi * radius ** 2 * um_to_m(mode.wavelength_um) / 2.0

@@ -44,8 +44,12 @@ from .hilbert import (
 )
 
 FIT_FTOL = 1e-8
-# Nelder-Mead iteration cap per start of fit_css / fit_analytical
+# Nelder-Mead parameter tolerance and iteration cap per start of fit_css /
+# fit_analytical
+FIT_XATOL = 1e-5
 FIT_MAXITER = 4000
+# bisection width at which find_drop_crossings stops
+DROP_XTOL = 1e-4
 
 
 def _coherent_pair(alpha1: complex, alpha2: complex, n_max: int) -> np.ndarray:
@@ -172,7 +176,7 @@ class SensitivityInterval:
     high_bounded: bool = True
 
 
-def _multistart(objective, starts, xatol=1e-5):
+def _multistart(objective, starts):
     """Best Nelder-Mead result over the starts.
 
     Returns (x, fidelity, converged, evaluations, capped starts).
@@ -185,7 +189,7 @@ def _multistart(objective, starts, xatol=1e-5):
     converged = False
     for x0 in starts:
         res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": FIT_FTOL / 10.0,
+                       options={"xatol": FIT_XATOL, "fatol": FIT_FTOL / 10.0,
                                 "maxiter": FIT_MAXITER})
         total_evals += res.nfev
         capped += int(res.nit >= FIT_MAXITER)
@@ -261,7 +265,7 @@ def fit_css(rho: JointState) -> CssFit:
 
 
 def find_drop_crossings(profile, best_x: float, best_f: float, drop: float,
-                        step: float, max_steps: int = 60, xtol: float = 1e-4):
+                        step: float, max_steps: int = 60):
     """Locate the two x where profile(x) = best_f - drop, bracketing best_x.
 
     profile is a callable returning the (re-optimized) fidelity at a fixed
@@ -280,7 +284,7 @@ def find_drop_crossings(profile, best_x: float, best_f: float, drop: float,
             f = profile(x)
             if f < target:
                 a, b = x_in, x  # profile(a) >= target > profile(b)
-                while abs(b - a) > xtol:
+                while abs(b - a) > DROP_XTOL:
                     m = 0.5 * (a + b)
                     if profile(m) >= target:
                         a = m
@@ -295,85 +299,61 @@ def find_drop_crossings(profile, best_x: float, best_f: float, drop: float,
     return low, high, low_bounded, high_bounded
 
 
-def sensitivity_interval(rho: JointState, fit, param: str, drop: float = 0.01,
+def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
                          **context) -> SensitivityInterval:
     """Fidelity-drop error interval for alpha_fit (analytical) or D (CSS).
 
-    Sweeps the constrained parameter, re-optimizing the remaining fit
-    parameters from a warm start, and bisects for the two crossings where
+    The fit's type names the constrained parameter.  Sweeps it,
+    re-optimizing the remaining fit parameters (theta, or the CSS centre
+    and axis) from a warm start, and bisects for the two crossings where
     the profile fidelity is `drop` below the best fit.  Analytical fits
     need the target context (c_g, c_e, t_c, g0) as keyword arguments.
     """
     from scipy.optimize import minimize
 
-    space = rho.space
+    n_max = rho.space.n_max
+    rho_data = rho.density_matrix()
     if isinstance(fit, AnalyticalFit):
-        if param != "alpha_fit":
-            raise ValueError("analytical fits constrain param='alpha_fit'")
         missing = [k for k in ("c_g", "c_e", "t_c", "g0") if k not in context]
         if missing:
             raise FitError(f"analytical sensitivity needs target context {missing}")
-        return sensitivity_interval_analytical(
-            rho, fit, context["c_g"], context["c_e"], context["t_c"],
-            context["g0"], drop=drop)
+        c_g, c_e, t_c, g0 = (context[k] for k in ("c_g", "c_e", "t_c", "g0"))
+        best, warm, xatol, maxiter = fit.alpha_fit, [fit.theta], 1e-5, 1000
+
+        def admits(alpha):
+            return 0.0 < alpha and alpha ** 2 <= n_max / 4.0
+
+        def objective(x, alpha):
+            factor = _analytical_factor(alpha, x[0], c_g, c_e, t_c, g0, n_max)
+            return -factored_fidelity(rho_data, factor)
     elif isinstance(fit, CssFit):
-        if param != "D":
-            raise ValueError("CSS fits constrain param='D'")
         center = (fit.alpha1 + fit.alpha2) / 2.0
         warm = [center.real, center.imag, np.angle(fit.alpha1 - fit.alpha2)]
-        rho_data = rho.density_matrix()
+        best, xatol, maxiter = fit.D, 1e-4, 2000
 
-        def profile(d_val):
-            if d_val <= 0:
-                return 0.0
+        def admits(d_val):
+            return d_val > 0
 
-            def objective(x):
-                c = complex(x[0], x[1])
-                a1 = c + d_val * cmath.exp(1j * x[2])
-                a2 = c - d_val * cmath.exp(1j * x[2])
-                if max(abs(a1), abs(a2)) ** 2 > space.n_max / 4.0:
-                    return 1.0
-                return -_css_phase(a1, a2, rho_data)[1]
-
-            res = minimize(objective, warm, method="Nelder-Mead",
-                           options={"xatol": 1e-4, "fatol": FIT_FTOL, "maxiter": 2000})
-            warm[:] = list(res.x)
-            return -res.fun
-
-        step = max(0.04 * fit.D, 0.02)
-        low, high, lb, hb = find_drop_crossings(profile, fit.D, fit.fidelity,
-                                                drop, step)
-        return SensitivityInterval(best=fit.D, low=low, high=high, drop=drop,
-                                   low_bounded=lb, high_bounded=hb)
+        def objective(x, d_val):
+            c = complex(x[0], x[1])
+            a1 = c + d_val * cmath.exp(1j * x[2])
+            a2 = c - d_val * cmath.exp(1j * x[2])
+            if max(abs(a1), abs(a2)) ** 2 > n_max / 4.0:
+                return 1.0
+            return -_css_phase(a1, a2, rho_data)[1]
     else:
         raise TypeError(f"unsupported fit type {type(fit)!r}")
 
-
-def sensitivity_interval_analytical(rho: JointState, fit: AnalyticalFit,
-                                    c_g: complex, c_e: complex, t_c: float,
-                                    g0: float, drop: float = 0.01) -> SensitivityInterval:
-    """Fidelity-drop interval for alpha_fit, re-optimizing theta per point."""
-    from scipy.optimize import minimize
-
-    n_max = rho.space.n_max
-    rho_data = rho.density_matrix()
-    warm = [fit.theta]
-
-    def profile(alpha):
-        if not (0.0 < alpha and alpha ** 2 <= n_max / 4.0):
+    def profile(value):
+        if not admits(value):
             return 0.0
-
-        def objective(x):
-            factor = _analytical_factor(alpha, x[0], c_g, c_e, t_c, g0, n_max)
-            return -factored_fidelity(rho_data, factor)
-
-        res = minimize(objective, warm, method="Nelder-Mead",
-                       options={"xatol": 1e-5, "fatol": FIT_FTOL, "maxiter": 1000})
-        warm[0] = float(res.x[0])
+        res = minimize(objective, warm, args=(value,), method="Nelder-Mead",
+                       options={"xatol": xatol, "fatol": FIT_FTOL,
+                                "maxiter": maxiter})
+        warm[:] = list(res.x)
         return -res.fun
 
-    step = max(0.04 * fit.alpha_fit, 0.02)
-    low, high, lb, hb = find_drop_crossings(profile, fit.alpha_fit, fit.fidelity,
-                                            drop, step)
-    return SensitivityInterval(best=fit.alpha_fit, low=low, high=high, drop=drop,
+    low, high, lb, hb = find_drop_crossings(profile, best, fit.fidelity, drop,
+                                            max(0.04 * best, 0.02))
+    return SensitivityInterval(best=best, low=low, high=high, drop=drop,
                                low_bounded=lb, high_bounded=hb)

@@ -112,26 +112,37 @@ def _experiment_fields():
 
 # Counts (n_times, n_phases, n_grid, n_waits, shots, recon_n_max) have a
 # maximum, >= 10x every default, test and benchmark config, so a huge count
-# is a config error instead of a run that exhausts memory or time
-#
-# tomo's MLE holds one complex parity kernel per grid point, an
-# n_grid^2 x (recon_n_max + 1)^2 x 16 B stack; the joint budget is ~78x the
-# defaults' 0.85 MB (and ~200x the benchmark's), so the two fields at their
-# maxima (~26 GB) are a config error too
+# is a config error instead of a run that exhausts memory or time.  Where two
+# fields multiply into one allocation, a joint budget, >= 10x the same
+# configs, is checked before anything is allocated:
+# - open simulate: n_times dense joint states of dimension
+#   2 (default_cutoff(alpha0) + 1), 62 MB at the open alpha0 = 3 default
+#   (~17x under budget); the block series adds about half again.  Closed
+#   runs hold pure states, at most 46 MB, and need no joint budget;
+# - qubit-phase-scan: n_phases x n_times rows, 4,221 at the defaults (~47x);
+# - tomo: the MLE's n_grid^2 x (recon_n_max + 1)^2 x 16 B parity-kernel
+#   stack, 0.85 MB at the defaults (~78x, ~200x for the benchmark).
+_OPEN_STATES_BYTES = 2 ** 30
+_OPEN_LIMIT = (f"open runs: n_times * (2 (default_cutoff(alpha0) + 1))^2 * 16 B "
+               f"must not exceed {_OPEN_STATES_BYTES} B (the dense state series)")
+_SCAN_ROWS = 200_000
+_SCAN_LIMIT = f"n_phases * n_times must not exceed {_SCAN_ROWS} (the scan rows)"
 _KERNEL_STACK_BYTES = 64 * 2 ** 20
 _STACK_LIMIT = (f"n_grid^2 * (recon_n_max + 1)^2 * 16 B must not exceed "
                 f"{_KERNEL_STACK_BYTES} B (the MLE kernel stack)")
 SCHEMAS = {
     "simulate": {
         "schema_version": _Field(int, required=True),
-        "alpha0": _amplitude(required=True, desc="initial coherent amplitude"),
+        "alpha0": _amplitude(required=True,
+                             desc="initial coherent amplitude; " + _OPEN_LIMIT),
         "g0": _positive(ExperimentConfig().g0),
         "c_g": _Field(list, default=[1.0, 0.0], length=2,
                       desc="qubit ground amplitude [re, im]"),
         "c_e": _Field(list, default=[0.0, 0.0], length=2,
                       desc="qubit excited amplitude [re, im]"),
         "t_max": _positive(10.0, desc="trajectory end time, us"),
-        "n_times": _Field(int, default=501, minimum=2, maximum=10_000),
+        "n_times": _Field(int, default=501, minimum=2, maximum=10_000,
+                          desc=_OPEN_LIMIT),
         "closed": _Field(bool, default=True, desc="skip dissipation channels"),
         "t1_phonon": _positive(T1_PHONON_DEFAULT),
         "t1_qubit": _positive(T1_QUBIT_DEFAULT),
@@ -141,9 +152,11 @@ SCHEMAS = {
         "schema_version": _Field(int, required=True),
         "alpha0": _amplitude(required=True),
         "g0": _positive(ExperimentConfig().g0),
-        "n_phases": _Field(int, default=21, minimum=1, maximum=1_000),
+        "n_phases": _Field(int, default=21, minimum=1, maximum=1_000,
+                           desc=_SCAN_LIMIT),
         "t_max": _positive(10.0),
-        "n_times": _Field(int, default=201, minimum=1, maximum=10_000),
+        "n_times": _Field(int, default=201, minimum=1, maximum=10_000,
+                          desc=_SCAN_LIMIT),
     },
     "wigner": {
         "schema_version": _Field(int, required=True),
@@ -158,6 +171,9 @@ SCHEMAS = {
         "n_grid": _Field(int, default=81, minimum=1, maximum=1_000),
         **_experiment_fields(),
     },
+    # the default 11 x 11 raster over +-2.2 spaces its points 0.44 apart,
+    # below half the fringe wavelength, pi / (4 D) = 0.46, of the largest
+    # default cat (fit_css gives D = 1.70 at drive 0.35)
     "tomo": {
         "schema_version": _Field(int, required=True),
         "drive_amplitude": _Field(float, default=0.35),
@@ -253,6 +269,12 @@ def _load_config(path: str, command: str) -> dict:
     return out
 
 
+def _check_budget(fields: str, need: int, budget: int, limit: str):
+    """Config error unless the joint need of several fields fits its budget."""
+    if need > budget:
+        raise ConfigError(f"config fields {fields}: {limit}, got {need}")
+
+
 def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(g0=cfg["g0"], t_cat=cfg["t_cat"],
                             t1_phonon=cfg["t1_phonon"],
@@ -289,11 +311,13 @@ def _cmd_simulate(cfg, out_dir, seed, log):
                               c_e=c_e)
         traj = jc_trajectory(params, times)
     else:
+        space = HilbertSpace(default_cutoff(cfg["alpha0"]), has_qubit=True)
+        _check_budget("alpha0, n_times", len(times) * space.dim ** 2 * 16,
+                      _OPEN_STATES_BYTES, _OPEN_LIMIT)
         econf = ExperimentConfig(g0=cfg["g0"], t1_phonon=cfg["t1_phonon"],
                                  t1_qubit=cfg["t1_qubit"],
                                  t2_qubit=cfg["t2_qubit"])
         params = econf.system_params(cfg["alpha0"], c_g, c_e)
-        space = HilbertSpace(default_cutoff(cfg["alpha0"]), has_qubit=True)
         initial = tensor(qubit_state(params.c_g, params.c_e),
                          coherent_state(cfg["alpha0"], space.phonon_only()))
         traj = lindblad_evolve(initial, params, times)
@@ -307,6 +331,8 @@ def _cmd_simulate(cfg, out_dir, seed, log):
 
 
 def _cmd_qubit_phase_scan(cfg, out_dir, seed, log):
+    _check_budget("n_phases, n_times", cfg["n_phases"] * cfg["n_times"],
+                  _SCAN_ROWS, _SCAN_LIMIT)
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     phases = np.linspace(0.0, 2.0 * math.pi, cfg["n_phases"])
     rows = []
@@ -336,14 +362,12 @@ def _cmd_wigner(cfg, out_dir, seed, log):
         wg = wigner(css_state(cfg["alpha"], -cfg["alpha"], cfg["vartheta"],
                               space), grid)
     elif kind == "decayed-css":
-        kappa_t = cfg["kappa_t"]
-        wg = decayed_css_wigner(cfg["alpha"], 1.0, kappa_t, grid,
+        wg = decayed_css_wigner(cfg["alpha"], cfg["kappa_t"], grid,
                                 vartheta=cfg["vartheta"])
     elif kind == "pipeline":
         econf = _experiment_config(cfg)
         alpha0 = drive_alpha(cfg["drive_amplitude"])
-        rho = prepare_cat(alpha0, econf, n_max=max(40, default_cutoff(alpha0)))
-        wg = wigner(rho, grid)
+        wg = wigner(prepare_cat(alpha0, econf), grid)
     else:
         raise ConfigError(
             "config field state: must be 'coherent', 'css', 'decayed-css', "
@@ -357,17 +381,16 @@ def _cmd_wigner(cfg, out_dir, seed, log):
 
 
 def _cmd_tomo(cfg, out_dir, seed, log):
-    stack = cfg["n_grid"] ** 2 * (cfg["recon_n_max"] + 1) ** 2 * 16
-    if stack > _KERNEL_STACK_BYTES:
-        raise ConfigError(f"config fields n_grid, recon_n_max: {_STACK_LIMIT}, "
-                          f"got {stack} B")
+    _check_budget("n_grid, recon_n_max",
+                  cfg["n_grid"] ** 2 * (cfg["recon_n_max"] + 1) ** 2 * 16,
+                  _KERNEL_STACK_BYTES, _STACK_LIMIT)
     econf = _experiment_config(cfg)
     alpha0 = drive_alpha(cfg["drive_amplitude"])
-    rho = prepare_cat(alpha0, econf, n_max=max(40, default_cutoff(alpha0)))
+    rho = prepare_cat(alpha0, econf)
     model = ReadoutModel(contrast=cfg["contrast"], offset=cfg["offset"],
                          shots=cfg["shots"], seed=seed)
     grid = raster_grid(cfg["extent"], cfg["n_grid"])
-    samples, mle = simulate_tomography(rho, model, seed=seed, grid=grid,
+    samples, mle = simulate_tomography(rho, model, grid,
                                        recon_n_max=cfg["recon_n_max"])
     samples.to_csv(out_dir / "samples.csv")
     fc = fit_css(mle.state)
@@ -398,7 +421,7 @@ def _cmd_decay(cfg, out_dir, seed, log):
     econf = _experiment_config(cfg)
     alpha0 = drive_alpha(cfg["drive_amplitude"])
     waits = np.linspace(0.0, cfg["wait_max"], cfg["n_waits"])
-    result = cat_decay_time(alpha0, econf, waits=waits)
+    result = cat_decay_time(alpha0, econf, waits)
     io_utils.write_csv(out_dir / "negativity_decay.csv",
                        ("wait", "negativity"),
                        zip(result.waits, result.negativities))

@@ -251,10 +251,10 @@ def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Traj
     return Trajectory(times=times, states=states, observables=obs)
 
 
-def pe_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
+def pe_trajectory(params: SystemParams, times) -> Trajectory:
     """Observable-only trajectory carrying just the exact P_e series."""
     times = _time_grid(times)
-    pe = excited_population(params, times, n_max=n_max)
+    pe = excited_population(params, times)
     return Trajectory(times=times, states=None, observables={"P_e": pe})
 
 

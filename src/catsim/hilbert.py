@@ -276,7 +276,7 @@ def fock_state(n: int, space: HilbertSpace) -> JointState:
 
 @lru_cache(maxsize=32)
 def _fock_table(n_max: int):
-    """Read-only (n, log n!) for n = 0..n_max, shared by every coherent_amplitudes call."""
+    """Read-only (n, log n!) for n = 0..n_max, cached and shared by its callers."""
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
     n.setflags(write=False)

@@ -86,7 +86,6 @@ class WignerGrid:
     values: np.ndarray
     weights: np.ndarray
     kind: str
-    trusted: np.ndarray  # W is exact; flags only the |beta| <= sqrt(n_max)/2 cutoff heuristic
 
     def to_csv(self, path):
         rows = [(p.real, p.imag, v) for p, v in zip(self.points, self.values)]
@@ -106,8 +105,7 @@ def wigner(state: JointState, points) -> WignerGrid:
         raise DimensionMismatchError("wigner expects a phonon-only state")
     grid = _as_grid(points)
     values = (2.0 / math.pi) * displaced_parity(state, grid.points)
-    trusted = np.abs(grid.points) <= math.sqrt(state.space.n_max) / 2.0
-    return WignerGrid(grid.points, values, grid.weights, grid.kind, trusted)
+    return WignerGrid(grid.points, values, grid.weights, grid.kind)
 
 
 def negativity(grid: WignerGrid) -> float:
@@ -125,14 +123,14 @@ def negativity(grid: WignerGrid) -> float:
     return 0.0 if val < 1e-12 else val
 
 
-def decayed_css_wigner(alpha, kappa: float, t: float, points,
+def decayed_css_wigner(alpha, kappa_t: float, points,
                        vartheta: float = 0.0) -> WignerGrid:
     """Analytic Wigner function of a decaying coherent-state superposition.
 
     The state is N(|alpha> + e^{i vartheta} |-alpha>) with alpha real
-    positive, relaxing at rate kappa; epsilon = e^{-kappa t / 2} scales the
-    component amplitudes and xi = e^{-2 alpha^2 (1 - epsilon^2)} suppresses
-    the interference fringes.
+    positive, relaxed for a time t at rate kappa, kappa_t = kappa t;
+    epsilon = e^{-kappa_t / 2} scales the component amplitudes and
+    xi = e^{-2 alpha^2 (1 - epsilon^2)} suppresses the interference fringes.
     """
     a = complex(alpha)
     if abs(a.imag) > 1e-12:
@@ -140,7 +138,7 @@ def decayed_css_wigner(alpha, kappa: float, t: float, points,
     a = a.real
     grid = _as_grid(points)
     beta = grid.points
-    eps = math.exp(-kappa * t / 2.0)
+    eps = math.exp(-kappa_t / 2.0)
     xi = math.exp(-2.0 * a * a * (1.0 - eps * eps))
     norm = math.pi * (1.0 + math.cos(vartheta) * math.exp(-2.0 * a * a))
     vals = (
@@ -149,8 +147,7 @@ def decayed_css_wigner(alpha, kappa: float, t: float, points,
         + 2.0 * xi * np.exp(-2.0 * np.abs(beta) ** 2)
         * np.cos(4.0 * a * eps * beta.imag + vartheta)
     ) / norm
-    return WignerGrid(beta, vals, grid.weights, grid.kind,
-                      np.ones(beta.shape, dtype=bool))
+    return WignerGrid(beta, vals, grid.weights, grid.kind)
 
 
 @dataclass(frozen=True)

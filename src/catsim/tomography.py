@@ -16,7 +16,8 @@ import numpy as np
 
 from . import io_utils
 from .errors import FitError, StateValidationError, TruncationError
-from .hilbert import HilbertSpace, JointState, displaced_parity, parity_kernels
+from .hilbert import HilbertSpace, JointState, _fock_table, displaced_parity, \
+    parity_kernels
 
 _PARITY_PHASES = 41
 
@@ -73,8 +74,7 @@ def _draw_parity(pi_true: float, model: ReadoutModel, rng) -> float:
     return 2.0 * k / model.shots - 1.0
 
 
-def calibrate_parity(model: ReadoutModel, n_phases: int = _PARITY_PHASES,
-                     n_max: int = 4) -> ParityNormalization:
+def calibrate_parity(model: ReadoutModel) -> ParityNormalization:
     """Vacuum Ramsey phase sweep; cosine fit yields the raw->parity map.
 
     Sweeping the analysis phase of the final pi/2 pulse with the phonon in
@@ -83,8 +83,8 @@ def calibrate_parity(model: ReadoutModel, n_phases: int = _PARITY_PHASES,
     reads parity +1.
     """
     rng = np.random.default_rng(model.seed)
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
-    raw = np.empty(n_phases)
+    phases = np.linspace(0.0, 2.0 * math.pi, _PARITY_PHASES, endpoint=False)
+    raw = np.empty(_PARITY_PHASES)
     for i, phi in enumerate(phases):
         p_e = (1.0 + model.contrast * math.cos(phi) + model.offset) / 2.0
         if not 0.0 <= p_e <= 1.0:
@@ -195,8 +195,7 @@ def extract_fock_populations(times, p_e, g0: float, n_fit: int) -> FockPopulatio
         pops = pops / total
     resid = float(rnorm / math.sqrt(len(times)))
 
-    n = np.arange(n_fit + 1)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_fit + 1)))))
+    n, log_fact = _fock_table(n_fit)
 
     def poisson(b):
         return np.exp(-b * b + 2.0 * n * np.log(max(b, 1e-12)) - log_fact)

@@ -45,7 +45,6 @@ from catsim.pipeline import (
     negativity_series,
     prepare_cat,
     simulate_tomography,
-    tomography_grid,
 )
 from catsim.tomography import (
     DriveCalibration,
@@ -65,8 +64,7 @@ def prepared_cats():
     """Lossy master-equation cat states for the three drive settings."""
     config = ExperimentConfig()
     return {
-        amp: prepare_cat(alpha0, config,
-                         n_max=max(40, default_cutoff(alpha0)))
+        amp: prepare_cat(alpha0, config)
         for amp, alpha0 in DRIVE_PRESETS.items()
     }
 
@@ -159,7 +157,7 @@ def test_analytic_cat_wigner_oracle():
         state = css_state(1j * alpha, -1j * alpha, 0.0, space)
         numeric = wigner(state, grid)
         # the analytic routine uses the real-axis convention: rotate points
-        analytic = decayed_css_wigner(alpha, 1.0, 0.0, -1j * grid.points)
+        analytic = decayed_css_wigner(alpha, 0.0, -1j * grid.points)
         assert np.max(np.abs(numeric.values - analytic.values)) < 1e-6
 
 
@@ -169,14 +167,14 @@ def test_negativity_decay_constant_matches_half_life():
     kappa = 1.0 / t1
     grid = raster_grid(3.5, 81)
     taus = np.linspace(0.0, 20.0, 9)
-    deltas = [negativity(decayed_css_wigner(alpha, kappa, t, grid))
+    deltas = [negativity(decayed_css_wigner(alpha, kappa * t, grid))
               for t in taus]
     fit = fit_negativity_decay(taus, deltas)
     assert fit.tau_cat == pytest.approx(t1 / (2.0 * alpha ** 2), rel=0.10)
 
     # small cats keep a visible dependence on the superposition phase
     small = raster_grid(2.5, 61)
-    probe = [negativity(decayed_css_wigner(0.8, 1.0, 0.3, small, vartheta=vt))
+    probe = [negativity(decayed_css_wigner(0.8, 0.3, small, vartheta=vt))
              for vt in (0.0, math.pi / 2.0, math.pi)]
     assert (max(probe) - min(probe)) / max(probe) > 0.05
 
@@ -231,9 +229,9 @@ def test_cat_fits(prepared_cats):
     # the measured-state fidelities include tomography noise: push the
     # largest cat through the simulated readout + reconstruction chain
     config = ExperimentConfig()
-    model = ReadoutModel(contrast=0.9, offset=0.02, shots=500)
-    _, mle = simulate_tomography(prepared_cats[0.35], model, seed=20260824,
-                                 grid=tomography_grid(), recon_n_max=20)
+    model = ReadoutModel(contrast=0.9, offset=0.02, shots=500, seed=20260824)
+    _, mle = simulate_tomography(prepared_cats[0.35], model,
+                                 raster_grid(2.2, 11), recon_n_max=20)
     fit_an = fit_analytical(mle.state, 1.0, 0.0, config.t_cat, config.g0)
     fit_cs = fit_css(mle.state)
     assert 0.70 <= fit_an.fidelity <= 0.85

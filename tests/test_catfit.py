@@ -247,10 +247,10 @@ def test_sensitivity_interval_css():
     space = HilbertSpace(16)
     target = css_state(1.1j, -1.1j, 0.0, space)
     fit = fit_css(target)
-    interval = sensitivity_interval(target, fit, "D", drop=0.01)
+    interval = sensitivity_interval(target, fit, drop=0.01)
     assert interval.low < fit.D < interval.high
     assert interval.low_bounded and interval.high_bounded
-    zero = sensitivity_interval(target, fit, "D", drop=0.0)
+    zero = sensitivity_interval(target, fit, drop=0.0)
     assert zero.low == zero.high == fit.D
 
 
@@ -260,9 +260,8 @@ def test_sensitivity_interval_analytical_needs_context():
                             HilbertSpace(16))
     fit = fit_analytical(rho, 1.0, 0.0, _cat_time(alpha), G0)
     with pytest.raises(FitError):
-        sensitivity_interval(rho, fit, "alpha_fit", drop=0.01)
-    interval = sensitivity_interval(rho, fit, "alpha_fit", drop=0.01,
-                                    c_g=1.0, c_e=0.0,
+        sensitivity_interval(rho, fit, drop=0.01)
+    interval = sensitivity_interval(rho, fit, drop=0.01, c_g=1.0, c_e=0.0,
                                     t_c=_cat_time(alpha), g0=G0)
     assert interval.low < fit.alpha_fit < interval.high
 

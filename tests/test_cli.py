@@ -274,6 +274,61 @@ def test_tomo_kernel_stack_budget_is_a_config_error(tmp_path, capsys,
     assert "n_grid" in tomo["recon_n_max"].desc
 
 
+class _Reached(Exception):
+    """Raised by a patched solver: the run got past config validation."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize("command,solver,payload,fields", [
+    # alpha0 6 (joint dimension 290) x 10,000 dense states: ~13.5 GB
+    ("simulate", "lindblad_evolve",
+     {"alpha0": 6.0, "closed": False, "n_times": 10_000}, ("alpha0", "n_times")),
+    # 1,000 phases x 10,000 times: 10^7 rows built before any is written
+    ("qubit-phase-scan", "jc_trajectory",
+     {"alpha0": 1.0, "n_phases": 1_000, "n_times": 10_000},
+     ("n_phases", "n_times")),
+], ids=["open_simulate_states", "phase_scan_rows"])
+def test_joint_size_budgets_are_config_errors(tmp_path, capsys, monkeypatch,
+                                              command, solver, payload,
+                                              fields):
+    # each field alone is in bounds; their product is rejected before any
+    # state is allocated
+    monkeypatch.setattr(cli, solver, _reached)
+    cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, command, "--config", cfg,
+                           "--out", str(tmp_path / "out"), "--quiet")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error" in err and all(f in err for f in fields)
+    assert peak < 2 ** 20
+    schema = SCHEMAS[command]  # --schema states the budget on both fields
+    assert fields[1] in schema[fields[0]].desc
+    assert fields[0] in schema[fields[1]].desc
+
+
+@pytest.mark.parametrize("command,solver,payload", [
+    # the largest amplitude at the default n_times stays within budget
+    ("simulate", "lindblad_evolve", {"alpha0": 6.0, "closed": False}),
+    # a closed run holds pure states only and has no joint budget
+    ("simulate", "jc_trajectory", {"alpha0": 6.0, "n_times": 10_000}),
+    ("qubit-phase-scan", "jc_trajectory", {"alpha0": 1.0}),
+], ids=["open_default_n_times", "closed_max_n_times", "phase_scan_defaults"])
+def test_joint_size_budgets_admit_defaults(tmp_path, capsys, monkeypatch,
+                                           command, solver, payload):
+    monkeypatch.setattr(cli, solver, _reached)
+    cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    with pytest.raises(_Reached):
+        main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+              "--quiet"])
+
+
 def test_schema_lists_value_bounds(capsys):
     code, out, _ = run(capsys, "--schema")
     assert code == 0

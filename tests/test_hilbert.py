@@ -33,7 +33,7 @@ from catsim.hilbert import (
     qubit_state,
     tensor,
 )
-from catsim.pipeline import tomography_grid
+from catsim.phase_space import raster_grid
 
 
 def test_coherent_zero_is_vacuum():
@@ -305,7 +305,7 @@ def _padded_kernels(betas, dim, pad):
 
 @pytest.mark.parametrize("dim", [13, 21])
 def test_parity_kernels_match_padded_reference(dim):
-    betas = tomography_grid().points
+    betas = raster_grid(2.2, 11).points  # the tomo command's default raster
     kernels = parity_kernels(betas, dim)
     assert np.max(np.abs(kernels - _padded_kernels(betas, dim, 150))) <= 1e-12
     assert np.array_equal(kernels, kernels.conj().transpose(0, 2, 1))

@@ -26,7 +26,8 @@ from catsim.phase_space import (
 from catsim.pipeline import ExperimentConfig, free_decay
 
 SPACE = HilbertSpace(30)
-# trusted radius sqrt(60)/2 = 3.87 covers the corners of a 2.5-extent raster
+# n_max 60 leaves the test states of |alpha| <= 1.2 a negligible Fock tail,
+# so comparisons with untruncated Gaussians see only the Wigner evaluation
 SPACE_BIG = HilbertSpace(60)
 
 
@@ -76,10 +77,10 @@ def test_css_slice_matches_analytic_formula():
     # and must reproduce the analytic undecayed expression (the analytic
     # routine uses the real-axis convention, so its points are rotated 90deg)
     a = 1.43
-    space = HilbertSpace(40)  # trusted radius 3.16 covers the whole slice
+    space = HilbertSpace(40)  # a negligible Fock tail for the 1.43 cat
     state = css_state(1j * a, -1j * a, 0.0, space)
     numeric = wigner(state, slice_grid(-3.0, 3.0, n=101, axis="re"))
-    analytic = decayed_css_wigner(a, kappa=1.0, t=0.0,
+    analytic = decayed_css_wigner(a, kappa_t=0.0,
                                   points=slice_grid(-3.0, 3.0, n=101, axis="im"))
     assert np.max(np.abs(numeric.values - analytic.values)) < 1e-6
     assert negativity(numeric) == pytest.approx(negativity(analytic), rel=1e-6)
@@ -87,19 +88,19 @@ def test_css_slice_matches_analytic_formula():
 
 @pytest.mark.parametrize("vartheta, tol", [(0.0, 1e-9), (math.pi, 3e-9)])
 def test_css_raster_exact_at_its_own_cutoff(vartheta, tol):
-    # the corners of the raster lie at |beta| = 4.24, beyond the trusted
-    # radius sqrt(30)/2 = 2.74; exact elements leave only the state's own
-    # truncation at n_max 30 (6.5e-10 even, 1.9e-9 odd).  The odd cat holds
-    # only odd Fock levels, so it also pins the sign of the parity
+    # the raster reaches |beta| = 4.24 at its corners; exact elements leave
+    # only the state's own truncation at n_max 30 (6.5e-10 even, 1.9e-9
+    # odd) at every point.  The odd cat holds only odd Fock levels, so it
+    # also pins the sign of the parity
     grid = raster_grid(3.0, 81)
     state = css_state(2.0, -2.0, vartheta, HilbertSpace(default_cutoff(2.0)))
-    analytic = decayed_css_wigner(2.0, 1.0, 0.0, grid, vartheta)
+    analytic = decayed_css_wigner(2.0, 0.0, grid, vartheta)
     assert np.max(np.abs(wigner(state, grid).values - analytic.values)) <= tol
 
 
 def test_decayed_css_full_decay_is_vacuum():
     grid = slice_grid(-2.0, 2.0, n=41)
-    wg = decayed_css_wigner(1.2, kappa=1.0, t=200.0, points=grid)
+    wg = decayed_css_wigner(1.2, kappa_t=200.0, points=grid)
     vac = (2.0 / math.pi) * np.exp(-2.0 * np.abs(grid.points) ** 2)
     assert np.max(np.abs(wg.values - vac)) < 1e-10
 
@@ -114,7 +115,7 @@ def test_decayed_css_matches_master_equation():
     decayed = free_decay(state, [0.0, t], ExperimentConfig(t1_phonon=1.0 / kappa))[-1]
     pts = slice_grid(-2.5, 2.5, n=61, axis="im")
     numeric = wigner(decayed, pts)
-    analytic = decayed_css_wigner(a, kappa, t, pts)
+    analytic = decayed_css_wigner(a, kappa * t, pts)
     assert np.max(np.abs(numeric.values - analytic.values)) < 1e-4
 
 
@@ -149,15 +150,9 @@ def test_wigner_displacement_covariance():
     assert np.max(np.abs(w_shifted - w_orig)) < 1e-8
 
 
-def test_trusted_flag_radius():
-    wg = wigner(fock_state(0, HilbertSpace(16)),
-                np.array([0.0j, 1.9 + 0.0j, 2.1 + 0.0j]))
-    assert wg.trusted.tolist() == [True, True, False]
-
-
 def test_empty_points_give_empty_grid():
     wg = wigner(css_state(1.0, -1.0, 0.0, SPACE), np.array([], dtype=complex))
-    assert wg.points.shape == wg.values.shape == wg.trusted.shape == (0,)
+    assert wg.points.shape == wg.values.shape == (0,)
 
 
 def test_negativity_requires_weights():
@@ -195,7 +190,7 @@ def test_tau_cat_large_alpha_values():
 
 def test_decayed_negativity_monotone_in_time():
     grid = raster_grid(3.0, 81)
-    negs = [negativity(decayed_css_wigner(1.5, 1.0, t, grid))
+    negs = [negativity(decayed_css_wigner(1.5, t, grid))
             for t in np.linspace(0.0, 2.0, 9)]
     assert all(b <= a + 1e-12 for a, b in zip(negs, negs[1:]))
 
@@ -205,7 +200,7 @@ def test_small_cat_phase_sensitivity():
     # visibly changes the negativity decay curve
     grid = raster_grid(2.5, 81)
     t_probe = 0.3
-    negs = {vt: negativity(decayed_css_wigner(0.8, 1.0, t_probe, grid,
+    negs = {vt: negativity(decayed_css_wigner(0.8, t_probe, grid,
                                               vartheta=vt))
             for vt in (0.0, math.pi / 2.0, math.pi)}
     base = max(negs.values())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -15,7 +16,6 @@ from catsim.pipeline import (
     negativity_series,
     prepare_cat,
     simulate_tomography,
-    tomography_grid,
 )
 from catsim.tomography import ReadoutModel
 
@@ -111,22 +111,21 @@ def test_negativity_series_on_decaying_fock():
 def test_grids():
     grid = negativity_grid(3.0, 61)
     assert len(grid.points) == 61 * 61
-    tomo = tomography_grid()
-    assert len(tomo.points) == 11 * 11
-    assert np.max(np.abs(tomo.points.real)) == pytest.approx(2.2)
 
 
 def test_simulate_tomography_smoke():
     state = fock_state(0, HilbertSpace(30))
-    model = ReadoutModel(contrast=0.95, offset=0.01, shots=400)
-    samples, result = simulate_tomography(state, model, seed=13,
-                                          grid=negativity_grid(1.5, 5),
-                                          recon_n_max=4)
+    model = ReadoutModel(contrast=0.95, offset=0.01, shots=400, seed=13)
+    grid = negativity_grid(1.5, 5)
+    samples, result = simulate_tomography(state, model, grid, recon_n_max=4)
     assert len(samples.parities) == 25
     assert result.state.space.n_max == 4
     assert result.state.data[0, 0].real > 0.8
     # same seed reproduces the identical sample set
-    samples2, _ = simulate_tomography(state, model, seed=13,
-                                      grid=negativity_grid(1.5, 5),
-                                      recon_n_max=4)
+    samples2, _ = simulate_tomography(state, model, grid, recon_n_max=4)
     assert np.array_equal(samples.parities, samples2.parities)
+    # the seed comes from the model: a model that differs only in its seed
+    # draws different samples
+    other, _ = simulate_tomography(state, replace(model, seed=14), grid,
+                                   recon_n_max=4)
+    assert not np.array_equal(samples.parities, other.parities)
