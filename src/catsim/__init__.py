@@ -42,6 +42,7 @@ from .dynamics import (
     jc_evolve_exact,
     jc_trajectory,
     lindblad_evolve,
+    lindblad_observables,
     pe_trajectory,
     phi_states,
     revival_contrast,

@@ -24,7 +24,7 @@ from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
     mass_model
 from .catfit import fit_analytical, fit_css
 from .dynamics import SystemParams, characteristic_times, \
-    excited_population, jc_trajectory, lindblad_evolve
+    excited_population, jc_trajectory, lindblad_observables
 from .errors import CatsimError, ConfigError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff, \
     qubit_state, tensor
@@ -115,16 +115,12 @@ def _experiment_fields():
 # is a config error instead of a run that exhausts memory or time.  Where two
 # fields multiply into one allocation, a joint budget, >= 10x the same
 # configs, is checked before anything is allocated:
-# - open simulate: n_times dense joint states of dimension
-#   2 (default_cutoff(alpha0) + 1), 62 MB at the open alpha0 = 3 default
-#   (~17x under budget); the block series adds about half again.  Closed
-#   runs hold pure states, at most 46 MB, and need no joint budget;
 # - qubit-phase-scan: n_phases x n_times rows, 4,221 at the defaults (~47x);
 # - tomo: the MLE's n_grid^2 x (recon_n_max + 1)^2 x 16 B parity-kernel
 #   stack, 0.85 MB at the defaults (~78x, ~200x for the benchmark).
-_OPEN_STATES_BYTES = 2 ** 30
-_OPEN_LIMIT = (f"open runs: n_times * (2 (default_cutoff(alpha0) + 1))^2 * 16 B "
-               f"must not exceed {_OPEN_STATES_BYTES} B (the dense state series)")
+# simulate needs none: at its largest config (alpha0 6, n_times 10,000) an
+# open run, which holds only the k = 0 and k = 1 coherence blocks, peaks at
+# ~300 MiB, and a closed run holds 46 MB of pure states
 _SCAN_ROWS = 200_000
 _SCAN_LIMIT = f"n_phases * n_times must not exceed {_SCAN_ROWS} (the scan rows)"
 _KERNEL_STACK_BYTES = 64 * 2 ** 20
@@ -134,15 +130,14 @@ SCHEMAS = {
     "simulate": {
         "schema_version": _Field(int, required=True),
         "alpha0": _amplitude(required=True,
-                             desc="initial coherent amplitude; " + _OPEN_LIMIT),
+                             desc="initial coherent amplitude"),
         "g0": _positive(ExperimentConfig().g0),
         "c_g": _Field(list, default=[1.0, 0.0], length=2,
                       desc="qubit ground amplitude [re, im]"),
         "c_e": _Field(list, default=[0.0, 0.0], length=2,
                       desc="qubit excited amplitude [re, im]"),
         "t_max": _positive(10.0, desc="trajectory end time, us"),
-        "n_times": _Field(int, default=501, minimum=2, maximum=10_000,
-                          desc=_OPEN_LIMIT),
+        "n_times": _Field(int, default=501, minimum=2, maximum=10_000),
         "closed": _Field(bool, default=True, desc="skip dissipation channels"),
         "t1_phonon": _positive(T1_PHONON_DEFAULT),
         "t1_qubit": _positive(T1_QUBIT_DEFAULT),
@@ -312,15 +307,13 @@ def _cmd_simulate(cfg, out_dir, seed, log):
         traj = jc_trajectory(params, times)
     else:
         space = HilbertSpace(default_cutoff(cfg["alpha0"]), has_qubit=True)
-        _check_budget("alpha0, n_times", len(times) * space.dim ** 2 * 16,
-                      _OPEN_STATES_BYTES, _OPEN_LIMIT)
         econf = ExperimentConfig(g0=cfg["g0"], t1_phonon=cfg["t1_phonon"],
                                  t1_qubit=cfg["t1_qubit"],
                                  t2_qubit=cfg["t2_qubit"])
         params = econf.system_params(cfg["alpha0"], c_g, c_e)
         initial = tensor(qubit_state(params.c_g, params.c_e),
                          coherent_state(cfg["alpha0"], space.phonon_only()))
-        traj = lindblad_evolve(initial, params, times)
+        traj = lindblad_observables(initial, params, times)
     traj.to_csv(out_dir / "trajectory.csv")
     if abs(params.alpha0) > 0:
         ct = characteristic_times(params)

@@ -9,10 +9,13 @@ sqrt(gamma_phi/2) sigma_z exactly: the Hamiltonian and all three channels
 conserve the coherence order k = N_row - N_col of the excitation number
 N = n + q, so the Liouvillian splits into independent blocks, one per k
 (Buca & Prosen, NJP 14, 073007 (2012)), each propagated with one matrix
-exponential per distinct time step.  Closed and open trajectories take
-their observables from one routine, vectorised over states.  Free decay of
-a phonon state alone is the amplitude-damping channel, applied in closed
-form by pipeline.free_decay.
+exponential per distinct time step.  Two routes share that block
+propagator: lindblad_evolve propagates every block and returns certified
+states, and lindblad_observables propagates only the k = 0 and k = 1
+blocks, in which every observable column is linear, and builds no state.
+Closed and open trajectories take their observables from one routine,
+vectorised over states.  Free decay of a phonon state alone is the
+amplitude-damping channel, applied in closed form by pipeline.free_decay.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -35,7 +38,6 @@ from .hilbert import (
     check_truncation,
     coherent_amplitudes,
     default_cutoff,
-    partial_trace,
 )
 
 _SIGMA = {
@@ -287,19 +289,43 @@ def _distinct_steps(times: np.ndarray):
     return np.bincount(which, dt) / np.bincount(which), which
 
 
-def _exact_states(drift, collapse, excitations, rho0, times):
-    """Yield rho(t) on the grid, propagating each coherence-order block.
+def _block_series(initial: JointState, params: SystemParams, times, orders):
+    """The coherence-order blocks k in orders of rho(t) on the time grid.
 
-    The elements rho[i, j] with N_i - N_j = k evolve on their own under
+    Builds the lossy JC master equation for initial's qubit (x) phonon
+    space: collapse channels sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma-
+    and sqrt(gamma_phi/2) sigma_z, and drift A = -iH - 1/2 sum g L^dag L, so
+    that d rho/dt = A rho + rho A^dag + sum g L rho L^dag.  The elements
+    rho[i, j] with N_i - N_j = k evolve on their own under
     S_k[(i,j),(l,m)] = A_il d_jm + d_il conj(A_jm) + sum g L_il conj(L_jm),
-    stepped with one exp(S_k dt) per distinct step.  Only the k >= 0 series
-    are held; the k < 0 blocks are their conjugates, since rho is hermitian.
+    stepped with one exp(S_k dt) per distinct step.
+
+    Returns (blocks, series): blocks[b] = (rows, cols) lists block b's
+    elements in row-major order, and series (T, total size) holds every
+    block's elements at every time, block after block.
     """
     from scipy.linalg import expm
 
+    space = initial.space
+    if not space.has_qubit:
+        raise DimensionMismatchError(
+            "the lossy JC master equation needs a qubit (x) phonon state; "
+            "the free decay of a phonon state is pipeline.free_decay")
+    ops = OperatorSet(space)
+    collapse = [(g, L) for g, L in ((params.kappa_phonon, ops.a),
+                                    (params.gamma_qubit, ops.sigma_minus),
+                                    (params.gamma_phi / 2.0, ops.sigma_z))
+                if g > 0]
+    drift = -1j * params.g0 * (ops.sigma_plus @ ops.a
+                               + ops.sigma_minus @ ops.a_dagger)
+    for g, L in collapse:
+        drift = drift - 0.5 * g * (L.conj().T @ L)
+    rho0 = initial.density_matrix().astype(complex)
+
     steps, which = _distinct_steps(times)
+    excitations = _excitations(space)
     order = excitations[:, None] - excitations[None, :]
-    blocks = [np.nonzero(order == k) for k in range(order.max() + 1)]
+    blocks = [np.nonzero(order == k) for k in orders]
     series = np.empty((len(times), sum(len(r) for r, _ in blocks)), dtype=complex)
     stop = 0
     for rows, cols in blocks:
@@ -313,7 +339,18 @@ def _exact_states(drift, collapse, excitations, rho0, times):
         series[0, block] = rho0[rows, cols]
         for t, w in enumerate(which):
             series[t + 1, block] = props[w] @ series[t, block]
-    dim = len(rho0)
+    return blocks, series
+
+
+def _exact_states(initial: JointState, params: SystemParams, times):
+    """Yield rho(t) on the grid, from every coherence-order block.
+
+    Only the k >= 0 blocks are propagated; the k < 0 blocks are their
+    conjugates, since rho is hermitian.
+    """
+    dim = initial.space.dim
+    blocks, series = _block_series(initial, params, times,
+                                   range(initial.space.n_max + 2))
     rows, cols = (np.concatenate(idx) for idx in zip(*blocks))
     upper, lower = rows * dim + cols, cols * dim + rows
     for values in series:
@@ -330,41 +367,19 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
     sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2)
     sigma_z.  Each coherence-order block of the Liouvillian is propagated
     with its matrix exponential; steps that differ only by float rounding
-    share one propagator.  A one-point grid returns the initial state,
-    checked like any other.
+    share one propagator.  Returns the states and no observables: those of
+    a trajectory come from lindblad_observables, which builds no state.  A
+    one-point grid returns the initial state, checked like any other.
     """
     times = _time_grid(times)
-    space = initial.space
-    if not space.has_qubit:
-        raise DimensionMismatchError(
-            "lindblad_evolve needs a qubit (x) phonon state; the free decay "
-            "of a phonon state is pipeline.free_decay")
-    ops = OperatorSet(space)
-    dim = space.dim
-    collapse = [(g, L) for g, L in ((params.kappa_phonon, ops.a),
-                                    (params.gamma_qubit, ops.sigma_minus),
-                                    (params.gamma_phi / 2.0, ops.sigma_z))
-                if g > 0]
-    h = params.g0 * (ops.sigma_plus @ ops.a + ops.sigma_minus @ ops.a_dagger)
-    # drift A = -iH - 1/2 sum g L^dag L; rhs = A rho + rho A^dag + sum g L rho L^dag
-    drift = -1j * h
-    for g, L in collapse:
-        drift = drift - 0.5 * g * (L.conj().T @ L)
-    rho0 = initial.density_matrix().astype(complex)
-    raw = _exact_states(drift, collapse, _excitations(space), rho0, times)
-
     # the loop makes JointState's checks on every state (hermitian, unit
     # trace, and the constructor's eigenvalue bound by its own Cholesky
     # certificate), so it builds them unchecked.  Only a state that fails
     # the certificate is diagonalised: below -1e-7 it is an error, above it
     # the negative eigenvalues, which only roundoff can leave, are clipped;
-    # a certified state is kept as computed.  Observables are taken per
-    # state: stacking the d x d states would add to the memory that the
-    # propagated series already holds
+    # a certified state is kept as computed
     states = []
-    pops = np.empty((len(times), dim))
-    red = np.empty((len(times), 2, 2), dtype=complex)
-    for k, rho in enumerate(raw):
+    for k, rho in enumerate(_exact_states(initial, params, times)):
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-8:
@@ -378,10 +393,75 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
                     f"t = {times[k]:.4g}")
             rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
             rho = rho / np.trace(rho).real
-        states.append(JointState._trusted(space, rho, "mixed"))
-        pops[k] = np.diagonal(rho).real
-        red[k] = partial_trace(states[k], "qubit").data
-    return Trajectory(times=times, states=states,
+        states.append(JointState._trusted(initial.space, rho, "mixed"))
+    return Trajectory(times=times, states=states, observables={})
+
+
+def _first_failure(bad, times):
+    """Index of the first time flagged in bad, or None if none is."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _lambda_min(a, b, c):
+    """Smaller eigenvalue of the hermitian 2 x 2 matrices [[a, c*], [c, b]]."""
+    return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(c))
+
+
+def lindblad_observables(initial: JointState, params: SystemParams,
+                         times) -> Trajectory:
+    """Observables of the lossy JC trajectory, with no state built.
+
+    Every observable column is linear in the coherence-order blocks k = 0
+    and k = 1 of rho: the Fock-basis populations (P_e, n_mean) lie on the
+    k = 0 diagonal, and the qubit coherence
+    rho_q[e, g] = sum_n rho[(e, n), (g, n)] lies in k = 1.  Only those two
+    blocks are propagated, by the same block propagator as lindblad_evolve,
+    and states is None.  Every time is checked: a k = 0 trace that drifts
+    from 1 by more than 1e-8, or an eigenvalue below -1e-7 of a 2 x 2
+    matrix the route reads, is an IntegrationError.  Those matrices are
+    the excitation sectors {|g, N>, |e, N-1>} of the k = 0 block, each a
+    principal submatrix of rho, and the qubit reduction, whose Bloch vector
+    is then longer than 1 + 2e-7; both bounds are closed forms.
+    """
+    times = _time_grid(times)
+    space = initial.space
+    blocks, series = _block_series(initial, params, times, (0, 1))
+    (rows, cols), (rows1, cols1) = blocks
+    zero, one = series[:, :len(rows)], series[:, len(rows):]
+    pops = zero[:, rows == cols].real
+    tr = pops.sum(axis=1)
+    k = _first_failure(np.abs(tr - 1.0) > 1e-8, times)
+    if k is not None:
+        raise IntegrationError(f"trace drift {tr[k] - 1.0:.3e} at t = {times[k]:.4g}")
+    pops = pops / tr[:, None]
+
+    # the 2 x 2 sectors {|g, N>, |e, N-1>}, by their element above the
+    # diagonal, and the 1 x 1 sectors |g, 0> and |e, n_max>, by the diagonal
+    above = rows < cols
+    coupling = zero[:, above] / tr[:, None]
+    sector_min = np.minimum(
+        _lambda_min(pops[:, rows[above]], pops[:, cols[above]], coupling).min(axis=1),
+        pops.min(axis=1))
+    k = _first_failure(sector_min < -1e-7, times)
+    if k is not None:
+        raise IntegrationError(
+            f"negative eigenvalue {sector_min[k]:.3e} below -1e-7 in an "
+            f"excitation sector at t = {times[k]:.4g}")
+
+    pd = space.phonon_dim
+    red = np.empty((len(times), 2, 2), dtype=complex)
+    red[:, 0, 0] = pops[:, :pd].sum(axis=1)
+    red[:, 1, 1] = pops[:, pd:].sum(axis=1)
+    red[:, 1, 0] = one[:, rows1 - cols1 == pd].sum(axis=1) / tr
+    red[:, 0, 1] = red[:, 1, 0].conj()
+    red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
+    qubit_min = _lambda_min(red[:, 0, 0].real, red[:, 1, 1].real, red[:, 1, 0])
+    k = _first_failure(qubit_min < -1e-7, times)
+    if k is not None:
+        raise IntegrationError(
+            f"qubit Bloch vector of length {1.0 - 2.0 * qubit_min[k]:.9f} > 1 "
+            f"(eigenvalue {qubit_min[k]:.3e} below -1e-7) at t = {times[k]:.4g}")
+    return Trajectory(times=times, states=None,
                       observables=_observables(space, pops, red))
 
 

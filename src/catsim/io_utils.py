@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 
 def fmt_float(x) -> str:
-    """Fixed 17-significant-digit formatting for byte-stable output."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    """Fixed 17-significant-digit formatting for byte-stable output.
+
+    Round-trips every float; nan, inf and -inf print as those words.
+    """
+    return f"{float(x):.17g}"
 
 
 def _jsonable(obj):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import catsim
-from catsim import __version__, cli, tomography
+from catsim import __version__, cli, dynamics, hilbert, pipeline, tomography
 from catsim.cli import SCHEMAS, main
+from catsim.hilbert import JointState
 
 
 def run(capsys, *argv):
@@ -95,6 +97,36 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert (out_dir / "trajectory.csv").exists()
     times = json.loads((out_dir / "characteristic_times.json").read_text())
     assert times["t_collapse"] == pytest.approx(0.9, abs=1e-12)
+
+
+def test_open_simulate_builds_no_state(tmp_path, capsys, monkeypatch):
+    # the open run reads its observables from two propagated coherence
+    # blocks: no joint state is built, certified or partial-traced
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (hilbert, dynamics, pipeline):
+        for name in ("partial_trace", "_psd_certified"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    monkeypatch.setattr(JointState, "_trusted", classmethod(
+        counted("_trusted", JointState._trusted.__func__)))
+    cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                  "closed": False, "t_max": 2.0,
+                                  "n_times": 11})
+    code, _, _ = run(capsys, "simulate", "--config", cfg,
+                     "--out", str(tmp_path / "out"), "--quiet")
+    assert code == 0
+    assert calls == {}
+    # the counters see the full-state route that prepares a cat
+    pipeline.prepare_cat(1.0, pipeline.ExperimentConfig())
+    assert set(calls) == {"partial_trace", "_psd_certified", "_trusted"}
 
 
 def test_simulate_vacuum_skips_characteristic_times(tmp_path, capsys):
@@ -283,14 +315,11 @@ def _reached(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command,solver,payload,fields", [
-    # alpha0 6 (joint dimension 290) x 10,000 dense states: ~13.5 GB
-    ("simulate", "lindblad_evolve",
-     {"alpha0": 6.0, "closed": False, "n_times": 10_000}, ("alpha0", "n_times")),
     # 1,000 phases x 10,000 times: 10^7 rows built before any is written
     ("qubit-phase-scan", "jc_trajectory",
      {"alpha0": 1.0, "n_phases": 1_000, "n_times": 10_000},
      ("n_phases", "n_times")),
-], ids=["open_simulate_states", "phase_scan_rows"])
+], ids=["phase_scan_rows"])
 def test_joint_size_budgets_are_config_errors(tmp_path, capsys, monkeypatch,
                                               command, solver, payload,
                                               fields):
@@ -314,12 +343,15 @@ def test_joint_size_budgets_are_config_errors(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command,solver,payload", [
-    # the largest amplitude at the default n_times stays within budget
-    ("simulate", "lindblad_evolve", {"alpha0": 6.0, "closed": False}),
-    # a closed run holds pure states only and has no joint budget
+    ("simulate", "lindblad_observables", {"alpha0": 6.0, "closed": False}),
+    # simulate has no joint budget: an open run holds two coherence blocks
+    # and a closed run pure states, both linear in each field
+    ("simulate", "lindblad_observables",
+     {"alpha0": 6.0, "closed": False, "n_times": 10_000}),
     ("simulate", "jc_trajectory", {"alpha0": 6.0, "n_times": 10_000}),
     ("qubit-phase-scan", "jc_trajectory", {"alpha0": 1.0}),
-], ids=["open_default_n_times", "closed_max_n_times", "phase_scan_defaults"])
+], ids=["open_default_n_times", "open_max_config", "closed_max_n_times",
+        "phase_scan_defaults"])
 def test_joint_size_budgets_admit_defaults(tmp_path, capsys, monkeypatch,
                                            command, solver, payload):
     monkeypatch.setattr(cli, solver, _reached)

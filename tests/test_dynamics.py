@@ -17,6 +17,7 @@ from catsim.dynamics import (
     jc_evolve_exact,
     jc_trajectory,
     lindblad_evolve,
+    lindblad_observables,
     phi_states,
     revival_contrast,
 )
@@ -163,7 +164,7 @@ def test_revival_contrast_decreases_with_phonon_loss():
         space = HilbertSpace(default_cutoff(2.0), has_qubit=True)
         initial = tensor(qubit_state(1.0, 0.0),
                          coherent_state(2.0, space.phonon_only()))
-        traj = lindblad_evolve(initial, params, times=times)
+        traj = lindblad_observables(initial, params, times=times)
         contrasts.append(revival_contrast(traj, t_r))
     assert contrasts[0] > contrasts[1] > contrasts[2]
 
@@ -275,10 +276,10 @@ def _reference_observables(state):
     return row
 
 
-def _assert_matches_reference(traj):
-    rows = [_reference_observables(s) for s in traj.states]
-    assert set(traj.observables) == set(rows[0])
-    for name, series in traj.observables.items():
+def _assert_matches_reference(observables, states):
+    rows = [_reference_observables(s) for s in states]
+    assert set(observables) == set(rows[0])
+    for name, series in observables.items():
         ref = np.array([row[name] for row in rows])
         assert np.max(np.abs(series - ref)) <= 1e-12, name
 
@@ -293,17 +294,21 @@ def test_jc_trajectory_observables_match_per_state_reference(theta, phi,
     params = SystemParams(g0=G0, alpha0=r * np.exp(1j * arg),
                           c_g=math.cos(theta / 2.0),
                           c_e=math.sin(theta / 2.0) * np.exp(1j * phi))
-    _assert_matches_reference(jc_trajectory(params, np.linspace(0.0, 9.0, 37)))
+    traj = jc_trajectory(params, np.linspace(0.0, 9.0, 37))
+    _assert_matches_reference(traj.observables, traj.states)
 
 
 def test_lindblad_observables_match_per_state_reference():
-    params = SystemParams(g0=G0, alpha0=1.5, c_g=0.6, c_e=0.8j,
-                          kappa_phonon=0.05, gamma_qubit=0.1, gamma_phi=0.2)
-    space = HilbertSpace(default_cutoff(1.5), has_qubit=True)
-    initial = tensor(qubit_state(0.6, 0.8j),
-                     coherent_state(1.5, space.phonon_only()))
-    joint = lindblad_evolve(initial, params, times=np.linspace(0.0, 4.0, 9))
-    _assert_matches_reference(joint)
+    # dual route: the two-block observables against the per-state reference
+    # of lindblad_evolve's states, all three channels on
+    times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0, 6.5]
+    for alpha in (1.5, 3.0):
+        params, initial = _lossy_joint(alpha, 0.6, 0.8j)
+        traj = lindblad_observables(initial, params, times)
+        assert traj.states is None
+        assert list(traj.times) == times
+        _assert_matches_reference(
+            traj.observables, lindblad_evolve(initial, params, times).states)
 
 
 def test_jc_evolve_exact_matches_trajectory_states():
@@ -332,12 +337,14 @@ def test_lindblad_one_point_grid_returns_initial_state():
     traj = lindblad_evolve(initial, params, times=[0.5])
     assert list(traj.times) == [0.5]
     assert np.max(np.abs(traj.states[0].data - initial.density_matrix())) < 1e-15
-    assert traj.observables["P_e"][0] == pytest.approx(0.64, abs=1e-14)
-    assert traj.observables["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
-    _assert_matches_reference(traj)
+    obs = lindblad_observables(initial, params, times=[0.5]).observables
+    assert obs["P_e"][0] == pytest.approx(0.64, abs=1e-14)
+    assert obs["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
+    _assert_matches_reference(obs, traj.states)
 
 
-@pytest.mark.parametrize("evolve", ["jc_trajectory", "lindblad_evolve"])
+@pytest.mark.parametrize("evolve", ["jc_trajectory", "lindblad_evolve",
+                                    "lindblad_observables"])
 def test_empty_time_grid_is_rejected(evolve):
     params = SystemParams(g0=G0, alpha0=1.0)
     if evolve == "jc_trajectory":
@@ -348,21 +355,26 @@ def test_empty_time_grid_is_rejected(evolve):
         initial = tensor(qubit_state(1.0, 0.0),
                          coherent_state(1.0, space.phonon_only()))
         with pytest.raises(ValueError):
-            lindblad_evolve(initial, params, times=[])
+            getattr(dynamics, evolve)(initial, params, times=[])
+
+
+_LINDBLAD_ROUTES = (lindblad_evolve, lindblad_observables)
 
 
 def test_lindblad_rejects_unordered_grid():
     params, initial = _lossy_joint(1.0, 1.0, 0.0)
-    for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            lindblad_evolve(initial, params, times)
+    for route in _LINDBLAD_ROUTES:
+        for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                route(initial, params, times)
 
 
 def test_lindblad_rejects_phonon_only_state():
     params, initial = _lossy_joint(1.0, 1.0, 0.0)
     phonon = coherent_state(1.0, initial.space.phonon_only())
-    with pytest.raises(DimensionMismatchError, match="free_decay"):
-        lindblad_evolve(phonon, params, [0.0, 1.0])
+    for route in _LINDBLAD_ROUTES:
+        with pytest.raises(DimensionMismatchError, match="free_decay"):
+            route(phonon, params, [0.0, 1.0])
 
 
 def _lossy_joint(alpha, c_g, c_e):
@@ -395,7 +407,7 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
         calls.append(m.shape)
         return expm(m)
 
-    # _exact_states imports expm when it runs, so it picks up the patch
+    # _block_series imports expm when it runs, so it picks up the patch
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     grid = np.linspace(0.0, 10.0, 501)
     assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
@@ -404,6 +416,9 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     calls.clear()
     lindblad_evolve(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
     assert len(calls) == 2 * n_blocks
+    calls.clear()
+    lindblad_observables(initial, params, times=grid)  # blocks k = 0 and 1
+    assert len(calls) == 2
 
 
 def test_liouvillian_keeps_coherence_order():
@@ -431,9 +446,9 @@ def test_liouvillian_keeps_coherence_order():
 def test_trace_drift_names_the_route(monkeypatch):
     params, initial = _lossy_joint(1.0, 1.0, 0.0)
 
-    def drifting(drift, collapse, excitations, rho0, times):
+    def drifting(initial, params, times):
         for _ in times:
-            yield 1.1 * rho0
+            yield 1.1 * initial.density_matrix()
 
     monkeypatch.setattr(dynamics, "_exact_states", drifting)
     with pytest.raises(IntegrationError,
@@ -519,6 +534,64 @@ def test_open_run_diagonalises_no_state(monkeypatch):
     assert calls == []
 
 
+def _corrupt_block_series(monkeypatch, corrupt):
+    """Patch the block propagator so that corrupt(blocks, series) edits the
+    propagated series before the observables read it."""
+    block_series = dynamics._block_series
+
+    def corrupted(*args):
+        blocks, series = block_series(*args)
+        corrupt(blocks, series)
+        return blocks, series
+
+    monkeypatch.setattr(dynamics, "_block_series", corrupted)
+
+
+def test_two_block_trace_drift_is_an_error(monkeypatch):
+    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+
+    def drift(blocks, series):
+        series[1] *= 1.1
+
+    _corrupt_block_series(monkeypatch, drift)
+    with pytest.raises(IntegrationError, match=r"^trace drift 1\.000e-01 at t = 1$"):
+        lindblad_observables(initial, params, times=[0.0, 1.0, 2.0])
+
+
+def test_two_block_negative_sector_eigenvalue_is_an_error(monkeypatch):
+    # rho[(g, 1), (e, 0)] = 0.5 in both triangles of the k = 0 block: the
+    # sector {|g, 1>, |e, 0>} has populations 0.31 and 0.05 at t = 2, so an
+    # eigenvalue of -0.34, while the trace and the qubit reduction are as
+    # they were
+    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    pd = initial.space.phonon_dim
+
+    def negative(blocks, series):
+        rows, cols = blocks[0]
+        for i, j in ((1, pd), (pd, 1)):
+            series[2, np.nonzero((rows == i) & (cols == j))[0]] = 0.5
+
+    _corrupt_block_series(monkeypatch, negative)
+    with pytest.raises(IntegrationError,
+                       match=r"^negative eigenvalue -3\.\d{3}e-01 below -1e-7 in "
+                             r"an excitation sector at t = 2$"):
+        lindblad_observables(initial, params, times=[0.0, 1.0, 2.0])
+
+
+def test_two_block_bloch_vector_beyond_one_is_an_error(monkeypatch):
+    # the qubit coherence rho_q[e, g] lives in k = 1 alone: scaling that
+    # block leaves the populations and every k = 0 sector as they were
+    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+
+    def stretched(blocks, series):
+        series[1, len(blocks[0][0]):] *= 1.5
+
+    _corrupt_block_series(monkeypatch, stretched)
+    with pytest.raises(IntegrationError,
+                       match=r"^qubit Bloch vector of length 1\.\d+ > 1 .* at t = 1$"):
+        lindblad_observables(initial, params, times=[0.0, 1.0])
+
+
 def _assert_constructor_accepts(states):
     """The states, built unchecked, pass JointState's checks and are read-only."""
     assert states
@@ -582,6 +655,6 @@ def test_evolved_states_are_not_validated_again(monkeypatch):
     monkeypatch.setattr(JointState, "__post_init__", counting)
     jc_trajectory(params, np.linspace(0.0, 3.0, 7))
     lindblad_evolve(initial, params, times=[0.0, 0.4, 1.5])
+    lindblad_observables(initial, params, times=[0.0, 0.4, 1.5])
     fit_css(target)
-    # only lindblad_evolve's 2 x 2 qubit reductions, one per time
-    assert validated == [2, 2, 2]
+    assert validated == []

@@ -1,0 +1,19 @@
+import numpy as np
+import pytest
+
+from catsim.io_utils import fmt_float
+
+
+@pytest.mark.parametrize("value,text", [
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (0.1, "0.10000000000000001"),
+    (np.float64(2.0) / 3.0, "0.66666666666666663"),
+])
+def test_fmt_float_spells_every_float(value, text):
+    assert fmt_float(value) == text
+    if text != "nan":
+        assert float(text) == value  # 17 significant digits round-trip
