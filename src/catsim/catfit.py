@@ -226,11 +226,26 @@ def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
                          n_capped=n_capped)
 
 
+def _canonical_pair(alpha1: complex, alpha2: complex):
+    """(alpha1, alpha2) ordered larger real part first, then larger imaginary
+    part when the real parts agree within FIT_XATOL.
+
+    (a1, a2, t) and (a2, a1, -t) are the same CSS up to a global phase, so
+    the order is a label, and an optimizer picks it by chance.
+    """
+    if abs(alpha1.real - alpha2.real) > FIT_XATOL:
+        swap = alpha2.real > alpha1.real
+    else:
+        swap = alpha2.imag > alpha1.imag
+    return (alpha2, alpha1) if swap else (alpha1, alpha2)
+
+
 def fit_css(rho: JointState) -> CssFit:
     """Maximize fidelity of rho to N(|a1> + e^{i t}|a2>) over (a1, a2, t).
 
     Nelder-Mead searches (a1, a2); t is the closed-form best phase of each
-    pair (_css_phase).  The reported fidelity is the public
+    pair (_css_phase), solved after the pair is put in its canonical order
+    (_canonical_pair).  The reported fidelity is the public
     hilbert.fidelity of css_state at the optimum, which cross-checks the
     closed form.
     """
@@ -254,8 +269,7 @@ def fit_css(rho: JointState) -> CssFit:
             a1 = r * np.exp(1j * phi)
             starts.append((a1.real, a1.imag, -a1.real, -a1.imag))
     x, _, converged, n_evals, n_capped = _multistart(objective, starts)
-    a1 = complex(x[0], x[1])
-    a2 = complex(x[2], x[3])
+    a1, a2 = _canonical_pair(complex(x[0], x[1]), complex(x[2], x[3]))
     vartheta, _ = _css_phase(a1, a2, rho_data)
     vartheta %= 2 * math.pi
     return CssFit(alpha1=a1, alpha2=a2, vartheta=vartheta,

@@ -32,8 +32,8 @@ from .phase_space import decayed_css_wigner, negativity, raster_grid, wigner
 from .pipeline import T1_PHONON_DEFAULT, T1_QUBIT_DEFAULT, T2_QUBIT_DEFAULT, \
     ExperimentConfig, cat_decay_time, drive_alpha, prepare_cat, \
     simulate_tomography
-from .tomography import DriveCalibration, ReadoutModel, calibrate_drive, \
-    calibrate_parity, extract_fock_populations
+from .tomography import MLE_GAP_TOL, DriveCalibration, ReadoutModel, \
+    calibrate_drive, calibrate_parity, extract_fock_populations
 
 SCHEMA_VERSION = 1
 
@@ -386,6 +386,10 @@ def _cmd_tomo(cfg, out_dir, seed, log):
     samples, mle = simulate_tomography(rho, model, grid,
                                        recon_n_max=cfg["recon_n_max"])
     samples.to_csv(out_dir / "samples.csv")
+    if not mle.converged:
+        print(f"catsim: warning: MLE not converged after {mle.iterations} "
+              f"iterations: stationarity gap {mle.stationarity_gap:.2e} > "
+              f"{MLE_GAP_TOL:.0e}", file=sys.stderr)
     fc = fit_css(mle.state)
     fa = fit_analytical(mle.state, 1.0, 0.0, econf.t_cat, econf.g0)
     io_utils.write_json(out_dir / "reconstruction.json", {
@@ -393,6 +397,7 @@ def _cmd_tomo(cfg, out_dir, seed, log):
         "alpha0": alpha0,
         "mle_iterations": mle.iterations,
         "mle_converged": mle.converged,
+        "mle_stationarity_gap": mle.stationarity_gap,
         "log_likelihood": float(mle.log_likelihoods[-1]),
         "css_fit": {
             "alpha1": fc.alpha1, "alpha2": fc.alpha2, "vartheta": fc.vartheta,

@@ -22,7 +22,7 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, float):
-        return float(fmt_float(obj))
+        return float(obj)
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         try:
             return _jsonable(obj.item())

@@ -20,6 +20,9 @@ from .hilbert import HilbertSpace, JointState, _fock_table, displaced_parity, \
     parity_kernels
 
 _PARITY_PHASES = 41
+# mle_reconstruct's default stationarity-gap threshold; the gap stalls near
+# 1e-9 in double precision
+MLE_GAP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -252,6 +255,13 @@ def sample_wigner(state: JointState, betas, model: ReadoutModel,
 
 @dataclass
 class MleResult:
+    """The outcome of mle_reconstruct.
+
+    log_likelihoods holds l(x) of the iterate before the first step and after
+    each step (iterations + 1 entries); it never decreases.  converged is true
+    iff stationarity_gap <= the tol of the call.
+    """
+
     state: JointState
     log_likelihoods: np.ndarray
     converged: bool
@@ -279,18 +289,44 @@ def _kernel_sum(coeffs: np.ndarray, kflat: np.ndarray, dim: int) -> np.ndarray:
     return (coeffs @ kflat).view(complex).reshape(dim, dim)
 
 
-def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
-                    max_iters: int = 30000, tol: float = 1e-12) -> MleResult:
-    """Iterative maximum-likelihood reconstruction from parity samples.
+def _project_density(h: np.ndarray) -> np.ndarray:
+    """The density matrix nearest to the Hermitian h in Frobenius norm.
 
-    Binary displaced-parity POVMs adjusted by the sample set's readout
-    amplitude/offset; multiplicative R rho R updates (Rehacek et al., PRA 75,
-    042108 (2007)) with dilution fallback so the log-likelihood never
-    decreases.  The kernels are held once, as the real view _flat_kernels, so
-    each likelihood evaluation is two real GEMVs: _kernel_traces for the
-    probabilities and _kernel_sum for R.  The result reports the stationarity
-    (KKT) gap lambda_max(R)/Tr(R rho) - 1 of the returned state, from one
-    d x d eigvalsh: it is >= 0, and 0 only at the ML estimate.
+    One eigh, then the Euclidean projection of the eigenvalues onto the
+    probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)):
+    mu_i = max(lambda_i - s, 0), with the one shift s that makes sum mu = 1.
+    """
+    evals, evecs = np.linalg.eigh(h)
+    desc = evals[::-1]
+    excess = np.cumsum(desc) - 1.0
+    k = np.flatnonzero(desc * np.arange(1, len(desc) + 1) > excess)[-1]
+    mu = np.maximum(evals - excess[k] / (k + 1), 0.0)
+    rho = (evecs * mu) @ evecs.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
+                    max_iters: int = 30000,
+                    tol: float = MLE_GAP_TOL) -> MleResult:
+    """Maximum-likelihood reconstruction from parity samples.
+
+    Binary displaced-parity POVMs E+ = ((1 + off) I + amp K)/2, E- = I - E+,
+    adjusted by the sample set's readout amplitude/offset.  The concave
+    log-likelihood l has gradient shots * R, R = sum_k (f+_k/p+_k) E+_k +
+    (f-_k/p-_k) E-_k, evaluated as two real GEMVs over _flat_kernels.
+
+    Accelerated projected-gradient ascent (Shang, Zhang & Ng, PRA 95, 062336
+    (2017)) from the maximally mixed state: FISTA steps z = project(y + tR(y))
+    (_project_density), t halved until the quadratic upper bound
+    l(z) >= l(y) + shots (Tr(R(y)(z - y)) - |z - y|^2 / 2t) holds and grown
+    1.5x after each step.  Monotone safeguard: z replaces the iterate x only
+    if l(z) >= l(x); otherwise the momentum restarts from x.
+
+    Stops once the stationarity (KKT) gap lambda_max(R)/Tr(R x) - 1 (>= 0,
+    and 0 only at the ML estimate) is <= tol: by concavity,
+    l(sigma) - l(x) <= shots Tr(R x) gap for every density matrix sigma.  A
+    step from x itself that no longer raises l, or max_iters, ends the loop
+    unconverged.
     """
     if space.has_qubit:
         raise ValueError("reconstruction space must be phonon-only")
@@ -310,13 +346,13 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     raw = samples.normalization.unapply(samples.parities)
     f_plus = (1.0 + raw) / 2.0
     f_minus = 1.0 - f_plus
-    if np.any(f_plus < -1e-12) or np.any(f_plus > 1.0 + 1e-12):
-        raise StateValidationError("raw frequencies outside [0, 1]; record inconsistent")
+    if not np.all((f_plus >= -1e-12) & (f_plus <= 1.0 + 1e-12)):
+        raise StateValidationError("raw frequencies outside [0, 1] or not finite; "
+                                   "record inconsistent")
     f_plus = np.clip(f_plus, 0.0, 1.0)
     f_minus = np.clip(f_minus, 0.0, 1.0)
 
     kflat = _flat_kernels(samples.betas, dim)
-    eye = np.eye(dim, dtype=complex)
 
     def probs(rho):
         pi_exp = _kernel_traces(kflat, rho)
@@ -327,57 +363,59 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
         return float(shots * np.sum(f_plus * np.log(p_plus)
                                     + f_minus * np.log(1.0 - p_plus)))
 
-    def r_op(p_plus):
-        # E+ = ((1+off)I + amp K)/2, E- = ((1-off)I - amp K)/2
+    def r_parts(p_plus):
+        # R = c I + G.  G = sum_k c_k K_k is the exact gradient of l / shots
+        # as computed; c I moves no trace-one step, and leaving it out keeps
+        # the trace roundoff of y, times c ~ N, out of the backtracking test
         w_plus = f_plus / p_plus
         w_minus = f_minus / (1.0 - p_plus)
         c_i = 0.5 * np.sum(w_plus * (1.0 + off) + w_minus * (1.0 - off))
-        c_k = 0.5 * (w_plus - w_minus) * amp
-        return c_i * eye + _kernel_sum(c_k, kflat, dim)
+        return c_i, _kernel_sum(0.5 * (w_plus - w_minus) * amp, kflat, dim)
 
-    rho = eye / dim
-    p_cur = probs(rho)
-    ll = [loglike(p_cur)]
-    n_points = len(samples.betas)
-    converged = False
-    for it in range(max_iters):
-        r = r_op(p_cur)
-        cand = r @ rho @ r
-        cand = cand / np.trace(cand).real
-        cand = 0.5 * (cand + cand.conj().T)
-        p_new = probs(cand)
-        ll_new = loglike(p_new)
-        if ll_new < ll[-1]:
-            # dilute toward the identity until the step is uphill
-            r_hat = r / n_points
-            mu = 0.5
-            while mu > 1e-8:
-                t_op = (eye + mu * r_hat) / (1.0 + mu)
-                cand = t_op @ rho @ t_op.conj().T
-                cand = cand / np.trace(cand).real
-                cand = 0.5 * (cand + cand.conj().T)
-                p_new = probs(cand)
-                ll_new = loglike(p_new)
-                if ll_new >= ll[-1]:
-                    break
-                mu /= 2.0
-            if ll_new < ll[-1]:
-                converged = True  # no uphill direction left: stationary point
+    def gap_of(rho, c_i, grad):
+        # lambda_max(R) / Tr(R rho) - 1
+        return float((c_i + np.linalg.eigvalsh(grad)[-1])
+                     / (c_i + np.vdot(rho, grad).real) - 1.0)
+
+    x = np.eye(dim, dtype=complex) / dim
+    p_x = probs(x)
+    ll = [loglike(p_x)]
+    c_x, g_x = r_parts(p_x)
+    gap = gap_of(x, c_x, g_x)
+    y, l_y, g_y = x, ll[0], g_x
+    theta, step = 1.0, 1.0 / len(samples.betas)  # Tr(R rho) ~ N
+    while gap > tol and len(ll) <= max_iters:
+        while True:
+            z = _project_density(y + step * g_y)
+            p_z = probs(z)
+            l_z = loglike(p_z)
+            dz = z - y
+            bound = l_y + shots * (np.vdot(g_y, dz).real
+                                   - np.vdot(dz, dz).real / (2.0 * step))
+            if l_z >= bound:
                 break
-        improvement = ll_new - ll[-1]
-        rho, p_cur = cand, p_new
-        ll.append(ll_new)
-        if improvement < tol * max(1.0, abs(ll_new)):
-            converged = True
-            break
+            step *= 0.5
+        step *= 1.5
+        if l_z >= ll[-1]:
+            theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+            momentum = (theta - 1.0) / theta_next
+            y = z + momentum * (z - x) if momentum else z
+            theta, x = theta_next, z
+            c_x, g_x = r_parts(p_z)
+            gap = gap_of(x, c_x, g_x)
+            ll.append(l_z)
+        elif y is x:
+            break  # stalled: a step from x itself no longer raises l
+        else:
+            theta, y = 1.0, x  # monotone safeguard: restart the momentum
+            ll.append(ll[-1])
+        if y is x:
+            l_y, g_y = ll[-1], g_x
+        else:
+            p_y = probs(y)
+            l_y, g_y = loglike(p_y), r_parts(p_y)[1]
 
-    evals, evecs = np.linalg.eigh(rho)
-    evals = np.clip(evals, 0.0, None)
-    rho = (evecs * evals) @ evecs.conj().T
-    rho = rho / np.trace(rho).real
-    state = JointState(space, rho, "mixed")
-    r = r_op(probs(rho))
-    gap = np.linalg.eigvalsh(r)[-1] / np.vdot(rho, r).real - 1.0
+    state = JointState(space, x, "mixed")
     return MleResult(state=state, log_likelihoods=np.array(ll),
-                     converged=converged, iterations=len(ll) - 1,
-                     stationarity_gap=float(gap))
+                     converged=gap <= tol, iterations=len(ll) - 1,
+                     stationarity_gap=gap)

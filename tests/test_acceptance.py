@@ -207,7 +207,7 @@ def test_mle_roundtrip_cat():
     result = mle_reconstruct(samples, HilbertSpace(10))
     target = css_state(1.4j, -1.4j, 0.0, result.state.space)
     assert fidelity(target, result.state) > 0.99
-    assert np.all(np.diff(result.log_likelihoods) >= -1e-9)
+    assert np.all(np.diff(result.log_likelihoods) >= 0.0)
 
 
 def test_cat_fits(prepared_cats):

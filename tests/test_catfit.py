@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catsim.catfit import (
+    FIT_XATOL,
     _analytical_factor,
     _coherent_pair,
     _css_phase,
@@ -106,6 +107,28 @@ def test_css_swap_symmetry():
     s1 = css_state(a1, a2, vt, SPACE)
     s2 = css_state(a2, a1, -vt, SPACE)
     assert fidelity(s1, s2) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("a1, a2, vt", [(0.2 - 1.2j, -0.3 + 1.1j, 0.8),
+                                        (1.4j, -1.4j, 2.5)])
+def test_css_fit_labels_are_canonical(a1, a2, vt):
+    # (a1, a2, t) and (a2, a1, -t) are one state, so both fit to one
+    # labelling: larger real part first, larger imaginary part on a tie
+    space = HilbertSpace(16)
+    first, second = (fit_css(css_state(a1, a2, vt, space)),
+                     fit_css(css_state(a2, a1, -vt, space)))
+    for fit in (first, second):
+        if abs(fit.alpha1.real - fit.alpha2.real) > FIT_XATOL:
+            assert fit.alpha1.real > fit.alpha2.real
+        else:
+            assert fit.alpha1.imag > fit.alpha2.imag
+    assert abs(first.alpha1 - a1) < 1e-3 and abs(first.alpha2 - a2) < 1e-3
+    assert abs(first.alpha1 - second.alpha1) <= FIT_XATOL
+    assert abs(first.alpha2 - second.alpha2) <= FIT_XATOL
+    dt = first.vartheta - second.vartheta
+    assert abs((dt + math.pi) % (2 * math.pi) - math.pi) <= FIT_XATOL
+    assert abs(first.D - second.D) <= FIT_XATOL
+    assert abs(first.fidelity - second.fidelity) <= FIT_XATOL
 
 
 def test_css_degenerate_components_rejected():

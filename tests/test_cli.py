@@ -174,6 +174,10 @@ def test_seed_changes_samples(tmp_path, capsys):
         != (out_b / "drive_samples.csv").read_bytes()
 
 
+SMALL_TOMO = {"schema_version": 1, "drive_amplitude": 0.25, "n_grid": 5,
+              "recon_n_max": 6, "shots": 50}
+
+
 def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
     fits = {}
 
@@ -185,19 +189,35 @@ def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
 
     for name in ("fit_css", "fit_analytical"):
         monkeypatch.setattr(cli, name, keep(name, getattr(cli, name)))
-    # a short MLE: the line is under test, not the reconstruction
-    monkeypatch.setattr(tomography, "mle_reconstruct",
-                        functools.partial(tomography.mle_reconstruct,
-                                          max_iters=200))
-    cfg = write_config(tmp_path, {"schema_version": 1, "drive_amplitude": 0.25,
-                                  "n_grid": 5, "recon_n_max": 6, "shots": 50})
-    code, out, _ = run(capsys, "tomo", "--config", cfg,
-                       "--out", str(tmp_path / "out"))
+    cfg = write_config(tmp_path, SMALL_TOMO)
+    code, out, err = run(capsys, "tomo", "--config", cfg,
+                         "--out", str(tmp_path / "out"))
     assert code == 0
     assert set(fits) == {"fit_css", "fit_analytical"}
     for name, fit in fits.items():
         assert (f"{name} {fit.n_evals} evaluations, {fit.n_capped} capped"
                 in out)
+    # the MLE meets its gap threshold: no warning, and the gap is recorded
+    assert err == ""
+    rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert rec["mle_converged"] is True
+    assert 0.0 <= rec["mle_stationarity_gap"] <= tomography.MLE_GAP_TOL
+
+
+def test_tomo_warns_when_mle_is_unconverged(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tomography, "mle_reconstruct",
+                        functools.partial(tomography.mle_reconstruct,
+                                          max_iters=1))
+    cfg = write_config(tmp_path, SMALL_TOMO)
+    code, _, err = run(capsys, "tomo", "--config", cfg, "--quiet",
+                       "--out", str(tmp_path / "out"))
+    assert code == 0
+    rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert rec["mle_converged"] is False and rec["mle_iterations"] == 1
+    gap = rec["mle_stationarity_gap"]
+    assert gap > tomography.MLE_GAP_TOL
+    assert err == (f"catsim: warning: MLE not converged after 1 iterations: "
+                   f"stationarity gap {gap:.2e} > 1e-07\n")
 
 
 @pytest.mark.parametrize("field", ["t1_phonon", "t1_qubit", "t2_qubit"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catsim.dynamics import SystemParams, excited_population
+from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat
 from catsim.errors import FitError, StateValidationError, TruncationError
 from catsim.catfit import css_state
 from catsim.hilbert import (
@@ -25,6 +26,7 @@ from catsim.tomography import (
     _flat_kernels,
     _kernel_sum,
     _kernel_traces,
+    _project_density,
     calibrate_drive,
     calibrate_parity,
     extract_fock_populations,
@@ -186,8 +188,7 @@ def _roundtrip(state, shots, seed, recon_n_max=10, extent=2.0, n=9):
 
 
 def test_mle_vacuum_reconstruction():
-    # noise-free frequencies isolate the algorithm from shot noise; the
-    # multiplicative updates approach the pure truth slowly, so run long
+    # noise-free frequencies isolate the algorithm from shot noise
     space = HilbertSpace(40)  # large source space: exact sampled parities
     state = fock_state(0, space)
     grid = raster_grid(2.0, 9)
@@ -195,13 +196,12 @@ def test_mle_vacuum_reconstruction():
     samples = WignerSampleSet(betas=grid.points, parities=parities,
                               shots_per_point=100000,
                               normalization=ParityNormalization.identity())
-    result = mle_reconstruct(samples, HilbertSpace(8), max_iters=120000,
-                             tol=0.0)
+    result = mle_reconstruct(samples, HilbertSpace(8))
     vac = fock_state(0, result.state.space)
     assert fidelity(vac, result.state) > 0.999
     assert purity(result.state) > 0.999
     # log-likelihood must never decrease across iterations
-    assert np.all(np.diff(result.log_likelihoods) >= -1e-9)
+    assert np.all(np.diff(result.log_likelihoods) >= 0.0)
 
 
 def test_mle_error_decreases_with_shots():
@@ -220,6 +220,14 @@ def test_mle_rejects_unphysical_normalization():
         betas=np.array([0.0j]), parities=np.array([0.5]), shots_per_point=100,
         normalization=ParityNormalization(amplitude=0.9, offset=0.5))
     with pytest.raises(StateValidationError):
+        mle_reconstruct(samples, HilbertSpace(4))
+
+
+def test_mle_rejects_non_finite_parities():
+    samples = WignerSampleSet(
+        betas=np.array([0.0j, 0.5 + 0.0j]), parities=np.array([np.nan, 0.3]),
+        shots_per_point=100, normalization=ParityNormalization.identity())
+    with pytest.raises(StateValidationError, match="not finite"):
         mle_reconstruct(samples, HilbertSpace(4))
 
 
@@ -267,8 +275,8 @@ def test_flat_kernels_match_einsum_contractions(dim):
     assert np.max(np.abs(_kernel_sum(coeffs, kflat, dim) - r_op)) <= 1e-13 * np.max(np.abs(r_op))
 
 
-def _einsum_mle(samples, dim, max_iters=30000, tol=1e-12):
-    """Reference RrhoR iteration with dilution fallback on einsum contractions."""
+def _einsum_likelihood(samples, dim):
+    """l(rho) and R(rho) of the parity likelihood on einsum contractions."""
     kernels = parity_kernels(samples.betas, dim)
     amp, off = samples.normalization.amplitude, samples.normalization.offset
     f_plus = (1.0 + samples.normalization.unapply(samples.parities)) / 2.0
@@ -283,6 +291,22 @@ def _einsum_mle(samples, dim, max_iters=30000, tol=1e-12):
         p = probs(rho)
         return samples.shots_per_point * np.sum(f_plus * np.log(p) + f_minus * np.log(1.0 - p))
 
+    def r_op(rho):
+        p = probs(rho)
+        w_plus, w_minus = f_plus / p, f_minus / (1.0 - p)
+        return 0.5 * np.sum(w_plus * (1.0 + off) + w_minus * (1.0 - off)) * eye \
+            + np.einsum("k,kij->ij", 0.5 * (w_plus - w_minus) * amp, kernels)
+
+    return loglike, r_op
+
+
+def _einsum_mle(samples, dim, max_iters=30000, tol=1e-12):
+    """Reference diluted RrhoR iteration (Rehacek et al., PRA 75, 042108
+    (2007)) on einsum contractions: its log-likelihood trace and final state."""
+    loglike, r_op = _einsum_likelihood(samples, dim)
+    eye = np.eye(dim, dtype=complex)
+    n_points = len(samples.betas)
+
     def step(t_op, rho):
         cand = t_op @ rho @ t_op.conj().T
         cand = cand / np.trace(cand).real
@@ -290,20 +314,19 @@ def _einsum_mle(samples, dim, max_iters=30000, tol=1e-12):
 
     rho, ll = eye / dim, [loglike(eye / dim)]
     for _ in range(max_iters):
-        p = probs(rho)
-        w_plus, w_minus = f_plus / p, f_minus / (1.0 - p)
-        r = 0.5 * np.sum(w_plus * (1.0 + off) + w_minus * (1.0 - off)) * eye \
-            + np.einsum("k,kij->ij", 0.5 * (w_plus - w_minus) * amp, kernels)
+        r = r_op(rho)
         cand, mu = step(r, rho), 0.5
-        while loglike(cand) < ll[-1] and mu > 1e-8:
-            cand, mu = step((eye + mu * r / len(kernels)) / (1.0 + mu), rho), mu / 2.0
-        if loglike(cand) < ll[-1]:
+        l_cand = loglike(cand)
+        while l_cand < ll[-1] and mu > 1e-8:
+            cand, mu = step((eye + mu * r / n_points) / (1.0 + mu), rho), mu / 2.0
+            l_cand = loglike(cand)
+        if l_cand < ll[-1]:
             break
         rho = cand
-        ll.append(loglike(cand))
+        ll.append(l_cand)
         if ll[-1] - ll[-2] < tol * max(1.0, abs(ll[-1])):
             break
-    return np.array(ll)
+    return np.array(ll), rho
 
 
 def _css_samples(shots=100, seed=3):
@@ -313,12 +336,70 @@ def _css_samples(shots=100, seed=3):
                          calibrate_parity(model))
 
 
-def test_mle_matches_einsum_reference_iteration():
+@pytest.fixture(scope="module")
+def drive_samples():
+    """The tomo workload's sample set: drive 0.3, 11 x 11 points over +-2.2."""
+    model = ReadoutModel(contrast=0.9, offset=0.02, shots=500, seed=0)
+    rho = prepare_cat(drive_alpha(0.3), ExperimentConfig())
+    return sample_wigner(rho, raster_grid(2.2, 11).points, model,
+                         calibrate_parity(model))
+
+
+def test_mle_reaches_einsum_reference_likelihood(drive_samples):
+    # dual route: the gradient route stops on the stationarity gap, at or
+    # above the log-likelihood where the diluted RrhoR iteration stops
+    for samples, n_max in ((_css_samples(), 6), (drive_samples, 12)):
+        result = mle_reconstruct(samples, HilbertSpace(n_max))
+        reference, _ = _einsum_mle(samples, n_max + 1)
+        assert result.converged and result.stationarity_gap <= 1e-7
+        assert result.log_likelihoods[-1] >= reference[-1]
+        assert np.all(np.diff(result.log_likelihoods) >= 0.0)
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 30000])
+def test_mle_gap_bounds_likelihood_deficit(max_iters):
+    # l is concave, so l(sigma) - l(rho) <= shots Tr(R rho) gap(rho) for every
+    # density matrix sigma: the gap certifies the returned state.  Early
+    # stops have large gaps, against which the bound is tight within 2x
     samples = _css_samples()
-    result = mle_reconstruct(samples, HilbertSpace(6))
-    reference = _einsum_mle(samples, 7)
-    assert result.iterations == len(reference) - 1
-    assert np.max(np.abs(result.log_likelihoods - reference) / np.abs(reference)) <= 1e-12
+    result = mle_reconstruct(samples, HilbertSpace(6), max_iters=max_iters)
+    loglike, r_op = _einsum_likelihood(samples, 7)
+    rho = result.state.data
+    ll_rho = loglike(rho)
+    bound = samples.shots_per_point * np.vdot(rho, r_op(rho)).real \
+        * result.stationarity_gap
+    assert ll_rho == pytest.approx(result.log_likelihoods[-1], rel=1e-12)
+    rng = np.random.default_rng(4)
+    sigmas = [np.eye(7) / 7.0, _einsum_mle(samples, 7)[1],
+              mle_reconstruct(samples, HilbertSpace(6), tol=0.0).state.data]
+    for rank in rng.integers(1, 8, size=20):
+        g = rng.normal(size=(7, rank)) + 1j * rng.normal(size=(7, rank))
+        sigmas.append(g @ g.conj().T / np.vdot(g, g).real)
+    for sigma in sigmas:
+        assert loglike(sigma) - ll_rho <= bound + 1e-9 * abs(ll_rho)
+
+
+def test_mle_stops_unconverged_at_the_roundoff_floor():
+    # tol = 0 is out of reach: the loop ends when a step from the iterate
+    # no longer raises l, well before the cap, and says it has not converged
+    result = mle_reconstruct(_css_samples(), HilbertSpace(6), tol=0.0)
+    assert not result.converged
+    assert result.iterations < 30000
+    assert 0.0 <= result.stationarity_gap < 1e-8
+
+
+def test_project_density_is_the_nearest_density_matrix():
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = m + m.conj().T
+    rho = _project_density(h)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-15
+    assert np.allclose(_project_density(rho), rho, atol=1e-14)
+    for _ in range(20):
+        g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        sigma = g @ g.conj().T / np.vdot(g, g).real
+        assert np.linalg.norm(h - rho) <= np.linalg.norm(h - sigma)
 
 
 def test_mle_stationarity_gap():
