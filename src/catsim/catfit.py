@@ -7,15 +7,30 @@ phase-space distance between the fitted coherent components.
 
 The analytical target is the reduction of a pure joint state, so the fits
 handle it as its low-rank phonon factor V (hilbert.phonon_factor) and
-score it with hilbert.factored_fidelity: an r x r eigenproblem (r <= 2)
-per evaluation, exact to roundoff, with no d x d matrix square root.
+score it with hilbert.factored_fidelity: an r x r eigenproblem (r <= 2),
+exact to roundoff, with no d x d matrix square root.  The rotation
+R(theta) = diag(e^{-i theta n}) enters only through the r x r matrix
+G(theta) = V^dag R^dag rho R V = sum_k c_k e^{ik theta}, a trigonometric
+polynomial of degree n_max whose coefficient c_k sums the k-th diagonal of
+conj(V_a) rho V_b.  One FFT of the c_k scores every theta of a fine grid,
+and Newton steps on the polynomial polish the best one (_theta_profile),
+so fit_analytical is a 1-D search over alpha: a bracket grid over
+(0, cap], then bounded Brent.
 
 The CSS fit scores raw amplitude vectors: _coherent_pair builds both
 truncated coherent components in one expression, and for a fixed pair
 (u, v) the fidelity of N(u + e^{i t} v) to rho is a ratio of two
-sinusoids in t, maximised in closed form by _css_phase.  Nelder-Mead
-therefore searches only (alpha1, alpha2); the reported fidelity comes
-from one public hilbert.fidelity(css_state(...), rho) at the optimum.
+sinusoids in t, maximised in closed form by _css_phase.  Because that
+phase is optimal, the gradient of F(alpha1, alpha2) is its partial
+gradient at that phase (the envelope theorem), which _css_gradient
+evaluates exactly from the same pair and the same rho [u, v - u] product.
+BFGS therefore searches (alpha1, alpha2) on that gradient; the reported
+fidelity comes from one public hilbert.fidelity(css_state(...), rho) at
+the optimum.
+
+A fit's `converged` means first-order stationarity was met at the
+reported optimum: the CSS gradient, or dF/dtheta after the polish with
+the alpha search inside its tolerance, is at most FIT_GTOL.
 
 States are checked once, where they enter: the fits take a validated
 JointState, and the states they build per evaluation (the CSS pair, and
@@ -38,18 +53,29 @@ from .hilbert import (
     HilbertSpace,
     JointState,
     _fock_table,
+    exceeds_truncation,
     factored_fidelity,
     fidelity,
     phonon_factor,
 )
 
+# fatol of the CSS sensitivity profile's Nelder-Mead re-optimisation
 FIT_FTOL = 1e-8
-# Nelder-Mead parameter tolerance and iteration cap per start of fit_css /
-# fit_analytical
+# alpha tolerance of the analytical Brent search, and the width within
+# which _canonical_pair treats two real parts as equal
 FIT_XATOL = 1e-5
-FIT_MAXITER = 4000
+# first-order stationarity: the largest |dF/dx| a converged fit leaves
+FIT_GTOL = 1e-8
+# iteration cap of each BFGS start and of the Brent search
+FIT_MAXITER = 200
 # bisection width at which find_drop_crossings stops
 DROP_XTOL = 1e-4
+# theta grid of the analytical profile (at least), and alpha bracket grid
+_THETA_GRID = 1024
+_ALPHA_GRID = 24
+# Newton polish of theta: step cap, and the step below which it stops
+_NEWTON_STEPS = 6
+_NEWTON_XTOL = 1e-12
 
 
 def _coherent_pair(alpha1: complex, alpha2: complex, n_max: int) -> np.ndarray:
@@ -71,26 +97,27 @@ def _coherent_pair(alpha1: complex, alpha2: complex, n_max: int) -> np.ndarray:
     return pair
 
 
-def _css_phase(alpha1: complex, alpha2: complex, rho: np.ndarray):
-    """Best phase t of N(|alpha1> + e^{it} |alpha2>) for rho, and its fidelity.
+def _css_optimum(pair: np.ndarray, rho: np.ndarray):
+    """Best phase t of N(u + e^{it} v) for rho, u, v the rows of pair.
 
-    With u, v the rows of _coherent_pair, x = u + z v = (1 + z) u + z e for
-    z = e^{it} and e = v - u, so with the 2 x 2 forms G = B^dag rho B and
-    S = B^dag B of B = [u e], F^2(t) = c^dag G c / c^dag S c at c = (1 + z, z).
-    Expanded, that is a ratio of sinusoids (P + Re(z Q)) / (D + Re(z T)); in
-    exact arithmetic D = 2, P = u^dag rho u + v^dag rho v, Q = 2 u^dag rho v
-    and T = 2 u^dag v.  Its stationary points solve Im(z W) = -Im(conj(Q) T),
-    W = P T - D Q: two roots on the circle, a maximum and a minimum, of which
-    the larger value is kept (W = 0 makes F^2 constant, so any t is optimal).
-    Each root is scored in the (1 + z, z) form, which stays accurate where
-    the expanded one cancels to roundoff (alpha2 -> alpha1, |1 + z| ~ |e|).
-    Returns (t, F), F clipped to [0, 1] as hilbert.fidelity clips it.
+    x = u + z v = (1 + z) u + z e for z = e^{it} and e = v - u, so with the
+    2 x 2 forms G = B^dag rho B and S = B^dag B of B = [u e],
+    F^2(t) = c^dag G c / c^dag S c at c = (1 + z, z).  Expanded, that is a
+    ratio of sinusoids (P + Re(z Q)) / (D + Re(z T)); in exact arithmetic
+    D = 2, P = u^dag rho u + v^dag rho v, Q = 2 u^dag rho v and T = 2 u^dag v.
+    Its stationary points solve Im(z W) = -Im(conj(Q) T), W = P T - D Q: two
+    roots on the circle, a maximum and a minimum, of which the larger value
+    is kept (W = 0 makes F^2 constant, so any t is optimal).  Each root is
+    scored in the (1 + z, z) form, which stays accurate where the expanded
+    one cancels to roundoff (alpha2 -> alpha1, |1 + z| ~ |e|).
+    Returns (t, F^2, x, rho x, |x|^2) at the best root, x and rho x in the
+    same (1 + z, z) form; F^2 is -inf if neither root has |x| > 0.
     """
-    pair = _coherent_pair(alpha1, alpha2, len(rho) - 1)
     basis = pair.copy()
     basis[1] -= pair[0]  # e, elementwise, so it keeps its digits as v -> u
+    rho_basis = rho @ basis.T
     conj = basis.conj()
-    g00, g01, _, g11 = (conj @ rho @ basis.T).ravel().tolist()
+    g00, g01, _, g11 = (conj @ rho_basis).ravel().tolist()
     s00, s01, _, s11 = (conj @ basis.T).ravel().tolist()
     p = 2.0 * (g00.real + g01.real) + g11.real
     q = 2.0 * (g00 + g01)
@@ -99,15 +126,56 @@ def _css_phase(alpha1: complex, alpha2: complex, rho: np.ndarray):
     w = p * t - d * q
     rhs = -(q.conjugate() * t).imag
     root = math.asin(max(-1.0, min(1.0, rhs / abs(w)))) if w else 0.0
-    best_t, best_f2 = 0.0, -math.inf
+    best_t, best_f2, best_norm_sq = 0.0, -math.inf, 0.0
     for phase in (root - cmath.phase(w), math.pi - root - cmath.phase(w)):
         y = 1.0 + cmath.exp(1j * phase)
         norm_sq = abs(y) ** 2 * s00.real + s11.real + 2.0 * (y * s01).real
         if norm_sq > 0.0:
             f2 = (abs(y) ** 2 * g00.real + g11.real + 2.0 * (y * g01).real) / norm_sq
             if f2 > best_f2:
-                best_t, best_f2 = phase, f2
-    return best_t, math.sqrt(min(1.0, max(best_f2, 0.0)))
+                best_t, best_f2, best_norm_sq = phase, f2, norm_sq
+    c = np.array([1.0 + cmath.exp(1j * best_t), cmath.exp(1j * best_t)])
+    return best_t, best_f2, c @ basis, rho_basis @ c, best_norm_sq
+
+
+def _css_phase(alpha1: complex, alpha2: complex, rho: np.ndarray):
+    """Best phase t of N(|alpha1> + e^{it} |alpha2>) for rho, and its fidelity.
+
+    Returns (t, F), F clipped to [0, 1] as hilbert.fidelity clips it; see
+    _css_optimum for the closed form.
+    """
+    t, f2, *_ = _css_optimum(_coherent_pair(alpha1, alpha2, len(rho) - 1), rho)
+    return t, math.sqrt(min(1.0, max(f2, 0.0)))
+
+
+def _css_gradient(alpha1: complex, alpha2: complex, rho: np.ndarray):
+    """F at the best phase of (alpha1, alpha2) and its exact gradient.
+
+    The phase is optimal for every pair, so by the envelope theorem the
+    gradient of F(alpha1, alpha2) is its partial gradient at that phase.
+    With x = u + z v, |x|^2 F^2 = x^dag rho x and w = (rho x - F^2 x) / |x|^2,
+    a move dx changes F^2 by 2 Re(dx^dag w), and F by that over 2F.  For the
+    renormalised truncated coherent vector u of alpha, with d = a^dag u
+    truncated to the space, du = d - u Re(u^dag d) along Re alpha and the
+    same with i d in place of d along Im alpha; dx is du for alpha1 and
+    z dv for alpha2.  A vacuum component is covered: d = |1> there.
+    Returns (F, dF/d(Re alpha1, Im alpha1, Re alpha2, Im alpha2)); F is not
+    clipped at 1, so it is the function whose gradient is returned.
+    """
+    n_max = len(rho) - 1
+    pair = _coherent_pair(alpha1, alpha2, n_max)
+    t, f2, x, rho_x, norm_sq = _css_optimum(pair, rho)
+    if not f2 > 0.0:
+        return 0.0, np.zeros(4)
+    f = math.sqrt(f2)
+    w = (rho_x - f2 * x) / norm_sq
+    sqrt_n = np.sqrt(_fock_table(n_max)[0][1:])
+    coef = np.array([1.0, cmath.exp(-1j * t)])  # conj of the pair's weights in x
+    a = coef * (pair[:, :-1].conj() @ (sqrt_n * w[1:]))  # d^dag w, d_n = sqrt(n) u_{n-1}
+    b = coef * (pair.conj() @ w)
+    s = (pair[:, 1:].conj() * pair[:, :-1]) @ sqrt_n  # u^dag d
+    grad = np.column_stack(((a - s.real * b).real, a.imag + s.imag * b.real))
+    return f, grad.ravel() / f
 
 
 def css_state(alpha1: complex, alpha2: complex, vartheta: float,
@@ -144,14 +212,109 @@ def analytical_target(alpha: float, theta: float, c_g: complex, c_e: complex,
     return JointState(space, rho / np.trace(rho).real, "mixed")
 
 
+def _rotation_derivatives(coef: np.ndarray, k: np.ndarray, theta: float):
+    """s = Tr sqrt(G(theta)) and its first two theta derivatives.
+
+    G, G' and G'' come from the coefficients; in the eigenbasis of
+    G = U diag(lam) U^dag, with P = U^dag G' U and Q = U^dag G'' U,
+    s' = sum_i P_ii / (2 sqrt(lam_i)) and
+    s'' = sum_i Q_ii / (2 sqrt(lam_i)) + sum_ij H_ij |P_ij|^2, where
+    H_ij = -1 / (2 sqrt(lam_i lam_j) (sqrt(lam_i) + sqrt(lam_j))) is the
+    divided difference of 1 / (2 sqrt(lam)) (Daleckii-Krein).  A G that is
+    singular to roundoff (lam_min <= 1e-12 lam_max) has no usable derivative
+    there: s' is then inf, which stops the polish and fails the stationarity
+    test.
+    """
+    phase = np.exp(1j * k * theta)
+    g0 = coef @ phase
+    g1 = coef @ (1j * k * phase)
+    g2 = coef @ (-(k * k) * phase)
+    lam, vec = np.linalg.eigh(g0)
+    if not lam[0] > 1e-12 * lam[-1]:
+        return float(np.sqrt(np.clip(lam, 0.0, None)).sum()), math.inf, 0.0
+    root = np.sqrt(lam)
+    p = vec.conj().T @ g1 @ vec
+    q = vec.conj().T @ g2 @ vec
+    h = -0.5 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+    slope = float(np.sum(p.diagonal().real / (2.0 * root)))
+    curv = float(np.sum(q.diagonal().real / (2.0 * root)) + np.sum(h * np.abs(p) ** 2))
+    return float(root.sum()), slope, curv
+
+
+def _theta_profile(rho: np.ndarray, factor: np.ndarray):
+    """Best rotation of the target factor V for rho: (theta, F, |dF/dtheta|).
+
+    F(theta) = Tr sqrt(G(theta) / Tr V^dag V), with the r x r matrix
+    G(theta) = V^dag R^dag rho R V = sum_k c_k e^{ik theta}, k = -n_max..n_max,
+    and c_k[a, b] the sum of the k-th diagonal of conj(V_a) rho V_b.  One
+    inverse FFT of the c_k gives G on a grid of at least _THETA_GRID points
+    (16 per Fourier mode), batched r x r eigenvalues score it, and Newton
+    steps on the polynomial polish the best grid point; a point where the
+    curvature is not negative, or a step out of the grid cell, stops the
+    polish.  F is the polynomial's value at the polished theta (the
+    factored_fidelity of the rotated factor, to roundoff), and |dF/dtheta|
+    the stationarity the polish left.
+    """
+    dim, rank = factor.shape
+    k = np.arange(1 - dim, dim)
+    n = np.arange(dim)
+    terms = factor.conj().T[:, None, :, None] * rho * factor.T[None, :, None, :]
+    # element (a, b, m, n) adds to slot (a, b, k = m - n)
+    slots = (np.arange(rank * rank)[:, None] * len(k)
+             + (n[:, None] - n[None, :] + dim - 1).ravel()).ravel()
+    flat = terms.reshape(-1)
+    coef = (np.bincount(slots, flat.real, minlength=rank * rank * len(k))
+            + 1j * np.bincount(slots, flat.imag, minlength=rank * rank * len(k))
+            ).reshape(rank, rank, len(k))
+    n_grid = max(_THETA_GRID, 16 * dim)
+    spectrum = np.zeros((rank, rank, n_grid), dtype=complex)
+    spectrum[..., k % n_grid] = coef
+    grams = np.moveaxis(np.fft.ifft(spectrum, axis=-1), -1, 0) * n_grid
+    scores = np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None)).sum(axis=1)
+    spacing = 2.0 * math.pi / n_grid
+    start = theta = spacing * int(np.argmax(scores))
+    score, slope, curv = _rotation_derivatives(coef, k, theta)
+    for _ in range(_NEWTON_STEPS):
+        if not curv < 0.0 or abs(slope) <= _NEWTON_XTOL * -curv:
+            break
+        step = -slope / curv
+        if abs(theta + step - start) > spacing:
+            break
+        theta += step
+        score, slope, curv = _rotation_derivatives(coef, k, theta)
+    scale = math.sqrt(np.vdot(factor, factor).real)
+    return theta % (2.0 * math.pi), min(1.0, score / scale), abs(slope) / scale
+
+
+def _alpha_cap(n_max: int) -> float:
+    """Largest alpha that check_truncation admits for n_max.
+
+    sqrt(n_max / 4) squared exceeds n_max / 4 by an ulp for some n_max (20
+    and 40 among them), so the cap steps down until the same test passes.
+    """
+    cap = math.sqrt(n_max / 4.0)
+    while exceeds_truncation(cap, n_max):
+        cap = math.nextafter(cap, 0.0)
+    return cap
+
+
+def _analytical_profile(rho: np.ndarray, alpha: float, c_g: complex, c_e: complex,
+                        t_c: float, g0: float):
+    """(theta, F, |dF/dtheta|) of the analytical target at alpha, best over theta."""
+    factor = _analytical_factor(alpha, 0.0, c_g, c_e, t_c, g0, len(rho) - 1)
+    return _theta_profile(rho, factor)
+
+
 @dataclass(frozen=True)
 class AnalyticalFit:
     alpha_fit: float
     theta: float
     fidelity: float
     converged: bool
-    n_evals: int
-    n_capped: int  # starts stopped by the iteration cap
+    n_evals: int  # theta profiles, one target factor each
+    n_capped: int  # 1 if the alpha search stopped at its iteration cap
+    theta_slope: float  # |dF/dtheta| left after the Newton polish
+    alpha_converged: bool  # the alpha search met FIT_XATOL
 
 
 @dataclass(frozen=True)
@@ -162,8 +325,9 @@ class CssFit:
     fidelity: float
     D: float
     converged: bool
-    n_evals: int
+    n_evals: int  # value-and-gradient evaluations over all starts
     n_capped: int  # starts stopped by the iteration cap
+    grad_norm: float  # largest |dF/dx| component at the optimum
 
 
 @dataclass(frozen=True)
@@ -176,54 +340,37 @@ class SensitivityInterval:
     high_bounded: bool = True
 
 
-def _multistart(objective, starts):
-    """Best Nelder-Mead result over the starts.
-
-    Returns (x, fidelity, converged, evaluations, capped starts).
-    """
-    from scipy.optimize import minimize
-
-    best = None
-    total_evals = 0
-    capped = 0
-    converged = False
-    for x0 in starts:
-        res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                       options={"xatol": FIT_XATOL, "fatol": FIT_FTOL / 10.0,
-                                "maxiter": FIT_MAXITER})
-        total_evals += res.nfev
-        capped += int(res.nit >= FIT_MAXITER)
-        key = (res.fun, tuple(np.round(res.x, 10)))
-        if best is None or key < best[0]:
-            best = (key, res.x, res.fun)
-            converged = bool(res.success)
-        elif abs(res.fun - best[2]) < FIT_FTOL:
-            converged = converged or bool(res.success)
-    return best[1], -best[2], converged, total_evals, capped
-
-
 def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
                    t_c: float, g0: float) -> AnalyticalFit:
-    """Maximize fidelity of rho to the analytical JC target over (alpha, theta)."""
+    """Maximize fidelity of rho to the analytical JC target over (alpha, theta).
+
+    theta is profiled out by _theta_profile.  alpha is searched on a
+    _ALPHA_GRID-point grid over (0, cap], cap the largest alpha the
+    truncation guard admits, then by bounded Brent between the grid
+    neighbours of the best grid point; the best profiled point wins.
+    """
+    from scipy.optimize import minimize_scalar
+
     if rho.space.has_qubit:
         raise DimensionMismatchError("fit_analytical expects a phonon-only state")
-    n_max = rho.space.n_max
     rho_data = rho.density_matrix()
-    alpha_cap = math.sqrt(n_max / 4.0)
+    grid = np.linspace(0.0, _alpha_cap(rho.space.n_max), _ALPHA_GRID + 1)
+    profiled = []
 
-    def objective(x):
-        alpha, theta = x
-        if not (0.0 < alpha <= alpha_cap):
-            return 1.0 + abs(alpha)
-        factor = _analytical_factor(alpha, theta, c_g, c_e, t_c, g0, n_max)
-        return -factored_fidelity(rho_data, factor)
+    def profile(alpha):
+        theta, f, slope = _analytical_profile(rho_data, alpha, c_g, c_e, t_c, g0)
+        profiled.append((f, alpha, theta, slope))
+        return -f
 
-    starts = [(a, th) for a in (0.5, 1.0, 1.5, 2.0)
-              for th in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
-    x, f, converged, n_evals, n_capped = _multistart(objective, starts)
-    return AnalyticalFit(alpha_fit=float(x[0]), theta=float(x[1]) % (2 * math.pi),
-                         fidelity=f, converged=converged, n_evals=n_evals,
-                         n_capped=n_capped)
+    best = int(np.argmin([profile(alpha) for alpha in grid[1:]])) + 1
+    res = minimize_scalar(profile, bounds=(grid[best - 1], grid[min(best + 1, _ALPHA_GRID)]),
+                          method="bounded",
+                          options={"xatol": FIT_XATOL, "maxiter": FIT_MAXITER})
+    f, alpha, theta, slope = max(profiled)
+    return AnalyticalFit(alpha_fit=float(alpha), theta=theta, fidelity=f,
+                         converged=bool(res.success) and slope <= FIT_GTOL,
+                         n_evals=len(profiled), n_capped=int(res.status == 1),
+                         theta_slope=slope, alpha_converged=bool(res.success))
 
 
 def _canonical_pair(alpha1: complex, alpha2: complex):
@@ -240,11 +387,62 @@ def _canonical_pair(alpha1: complex, alpha2: complex):
     return (alpha2, alpha1) if swap else (alpha1, alpha2)
 
 
+def _css_admissible(a1: complex, a2: complex, n_max: int) -> bool:
+    """Inside the truncation wall, and off the |a1 - a2| < 1e-6 plateau."""
+    return not (exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max)
+                or abs(a1 - a2) < 1e-6)
+
+
+def _css_objective(x: np.ndarray, rho: np.ndarray):
+    """-F and its gradient over x = (Re a1, Im a1, Re a2, Im a2).
+
+    Past the truncation wall the value is 1 + |a1| + |a2|, and on the
+    |a1 - a2| < 1e-6 plateau it is 1: both above any -F, and both flat, so
+    a line search backs away from them and a start on them stops at once.
+    _css_search never counts such a stop as converged.
+    """
+    n_max = len(rho) - 1
+    a1, a2 = complex(x[0], x[1]), complex(x[2], x[3])
+    if exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max):
+        return 1.0 + abs(a1) + abs(a2), np.zeros(4)
+    if abs(a1 - a2) < 1e-6:
+        return 1.0, np.zeros(4)
+    f, grad = _css_gradient(a1, a2, rho)
+    return -f, -grad
+
+
+def _css_search(rho: np.ndarray, starts):
+    """Best BFGS result over the starts, on _css_objective.
+
+    Returns (x, converged, evaluations, capped starts, gradient norm) of the
+    best start; converged needs BFGS's gtol met at an admissible point.
+    """
+    from scipy.optimize import minimize
+
+    n_max = len(rho) - 1
+    best = None
+    n_evals = n_capped = 0
+    for x0 in starts:
+        res = minimize(_css_objective, np.asarray(x0, dtype=float), args=(rho,),
+                       jac=True, method="BFGS",
+                       options={"gtol": FIT_GTOL, "maxiter": FIT_MAXITER})
+        n_evals += res.nfev
+        n_capped += int(res.nit >= FIT_MAXITER)
+        key = (res.fun, tuple(np.round(res.x, 10)))
+        if best is None or key < best[0]:
+            best = (key, res)
+    res = best[1]
+    a1, a2 = complex(res.x[0], res.x[1]), complex(res.x[2], res.x[3])
+    converged = bool(res.success) and _css_admissible(a1, a2, n_max)
+    return res.x, converged, n_evals, n_capped, float(np.max(np.abs(res.jac)))
+
+
 def fit_css(rho: JointState) -> CssFit:
     """Maximize fidelity of rho to N(|a1> + e^{i t}|a2>) over (a1, a2, t).
 
-    Nelder-Mead searches (a1, a2); t is the closed-form best phase of each
-    pair (_css_phase), solved after the pair is put in its canonical order
+    BFGS searches (a1, a2) from 16 starts on the exact envelope gradient
+    (_css_gradient); t is the closed-form best phase of each pair
+    (_css_phase), solved after the pair is put in its canonical order
     (_canonical_pair).  The reported fidelity is the public
     hilbert.fidelity of css_state at the optimum, which cross-checks the
     closed form.
@@ -253,29 +451,19 @@ def fit_css(rho: JointState) -> CssFit:
         raise DimensionMismatchError("fit_css expects a phonon-only state")
     space = rho.space
     rho_data = rho.density_matrix()
-
-    def objective(x):
-        a1 = complex(x[0], x[1])
-        a2 = complex(x[2], x[3])
-        if abs(a1) ** 2 > space.n_max / 4.0 or abs(a2) ** 2 > space.n_max / 4.0:
-            return 1.0 + abs(a1) + abs(a2)
-        if abs(a1 - a2) < 1e-6:
-            return 1.0
-        return -_css_phase(a1, a2, rho_data)[1]
-
     starts = []
     for r in (0.75, 1.25, 1.75, 2.25):
         for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
             a1 = r * np.exp(1j * phi)
             starts.append((a1.real, a1.imag, -a1.real, -a1.imag))
-    x, _, converged, n_evals, n_capped = _multistart(objective, starts)
+    x, converged, n_evals, n_capped, grad_norm = _css_search(rho_data, starts)
     a1, a2 = _canonical_pair(complex(x[0], x[1]), complex(x[2], x[3]))
     vartheta, _ = _css_phase(a1, a2, rho_data)
     vartheta %= 2 * math.pi
     return CssFit(alpha1=a1, alpha2=a2, vartheta=vartheta,
                   fidelity=fidelity(css_state(a1, a2, vartheta, space), rho),
                   D=abs(a1 - a2) / 2.0, converged=converged,
-                  n_evals=n_evals, n_capped=n_capped)
+                  n_evals=n_evals, n_capped=n_capped, grad_norm=grad_norm)
 
 
 def find_drop_crossings(profile, best_x: float, best_f: float, drop: float,
@@ -318,13 +506,13 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
     """Fidelity-drop error interval for alpha_fit (analytical) or D (CSS).
 
     The fit's type names the constrained parameter.  Sweeps it,
-    re-optimizing the remaining fit parameters (theta, or the CSS centre
-    and axis) from a warm start, and bisects for the two crossings where
-    the profile fidelity is `drop` below the best fit.  Analytical fits
-    need the target context (c_g, c_e, t_c, g0) as keyword arguments.
+    re-optimizing the remaining fit parameters, and bisects for the two
+    crossings where the profile fidelity is `drop` below the best fit.  The
+    analytical profile is _theta_profile's best theta at each alpha, and
+    needs the target context (c_g, c_e, t_c, g0) as keyword arguments; the
+    CSS profile re-optimizes the centre and axis by Nelder-Mead from a warm
+    start.
     """
-    from scipy.optimize import minimize
-
     n_max = rho.space.n_max
     rho_data = rho.density_matrix()
     if isinstance(fit, AnalyticalFit):
@@ -332,21 +520,18 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
         if missing:
             raise FitError(f"analytical sensitivity needs target context {missing}")
         c_g, c_e, t_c, g0 = (context[k] for k in ("c_g", "c_e", "t_c", "g0"))
-        best, warm, xatol, maxiter = fit.alpha_fit, [fit.theta], 1e-5, 1000
+        best = fit.alpha_fit
 
-        def admits(alpha):
-            return 0.0 < alpha and alpha ** 2 <= n_max / 4.0
-
-        def objective(x, alpha):
-            factor = _analytical_factor(alpha, x[0], c_g, c_e, t_c, g0, n_max)
-            return -factored_fidelity(rho_data, factor)
+        def profile(alpha):
+            if not 0.0 < alpha or exceeds_truncation(alpha, n_max):
+                return 0.0
+            return _analytical_profile(rho_data, alpha, c_g, c_e, t_c, g0)[1]
     elif isinstance(fit, CssFit):
+        from scipy.optimize import minimize
+
         center = (fit.alpha1 + fit.alpha2) / 2.0
         warm = [center.real, center.imag, np.angle(fit.alpha1 - fit.alpha2)]
-        best, xatol, maxiter = fit.D, 1e-4, 2000
-
-        def admits(d_val):
-            return d_val > 0
+        best = fit.D
 
         def objective(x, d_val):
             c = complex(x[0], x[1])
@@ -355,17 +540,16 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
             if max(abs(a1), abs(a2)) ** 2 > n_max / 4.0:
                 return 1.0
             return -_css_phase(a1, a2, rho_data)[1]
+
+        def profile(d_val):
+            if not d_val > 0:
+                return 0.0
+            res = minimize(objective, warm, args=(d_val,), method="Nelder-Mead",
+                           options={"xatol": 1e-4, "fatol": FIT_FTOL, "maxiter": 2000})
+            warm[:] = list(res.x)
+            return -res.fun
     else:
         raise TypeError(f"unsupported fit type {type(fit)!r}")
-
-    def profile(value):
-        if not admits(value):
-            return 0.0
-        res = minimize(objective, warm, args=(value,), method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": FIT_FTOL,
-                                "maxiter": maxiter})
-        warm[:] = list(res.x)
-        return -res.fun
 
     low, high, lb, hb = find_drop_crossings(profile, best, fit.fidelity, drop,
                                             max(0.04 * best, 0.02))

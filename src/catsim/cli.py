@@ -411,8 +411,10 @@ def _cmd_tomo(cfg, out_dir, seed, log):
     log(f"wrote samples.csv and reconstruction.json (D = {fc.D:.3f}; MLE "
         f"{mle.iterations} iterations, stationarity gap "
         f"{mle.stationarity_gap:.2e}; fit_css {fc.n_evals} evaluations, "
-        f"{fc.n_capped} capped; fit_analytical {fa.n_evals} evaluations, "
-        f"{fa.n_capped} capped)")
+        f"{fc.n_capped} capped, |dF/dalpha| {fc.grad_norm:.1e}; fit_analytical "
+        f"{fa.n_evals} evaluations, {fa.n_capped} capped, |dF/dtheta| "
+        f"{fa.theta_slope:.1e}, alpha tolerance "
+        f"{'met' if fa.alpha_converged else 'not met'})")
 
 
 def _cmd_decay(cfg, out_dir, seed, log):

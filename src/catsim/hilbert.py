@@ -54,9 +54,14 @@ def default_cutoff(alpha: complex) -> int:
     return max(10, math.ceil(4.0 * a * a), math.ceil(a * a + 8.0 * a + 10.0))
 
 
+def exceeds_truncation(alpha: complex, n_max: int) -> bool:
+    """The test check_truncation applies: |alpha|^2 > n_max / 4."""
+    return abs(alpha) ** 2 > n_max / 4.0
+
+
 def check_truncation(alpha: complex, space: HilbertSpace):
     """Guard |alpha|^2 <= n_max / 4; raises TruncationError otherwise."""
-    if abs(alpha) ** 2 > space.n_max / 4.0:
+    if exceeds_truncation(alpha, space.n_max):
         raise TruncationError(
             f"|alpha|^2 = {abs(alpha) ** 2:.3f} exceeds n_max/4 = {space.n_max / 4:.3f}; "
             f"increase n_max (recommended >= {default_cutoff(alpha)})"

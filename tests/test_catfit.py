@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from catsim.catfit import (
+    DROP_XTOL,
+    FIT_FTOL,
+    FIT_GTOL,
     FIT_XATOL,
+    _alpha_cap,
     _analytical_factor,
+    _analytical_profile,
     _coherent_pair,
+    _css_gradient,
     _css_phase,
-    _multistart,
+    _css_search,
+    _theta_profile,
     analytical_target,
     css_state,
     find_drop_crossings,
@@ -16,14 +23,16 @@ from catsim.catfit import (
     fit_css,
     sensitivity_interval,
 )
-from catsim.errors import FitError
+from catsim.errors import FitError, TruncationError
 from catsim.hilbert import (
     HilbertSpace,
     JointState,
     coherent_amplitudes,
+    exceeds_truncation,
     factored_fidelity,
     fidelity,
 )
+from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat
 
 G0 = math.sqrt(2.0) / 0.9
 SPACE = HilbertSpace(26)
@@ -31,6 +40,71 @@ SPACE = HilbertSpace(26)
 
 def _cat_time(alpha):
     return math.pi * alpha / G0
+
+
+def _multistart(objective, starts):
+    """Reference: best Nelder-Mead result over the starts, as the fits ran
+    it before the profiled searches.
+
+    Returns (x, fidelity, converged, evaluations, capped starts).
+    """
+    from scipy.optimize import minimize
+
+    best = None
+    total_evals = 0
+    capped = 0
+    converged = False
+    for x0 in starts:
+        res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                       options={"xatol": FIT_XATOL, "fatol": FIT_FTOL / 10.0,
+                                "maxiter": 4000})
+        total_evals += res.nfev
+        capped += int(res.nit >= 4000)
+        key = (res.fun, tuple(np.round(res.x, 10)))
+        if best is None or key < best[0]:
+            best = (key, res.x, res.fun)
+            converged = bool(res.success)
+        elif abs(res.fun - best[2]) < FIT_FTOL:
+            converged = converged or bool(res.success)
+    return best[1], -best[2], converged, total_evals, capped
+
+
+def _reference_fit_analytical(rho, c_g, c_e, t_c, g0):
+    """Reference: Nelder-Mead over (alpha, theta) from 16 starts, scored by
+    factored_fidelity.  Returns (alpha, theta, F)."""
+    n_max = rho.space.n_max
+
+    def objective(x):
+        alpha, theta = x
+        if not (0.0 < alpha and not exceeds_truncation(alpha, n_max)):
+            return 1.0 + abs(alpha)
+        factor = _analytical_factor(alpha, theta, c_g, c_e, t_c, g0, n_max)
+        return -factored_fidelity(rho.data, factor)
+
+    starts = [(a, th) for a in (0.5, 1.0, 1.5, 2.0)
+              for th in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    x, f, *_ = _multistart(objective, starts)
+    return float(x[0]), float(x[1]) % (2 * math.pi), f
+
+
+def _reference_fit_css_pair(rho):
+    """Reference: Nelder-Mead over (a1, a2) from the 16 starts of fit_css,
+    each pair scored at its closed-form phase.  Returns (a1, a2, F)."""
+    n_max = rho.space.n_max
+
+    def objective(x):
+        a1, a2 = complex(x[0], x[1]), complex(x[2], x[3])
+        if exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max):
+            return 1.0 + abs(a1) + abs(a2)
+        if abs(a1 - a2) < 1e-6:
+            return 1.0
+        return -_css_phase(a1, a2, rho.data)[1]
+
+    starts = [(a.real, a.imag, -a.real, -a.imag)
+              for a in (r * np.exp(1j * phi) for r in (0.75, 1.25, 1.75, 2.25)
+                        for phi in np.arange(4) * math.pi / 4)]
+    x, f, *_ = _multistart(objective, starts)
+    return complex(x[0], x[1]), complex(x[2], x[3]), f
 
 
 def test_analytical_self_fit():
@@ -47,20 +121,21 @@ def test_analytical_self_fit_has_no_capped_starts():
     fit = fit_analytical(rho, 1.0, 0.0, _cat_time(alpha), G0)
     assert fit.n_capped == 0
     assert fit.converged
+    assert fit.alpha_converged and fit.theta_slope <= FIT_GTOL
 
 
 def test_analytical_objective_has_no_noise_floor():
-    # a noiseless target is fitted well inside the iteration caps, and the
-    # objective is smooth at the 1e-10 scale: off the optimum its values
-    # follow their linear trend to roundoff, where the generic fidelity
-    # route jitters by ~2e-8 (above the 1e-9 fatol of every start)
+    # a noiseless target is fitted in ~31 theta profiles, and the objective
+    # is smooth at the 1e-10 scale: off the optimum its values follow their
+    # linear trend to roundoff, where the generic fidelity route jitters by
+    # ~2e-8, far above the alpha search's resolution
     alpha, theta0, space = 1.3, 0.7, HilbertSpace(12)
     t_c = _cat_time(alpha)
     rho = analytical_target(alpha, theta0, 1.0, 0.0, t_c, G0, space)
     fit = fit_analytical(rho, 1.0, 0.0, t_c, G0)
     assert fit.converged
     assert fit.n_capped == 0
-    assert fit.n_evals <= 3000
+    assert fit.n_evals <= 60
     steps = np.arange(20)
     values = np.array([
         factored_fidelity(rho.data, _analytical_factor(
@@ -212,8 +287,9 @@ def _reference_fit_css(rho):
     return complex(x[0], x[1]), complex(x[2], x[3]), x[4] % (2 * math.pi), f
 
 
-@pytest.mark.parametrize("case", ["noisy_css", "dephased_cat"])
-def test_css_fit_matches_five_parameter_route(case):
+def _case_state(case):
+    if case == "pipeline_0.3":
+        return prepare_cat(drive_alpha(0.30), ExperimentConfig())
     space = HilbertSpace(12)
     if case == "noisy_css":
         cat = css_state(1.1 + 0.4j, -0.9 - 0.6j, 0.9, space).density_matrix()
@@ -223,19 +299,142 @@ def test_css_fit_matches_five_parameter_route(case):
         plus = css_state(0.3 + 1.3j, 0.6 - 1.2j, 0.0, space).density_matrix()
         minus = css_state(0.3 + 1.3j, 0.6 - 1.2j, math.pi, space).density_matrix()
         rho = 0.7 * plus + 0.3 * minus
-    rho = JointState(space, rho, "mixed")
-    a1, a2, vt, f = _reference_fit_css(rho)
-    fit = fit_css(rho)
+    return JointState(space, rho, "mixed")
+
+
+def _matching_order(fit, a1, a2):
+    """fit's (alpha1, alpha2, vartheta) in the order closest to (a1, a2):
+    (a1, a2, t) and (a2, a1, -t) are one state."""
     b1, b2, bt = fit.alpha1, fit.alpha2, fit.vartheta
     if abs(b1 - a2) < abs(b1 - a1):
-        # (a1, a2, t) and (a2, a1, -t) are one state; the starts tie to
-        # roundoff between the two orderings
         b1, b2, bt = b2, b1, -bt
+    return b1, b2, bt
+
+
+@pytest.mark.parametrize("case", ["noisy_css", "dephased_cat"])
+def test_css_fit_matches_five_parameter_route(case):
+    rho = _case_state(case)
+    a1, a2, vt, f = _reference_fit_css(rho)
+    fit = fit_css(rho)
+    b1, b2, bt = _matching_order(fit, a1, a2)
     assert abs(b1 - a1) <= 1e-4 and abs(b2 - a2) <= 1e-4
     assert fit.D == pytest.approx(abs(a1 - a2) / 2.0, abs=1e-4)
     assert abs((bt - vt + math.pi) % (2 * math.pi) - math.pi) <= 1e-4
     assert fit.fidelity >= f - 1e-8
     assert fit.n_capped == 0
+
+
+@pytest.mark.parametrize("case", ["noisy_css", "dephased_cat", "pipeline_0.3"])
+def test_css_fit_matches_nelder_mead_route(case):
+    # dual route: BFGS on the envelope gradient against Nelder-Mead on the
+    # same objective from the same starts; each optimum here is unique
+    rho = _case_state(case)
+    a1, a2, f = _reference_fit_css_pair(rho)
+    fit = fit_css(rho)
+    b1, b2, _ = _matching_order(fit, a1, a2)
+    assert fit.fidelity >= f - 1e-8
+    assert abs(b1 - a1) <= FIT_XATOL and abs(b2 - a2) <= FIT_XATOL
+    assert fit.converged and fit.grad_norm <= FIT_GTOL
+    assert fit.n_capped == 0
+
+
+@pytest.mark.parametrize("case", ["noisy_css", "dephased_cat", "pipeline_0.3"])
+def test_analytical_fit_matches_nelder_mead_route(case):
+    # dual route: the profiled search against Nelder-Mead over (alpha, theta)
+    config = ExperimentConfig()
+    rho = _case_state(case)
+    alpha, theta, f = _reference_fit_analytical(rho, 1.0, 0.0, config.t_cat,
+                                                config.g0)
+    fit = fit_analytical(rho, 1.0, 0.0, config.t_cat, config.g0)
+    assert fit.fidelity >= f - 1e-8
+    assert abs(fit.alpha_fit - alpha) <= FIT_XATOL
+    assert abs((fit.theta - theta + math.pi) % (2 * math.pi) - math.pi) <= FIT_XATOL
+    assert fit.converged and fit.n_evals <= 60
+
+
+def _finite_difference(a1, a2, rho, h=1e-6):
+    """Central differences of _css_gradient's F, Richardson-extrapolated
+    from steps h and h / 2."""
+    x = np.array([a1.real, a1.imag, a2.real, a2.imag])
+
+    def value(y):
+        return _css_gradient(complex(y[0], y[1]), complex(y[2], y[3]), rho)[0]
+
+    def central(step):
+        return np.array([(value(x + step * e) - value(x - step * e)) / (2 * step)
+                         for e in np.eye(4)])
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+@pytest.mark.parametrize("dim", [8, 13])
+def test_css_gradient_matches_finite_differences(dim):
+    # oracle for the envelope gradient on random states, with a vacuum
+    # component on either side and a pair 1e-3 apart, where the gradient
+    # is ~50 and the value cancels hardest
+    rng = np.random.default_rng(dim)
+    space = HilbertSpace(dim - 1)
+    pairs = [(0.4 + 0.3j, -0.5 + 0.1j), (0.0, 0.8 - 0.2j), (0.7 - 0.2j, 0.0),
+             (0.3 + 0.1j, 0.3 + 0.1j + 1e-3 * (0.6 + 0.8j))]
+    for rank in (1, 3):
+        rho = _random_state(rng, space, rank).data
+        for a1, a2 in pairs:
+            f, grad = _css_gradient(a1, a2, rho)
+            assert f == pytest.approx(_css_phase(a1, a2, rho)[1], abs=1e-14)
+            fd = _finite_difference(a1, a2, rho)
+            assert np.max(np.abs(grad - fd)) <= 1e-8 * max(1.0, np.max(np.abs(grad)))
+
+
+def test_css_search_never_converges_off_the_admissible_region():
+    # the plateau |a1 - a2| < 1e-6 and the space past the truncation wall
+    # are flat, so BFGS meets its gradient tolerance at once there; neither
+    # stop counts as converged
+    rho = _random_state(np.random.default_rng(2), HilbertSpace(12), rank=2).data
+    for start in [(0.3, 0.1, 0.3, 0.1), (2.0, 0.0, -2.0, 0.0)]:
+        x, converged, n_evals, _, grad_norm = _css_search(rho, [start])
+        assert np.array_equal(x, start) and grad_norm == 0.0
+        assert not converged
+    _, converged, *_ = _css_search(rho, [(0.75, 0.0, -0.75, 0.0)])
+    assert converged
+
+
+def test_theta_profile_is_the_scan_maximum():
+    # oracle: the FFT profile's polished maximum beats a 721-point scan of
+    # factored_fidelity over theta, for the one-column analytical factor and
+    # for a synthetic two-column factor, and reports its value there
+    rng = np.random.default_rng(17)
+    space = HilbertSpace(14)
+    scan = np.linspace(0.0, 2.0 * math.pi, 721)
+    factors = [_analytical_factor(1.3, 0.0, 1.0, 0.0, _cat_time(1.3), G0, 14),
+               rng.normal(size=(15, 2)) + 1j * rng.normal(size=(15, 2))]
+    for factor in factors:
+        for rank in (2, 5):
+            rho = _random_state(rng, space, rank).data
+            theta, f, slope = _theta_profile(rho, factor)
+            scanned = max(factored_fidelity(
+                rho, np.exp(-1j * t * np.arange(15))[:, None] * factor) for t in scan)
+            rotated = np.exp(-1j * theta * np.arange(15))[:, None] * factor
+            assert f >= scanned - 1e-12
+            assert f == pytest.approx(factored_fidelity(rho, rotated), abs=1e-12)
+            assert slope <= FIT_GTOL
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_analytical_profile_at_the_alpha_cap(n_max):
+    # sqrt(n_max / 4) squared exceeds n_max / 4 by an ulp at these n_max, so
+    # the profile at that alpha raises; the cap is the largest alpha the
+    # truncation test admits, and the profile there is a number
+    config = ExperimentConfig()
+    rho = _random_state(np.random.default_rng(n_max), HilbertSpace(n_max), 2).data
+    assert exceeds_truncation(math.sqrt(n_max / 4.0), n_max)
+    with pytest.raises(TruncationError):
+        _analytical_profile(rho, math.sqrt(n_max / 4.0), 1.0, 0.0, config.t_cat,
+                            config.g0)
+    cap = _alpha_cap(n_max)
+    assert not exceeds_truncation(cap, n_max)
+    assert exceeds_truncation(math.nextafter(cap, math.inf), n_max)
+    _, f, _ = _analytical_profile(rho, cap, 1.0, 0.0, config.t_cat, config.g0)
+    assert 0.0 < f <= 1.0
 
 
 def test_drop_crossings_quadratic_profile_oracle():
@@ -287,6 +486,39 @@ def test_sensitivity_interval_analytical_needs_context():
     interval = sensitivity_interval(rho, fit, drop=0.01, c_g=1.0, c_e=0.0,
                                     t_c=_cat_time(alpha), g0=G0)
     assert interval.low < fit.alpha_fit < interval.high
+
+
+def test_sensitivity_interval_analytical_matches_nelder_mead_profile():
+    # the profile reads theta from _theta_profile; the reference re-optimizes
+    # theta by Nelder-Mead from a warm start at each alpha, as it did before
+    from scipy.optimize import minimize
+
+    alpha, space = 1.2, HilbertSpace(16)
+    t_c = _cat_time(alpha)
+    rho = analytical_target(alpha, 0.0, 1.0, 0.0, t_c, G0, space)
+    fit = fit_analytical(rho, 1.0, 0.0, t_c, G0)
+    warm = [fit.theta]
+
+    def reference(value):
+        if not 0.0 < value or exceeds_truncation(value, space.n_max):
+            return 0.0
+
+        def objective(x):
+            factor = _analytical_factor(value, x[0], 1.0, 0.0, t_c, G0, space.n_max)
+            return -factored_fidelity(rho.data, factor)
+
+        res = minimize(objective, warm, method="Nelder-Mead",
+                       options={"xatol": 1e-5, "fatol": FIT_FTOL, "maxiter": 1000})
+        warm[:] = list(res.x)
+        return -res.fun
+
+    interval = sensitivity_interval(rho, fit, drop=0.01, c_g=1.0, c_e=0.0,
+                                    t_c=t_c, g0=G0)
+    low, high, lb, hb = find_drop_crossings(reference, fit.alpha_fit, fit.fidelity,
+                                            0.01, max(0.04 * fit.alpha_fit, 0.02))
+    assert (interval.low_bounded, interval.high_bounded) == (lb, hb) == (True, True)
+    assert abs(interval.low - low) <= DROP_XTOL
+    assert abs(interval.high - high) <= DROP_XTOL
 
 
 def test_fit_rejects_joint_states():

@@ -197,6 +197,12 @@ def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
     for name, fit in fits.items():
         assert (f"{name} {fit.n_evals} evaluations, {fit.n_capped} capped"
                 in out)
+    # each fit's first-order stationarity is printed next to its work count
+    fc, fa = fits["fit_css"], fits["fit_analytical"]
+    assert f"capped, |dF/dalpha| {fc.grad_norm:.1e};" in out
+    met = "met" if fa.alpha_converged else "not met"
+    assert (f"capped, |dF/dtheta| {fa.theta_slope:.1e}, alpha tolerance {met})"
+            in out)
     # the MLE meets its gap threshold: no warning, and the gap is recorded
     assert err == ""
     rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
