@@ -114,7 +114,6 @@ class MassModel:
     M_eff_kg: float
     x_zpf_m: float
     omega_p: float       # rad/s
-    transverse_factor: float  # sqrt(2/pi) for max, quadrature RMS for rms
 
     @property
     def M0_ug(self) -> float:
@@ -149,7 +148,7 @@ def mass_model(mode: AcousticMode, convention: str) -> MassModel:
     m_eff = 2.0 * hbar / (omega * u ** 2)
     x_zpf = math.sqrt(hbar / (2.0 * m_eff * omega))
     return MassModel(convention=convention, S0=s0, M0_kg=m0, M_eff_kg=m_eff,
-                     x_zpf_m=x_zpf, omega_p=omega, transverse_factor=factor)
+                     x_zpf_m=x_zpf, omega_p=omega)
 
 
 def delocalization(model: MassModel, alpha: float):

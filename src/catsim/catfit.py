@@ -537,7 +537,7 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
             c = complex(x[0], x[1])
             a1 = c + d_val * cmath.exp(1j * x[2])
             a2 = c - d_val * cmath.exp(1j * x[2])
-            if max(abs(a1), abs(a2)) ** 2 > n_max / 4.0:
+            if exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max):
                 return 1.0
             return -_css_phase(a1, a2, rho_data)[1]
 

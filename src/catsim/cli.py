@@ -106,7 +106,7 @@ def _experiment_fields():
                            desc="interaction time, us"),
         "t1_phonon": _positive(T1_PHONON_DEFAULT, desc="phonon T1, us"),
         "t1_qubit": _positive(T1_QUBIT_DEFAULT, desc="qubit T1, us"),
-        "t2_qubit": _positive(T2_QUBIT_DEFAULT, desc="qubit T2, us"),
+        "t2_qubit": _positive(T2_QUBIT_DEFAULT, desc="qubit T2, us; <= 2 t1_qubit"),
     }
 
 
@@ -141,7 +141,7 @@ SCHEMAS = {
         "closed": _Field(bool, default=True, desc="skip dissipation channels"),
         "t1_phonon": _positive(T1_PHONON_DEFAULT),
         "t1_qubit": _positive(T1_QUBIT_DEFAULT),
-        "t2_qubit": _positive(T2_QUBIT_DEFAULT),
+        "t2_qubit": _positive(T2_QUBIT_DEFAULT, desc="qubit T2, us; <= 2 t1_qubit"),
     },
     "qubit-phase-scan": {
         "schema_version": _Field(int, required=True),
@@ -421,7 +421,7 @@ def _cmd_decay(cfg, out_dir, seed, log):
     econf = _experiment_config(cfg)
     alpha0 = drive_alpha(cfg["drive_amplitude"])
     waits = np.linspace(0.0, cfg["wait_max"], cfg["n_waits"])
-    result = cat_decay_time(alpha0, econf, waits)
+    result = cat_decay_time(prepare_cat(alpha0, econf), econf, waits)
     io_utils.write_csv(out_dir / "negativity_decay.csv",
                        ("wait", "negativity"),
                        zip(result.waits, result.negativities))

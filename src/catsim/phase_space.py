@@ -31,8 +31,6 @@ class GridSpec:
 
     points: np.ndarray   # complex, flat
     weights: np.ndarray  # real, flat; Riemann element per point
-    kind: str            # "raster" or "slice"
-    meta: dict
 
 
 def _trapz_weights(x: np.ndarray) -> np.ndarray:
@@ -56,7 +54,7 @@ def raster_grid(extent: float = DEFAULT_EXTENT, n: int = DEFAULT_RASTER_N) -> Gr
     re, im = np.meshgrid(x, x)  # rows vary Im, columns vary Re
     pts = (re + 1j * im).ravel()
     weights = np.outer(wx, wx).ravel()
-    return GridSpec(pts, weights, "raster", {"extent": extent, "n": n})
+    return GridSpec(pts, weights)
 
 
 def slice_grid(
@@ -74,8 +72,7 @@ def slice_grid(
         pts = offset + 1j * x
     else:
         raise ValueError("axis must be 're' or 'im'")
-    return GridSpec(pts, _trapz_weights(x), "slice",
-                    {"start": start, "stop": stop, "n": n, "offset": offset, "axis": axis})
+    return GridSpec(pts, _trapz_weights(x))
 
 
 @dataclass
@@ -85,7 +82,6 @@ class WignerGrid:
     points: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def to_csv(self, path):
         rows = [(p.real, p.imag, v) for p, v in zip(self.points, self.values)]
@@ -96,7 +92,7 @@ def _as_grid(points) -> GridSpec:
     if isinstance(points, GridSpec):
         return points
     pts = np.asarray(points, dtype=complex).ravel()
-    return GridSpec(pts, np.full(pts.shape, np.nan), "slice", {})
+    return GridSpec(pts, np.full(pts.shape, np.nan))
 
 
 def wigner(state: JointState, points) -> WignerGrid:
@@ -105,7 +101,7 @@ def wigner(state: JointState, points) -> WignerGrid:
         raise DimensionMismatchError("wigner expects a phonon-only state")
     grid = _as_grid(points)
     values = (2.0 / math.pi) * displaced_parity(state, grid.points)
-    return WignerGrid(grid.points, values, grid.weights, grid.kind)
+    return WignerGrid(grid.points, values, grid.weights)
 
 
 def negativity(grid: WignerGrid) -> float:
@@ -147,7 +143,7 @@ def decayed_css_wigner(alpha, kappa_t: float, points,
         + 2.0 * xi * np.exp(-2.0 * np.abs(beta) ** 2)
         * np.cos(4.0 * a * eps * beta.imag + vartheta)
     ) / norm
-    return WignerGrid(beta, vals, grid.weights, grid.kind)
+    return WignerGrid(beta, vals, grid.weights)
 
 
 @dataclass(frozen=True)

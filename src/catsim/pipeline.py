@@ -46,6 +46,8 @@ class ExperimentConfig:
         for name in ("g0", "t_cat", "t1_phonon", "t1_qubit", "t2_qubit"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.t2_qubit > 2.0 * self.t1_qubit:
+            raise ConfigError("t2_qubit must not exceed 2 * t1_qubit")
 
     @property
     def kappa_phonon(self) -> float:
@@ -57,9 +59,9 @@ class ExperimentConfig:
 
     @property
     def gamma_phi(self) -> float:
-        # T2 = 1 / (1/(2 T1) + gamma_phi); pure dephasing is the remainder
-        rate = 1.0 / self.t2_qubit - 0.5 / self.t1_qubit
-        return max(rate, 0.0)
+        # T2 = 1 / (1/(2 T1) + gamma_phi); pure dephasing is the remainder,
+        # exactly 0.0 at T2 = 2 T1 since 1/(2 T1) and 0.5/T1 round alike
+        return 1.0 / self.t2_qubit - 0.5 / self.t1_qubit
 
     def system_params(self, alpha0: float, c_g: complex = 1.0,
                       c_e: complex = 0.0) -> SystemParams:
@@ -180,10 +182,11 @@ class DecayResult:
     fit: NegativityDecayFit
 
 
-def cat_decay_time(alpha0: float, config: ExperimentConfig,
+def cat_decay_time(rho_phonon: JointState, config: ExperimentConfig,
                    waits) -> DecayResult:
-    """Prepare a cat, let it relax, and fit the fringe negativity decay."""
-    states = free_decay(prepare_cat(alpha0, config), waits, config)
+    """Let a prepared cat relax and fit its fringe negativity decay; wait 0
+    leaves the state as is, so negativities[0] is the prepared cat's own."""
+    states = free_decay(rho_phonon, waits, config)
     deltas = negativity_series(states)
     fit = fit_negativity_decay(waits, deltas)
     return DecayResult(waits=np.asarray(waits, dtype=float),

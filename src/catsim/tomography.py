@@ -89,10 +89,7 @@ def calibrate_parity(model: ReadoutModel) -> ParityNormalization:
     phases = np.linspace(0.0, 2.0 * math.pi, _PARITY_PHASES, endpoint=False)
     raw = np.empty(_PARITY_PHASES)
     for i, phi in enumerate(phases):
-        p_e = (1.0 + model.contrast * math.cos(phi) + model.offset) / 2.0
-        if not 0.0 <= p_e <= 1.0:
-            raise StateValidationError("readout model probabilities outside [0, 1]")
-        raw[i] = 2.0 * rng.binomial(model.shots, p_e) / model.shots - 1.0
+        raw[i] = _draw_parity(math.cos(phi), model, rng)
     basis = np.column_stack([np.cos(phases), np.ones_like(phases)])
     coef, *_ = np.linalg.lstsq(basis, raw, rcond=None)
     amplitude, offset = float(coef[0]), float(coef[1])
@@ -152,7 +149,6 @@ class FockPopulations:
     gamma_d: float
     beta_abs: float
     residual: float
-    poisson_residual: float
 
 
 def _rabi_basis(times, g0, n_terms, gamma_d):
@@ -208,8 +204,7 @@ def extract_fock_populations(times, p_e, g0: float, n_fit: int) -> FockPopulatio
                            options={"xatol": 1e-8})
     beta_abs = float(pres.x)
     return FockPopulations(populations=pops, gamma_d=gamma_d, beta_abs=beta_abs,
-                           residual=resid,
-                           poisson_residual=float(math.sqrt(pres.fun / (n_fit + 1))))
+                           residual=resid)
 
 
 @dataclass

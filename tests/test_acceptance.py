@@ -40,9 +40,7 @@ from catsim.phase_space import (
 from catsim.pipeline import (
     DRIVE_PRESETS,
     ExperimentConfig,
-    free_decay,
-    negativity_grid,
-    negativity_series,
+    cat_decay_time,
     prepare_cat,
     simulate_tomography,
 )
@@ -184,13 +182,9 @@ def test_pipeline_decay_times(prepared_cats):
     # the cat-size ordering and the expected time constants
     config = ExperimentConfig()
     waits = np.linspace(0.0, 40.0, 11)
-    grid = negativity_grid()
     expected = {0.25: 24.68, 0.30: 12.34, 0.35: 10.52}
-    fitted = {}
-    for amp, rho in prepared_cats.items():
-        states = free_decay(rho, waits, config)
-        deltas = negativity_series(states, grid)
-        fitted[amp] = fit_negativity_decay(waits, deltas).tau_cat
+    fitted = {amp: cat_decay_time(rho, config, waits).fit.tau_cat
+              for amp, rho in prepared_cats.items()}
     assert fitted[0.25] > fitted[0.30] > fitted[0.35]
     for amp, tau_ref in expected.items():
         assert abs(fitted[amp] - tau_ref) <= 0.25 * tau_ref

@@ -237,6 +237,19 @@ def test_open_simulate_rejects_nonpositive_lifetimes(tmp_path, capsys, field):
         assert field in err
 
 
+def test_open_simulate_rejects_t2_beyond_twice_t1(tmp_path, capsys):
+    # T2 = 30 us > 2 T1 = 20 us needs a negative dephasing rate: a config
+    # error, not a run at the clamped T2 = 2 T1
+    cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                  "closed": False, "t1_qubit": 10.0,
+                                  "t2_qubit": 30.0})
+    code, _, err = run(capsys, "simulate", "--config", cfg,
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "t2_qubit" in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # contrast + offset push outcome probabilities beyond 1: a model
     # consistency failure deep in the run, not a config-shape problem

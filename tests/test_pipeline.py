@@ -33,10 +33,20 @@ def test_experiment_config_rates():
     assert config.gamma_qubit == pytest.approx(0.1)
     # T2 = T1: pure dephasing rate 1/T2 - 1/(2 T1)
     assert config.gamma_phi == pytest.approx(0.05)
-    no_dephasing = ExperimentConfig(t1_qubit=5.0, t2_qubit=10.0)
-    assert no_dephasing.gamma_phi == 0.0
+    # T2 = 2 T1: no pure dephasing, exactly, since 1/(2 T1) and 0.5/T1 round alike
+    for t1 in (0.3, 1.0, 5.0, 7.0, 10.0, 13.7, 84.0, 1e3):
+        assert ExperimentConfig(t1_qubit=t1, t2_qubit=2.0 * t1).gamma_phi == 0.0
     with pytest.raises(ConfigError):
         ExperimentConfig(t1_phonon=-1.0)
+
+
+def test_t2_beyond_twice_t1_is_a_config_error():
+    # T2 = 1 / (1/(2 T1) + gamma_phi) cannot exceed 2 T1 without a negative
+    # dephasing rate, so such a T2 is rejected instead of clamped
+    with pytest.raises(ConfigError, match="t2_qubit"):
+        ExperimentConfig(t1_qubit=10.0, t2_qubit=30.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(t1_qubit=5.0, t2_qubit=math.nextafter(10.0, math.inf))
 
 
 def test_prepare_cat_returns_phonon_state():
