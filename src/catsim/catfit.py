@@ -7,15 +7,15 @@ phase-space distance between the fitted coherent components.
 
 The analytical target is the reduction of a pure joint state, so the fits
 handle it as its low-rank phonon factor V (hilbert.phonon_factor) and
-score it with hilbert.factored_fidelity: an r x r eigenproblem (r <= 2),
-exact to roundoff, with no d x d matrix square root.  The rotation
-R(theta) = diag(e^{-i theta n}) enters only through the r x r matrix
-G(theta) = V^dag R^dag rho R V = sum_k c_k e^{ik theta}, a trigonometric
-polynomial of degree n_max whose coefficient c_k sums the k-th diagonal of
-conj(V_a) rho V_b.  One FFT of the c_k scores every theta of a fine grid,
-and Newton steps on the polynomial polish the best one (_theta_profile),
-so fit_analytical is a 1-D search over alpha: a bracket grid over
-(0, cap], then bounded Brent.
+score it as F = Tr sqrt(V^dag rho V / Tr V^dag V): an r x r eigenproblem
+(r <= 2), exact to roundoff, with no d x d matrix square root.  The
+rotation R(theta) = diag(e^{-i theta n}) enters only through the r x r
+matrix G(theta) = V^dag R^dag rho R V = sum_k c_k e^{ik theta}, a
+trigonometric polynomial of degree n_max whose coefficient c_k sums the
+k-th diagonal of conj(V_a) rho V_b.  _theta_profile scores every theta of
+a fine grid by one FFT of the c_k, and polishes the best one by Newton
+steps on the polynomial, so fit_analytical is a 1-D search over alpha: a
+bracket grid over (0, cap], then bounded Brent.
 
 The CSS fit scores raw amplitude vectors: _coherent_pair builds both
 truncated coherent components in one expression, and for a fixed pair
@@ -54,7 +54,6 @@ from .hilbert import (
     JointState,
     _fock_table,
     exceeds_truncation,
-    factored_fidelity,
     fidelity,
     phonon_factor,
 )

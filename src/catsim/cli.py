@@ -23,8 +23,9 @@ from . import __version__, io_utils
 from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
     mass_model
 from .catfit import fit_analytical, fit_css
-from .dynamics import SystemParams, characteristic_times, \
-    excited_population, jc_trajectory, lindblad_observables
+from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
+    characteristic_times, excited_population, jc_trajectory, \
+    lindblad_observables
 from .errors import CatsimError, ConfigError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff, \
     qubit_state, tensor
@@ -194,13 +195,15 @@ SCHEMAS = {
                           desc="the decay fit needs 4 points"),
         **_experiment_fields(),
     },
+    # p + |l| <= 100 keeps the Laguerre-Gauss (p + |l|)! below 170!, the float
+    # limit, and w0_um >= 1e-3 keeps w0^2 in m^2 clear of underflow
     "mass": {
         "schema_version": _Field(int, required=True),
-        "w0_um": _positive(27.0),
+        "w0_um": _Field(float, default=27.0, minimum=1e-3),
         "length_um": _positive(435.0),
         "wavelength_um": _positive(1.7),
-        "p": _Field(int, default=0, minimum=0),
-        "l": _Field(int, default=0),
+        "p": _Field(int, default=0, minimum=0, maximum=50),
+        "l": _Field(int, default=0, minimum=-50, maximum=50),
         "alpha": _Field(float, default=1.61, minimum=0,
                         desc="cat size for delocalization"),
     },
@@ -314,7 +317,9 @@ def _cmd_simulate(cfg, out_dir, seed, log):
         initial = tensor(qubit_state(params.c_g, params.c_e),
                          coherent_state(cfg["alpha0"], space.phonon_only()))
         traj = lindblad_observables(initial, params, times)
-    traj.to_csv(out_dir / "trajectory.csv")
+    io_utils.write_csv(out_dir / "trajectory.csv", ("t",) + OBSERVABLE_COLUMNS,
+                       zip(times, *(traj.observables[name]
+                                    for name in OBSERVABLE_COLUMNS)))
     if abs(params.alpha0) > 0:
         ct = characteristic_times(params)
         io_utils.write_json(out_dir / "characteristic_times.json", {
@@ -328,19 +333,20 @@ def _cmd_qubit_phase_scan(cfg, out_dir, seed, log):
                   _SCAN_ROWS, _SCAN_LIMIT)
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     phases = np.linspace(0.0, 2.0 * math.pi, cfg["n_phases"])
-    rows = []
-    for phase in phases:
-        c_e = complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)
-        params = SystemParams(g0=cfg["g0"], alpha0=cfg["alpha0"],
-                              c_g=1.0 / math.sqrt(2.0), c_e=c_e)
-        traj = jc_trajectory(params, times)
-        obs = traj.observables
-        for i, t in enumerate(times):
-            rows.append((phase, t, obs["P_e"][i], obs["sx"][i], obs["sy"][i],
-                         obs["sz"][i]))
-    io_utils.write_csv(out_dir / "phase_scan.csv",
-                       ("phase", "time", "P_e", "sx", "sy", "sz"), rows)
-    log(f"wrote phase_scan.csv ({len(rows)} rows)")
+    observables = [
+        jc_trajectory(SystemParams(
+            g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=1.0 / math.sqrt(2.0),
+            c_e=complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)),
+            times).observables
+        for phase in phases]
+    names = ("P_e", "sx", "sy", "sz")
+    # one row per (phase, time), phase-major
+    io_utils.write_csv(out_dir / "phase_scan.csv", ("phase", "time") + names,
+                       zip(np.repeat(phases, len(times)),
+                           np.tile(times, len(phases)),
+                           *(np.concatenate([obs[name] for obs in observables])
+                             for name in names)))
+    log(f"wrote phase_scan.csv ({len(phases) * len(times)} rows)")
 
 
 def _cmd_wigner(cfg, out_dir, seed, log):
@@ -365,7 +371,8 @@ def _cmd_wigner(cfg, out_dir, seed, log):
         raise ConfigError(
             "config field state: must be 'coherent', 'css', 'decayed-css', "
             "or 'pipeline'")
-    wg.to_csv(out_dir / "wigner.csv")
+    io_utils.write_csv(out_dir / "wigner.csv", ("re_beta", "im_beta", "w"),
+                       zip(wg.points.real, wg.points.imag, wg.values))
     io_utils.write_json(out_dir / "wigner_meta.json", {
         "state": kind, "extent": cfg["extent"], "n_grid": cfg["n_grid"],
         "negativity": negativity(wg),
@@ -385,7 +392,11 @@ def _cmd_tomo(cfg, out_dir, seed, log):
     grid = raster_grid(cfg["extent"], cfg["n_grid"])
     samples, mle = simulate_tomography(rho, model, grid,
                                        recon_n_max=cfg["recon_n_max"])
-    samples.to_csv(out_dir / "samples.csv")
+    io_utils.write_csv(out_dir / "samples.csv",
+                       ("re_beta", "im_beta", "parity", "shots"),
+                       zip(samples.betas.real, samples.betas.imag,
+                           samples.parities,
+                           np.full(len(samples.betas), samples.shots_per_point)))
     if not mle.converged:
         print(f"catsim: warning: MLE not converged after {mle.iterations} "
               f"iterations: stationarity gap {mle.stationarity_gap:.2e} > "

@@ -74,13 +74,14 @@ def _psd_certified(rho: np.ndarray) -> bool:
     rho + _EIG_TOL I has a Cholesky factor exactly when it is positive
     definite, so one factorisation decides the bound, up to d eps roundoff,
     at a fraction of the cost of an eigendecomposition.  Only the lower
-    triangle is read.
+    triangle is read.  A nan or inf there leaves a nan on the factor's
+    diagonal, where LAPACK need not raise, so the diagonal is checked.
     """
     try:
-        np.linalg.cholesky(rho + _EIG_TOL * np.eye(len(rho)))
+        factor = np.linalg.cholesky(rho + _EIG_TOL * np.eye(len(rho)))
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(factor.diagonal()).all())
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,9 @@ class JointState:
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", data)
+        # a nan passes every tolerance test below, so it is caught first
+        if not np.isfinite(data).all():
+            raise StateValidationError("state data holds a nan or inf")
         if self.kind == "pure":
             if data.ndim != 1 or data.shape[0] != self.space.dim:
                 raise DimensionMismatchError(

@@ -6,12 +6,12 @@ import json
 from pathlib import Path
 
 
-def fmt_float(x) -> str:
-    """Fixed 17-significant-digit formatting for byte-stable output.
+_FLOAT = "%.17g"  # round-trips every float; nan, inf, -inf print as words
 
-    Round-trips every float; nan, inf and -inf print as those words.
-    """
-    return f"{float(x):.17g}"
+
+def fmt_float(x) -> str:
+    """Fixed 17-significant-digit formatting for byte-stable output."""
+    return _FLOAT % float(x)
 
 
 def _jsonable(obj):
@@ -39,8 +39,9 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    """rows: iterable of iterables of floats (or strings, passed through)."""
+    """The table header, then one line per row of numbers, each spelled as
+    fmt_float spells it; every row has one number per header column."""
+    row_format = ",".join((_FLOAT,) * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt_float(v) for v in row))
+    lines.extend(row_format % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import io_utils
 from .errors import DimensionMismatchError, FitError
 from .hilbert import JointState, displaced_parity
 
@@ -82,10 +81,6 @@ class WignerGrid:
     points: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-
-    def to_csv(self, path):
-        rows = [(p.real, p.imag, v) for p, v in zip(self.points, self.values)]
-        io_utils.write_csv(path, ("re_beta", "im_beta", "w"), rows)
 
 
 def _as_grid(points) -> GridSpec:

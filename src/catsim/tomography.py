@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import io_utils
 from .errors import FitError, StateValidationError, TruncationError
 from .hilbert import HilbertSpace, JointState, _fock_table, displaced_parity, \
     parity_kernels
@@ -123,6 +122,8 @@ def calibrate_drive(samples) -> DriveCalibration:
         raise FitError("need at least 3 (A, |beta|) samples")
     amps = np.array([s[0] for s in samples])
     betas = np.array([s[1] for s in samples])
+    if not (np.isfinite(amps).all() and np.isfinite(betas).all()):
+        raise FitError("drive calibration samples must be finite")
     if np.any(amps < 0):
         raise FitError("drive amplitudes must be >= 0")
     order = np.argsort(amps)
@@ -221,11 +222,6 @@ class WignerSampleSet:
         self.parities = np.clip(np.asarray(self.parities, dtype=float), -1.0, 1.0)
         if self.betas.shape != self.parities.shape:
             raise ValueError("betas/parities length mismatch")
-
-    def to_csv(self, path):
-        rows = [(b.real, b.imag, p, float(self.shots_per_point))
-                for b, p in zip(self.betas, self.parities)]
-        io_utils.write_csv(path, ("re_beta", "im_beta", "parity", "shots"), rows)
 
 
 def sample_wigner(state: JointState, betas, model: ReadoutModel,

@@ -1,18 +1,21 @@
 import collections
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import catsim
 from catsim import __version__, cli, dynamics, hilbert, pipeline, tomography
 from catsim.cli import SCHEMAS, main
 from catsim.hilbert import JointState
+from catsim.io_utils import fmt_float
 
 
 def run(capsys, *argv):
@@ -97,6 +100,42 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert (out_dir / "trajectory.csv").exists()
     times = json.loads((out_dir / "characteristic_times.json").read_text())
     assert times["t_collapse"] == pytest.approx(0.9, abs=1e-12)
+
+
+def test_simulate_trajectory_csv_columns(tmp_path, capsys):
+    # the closed and the open route write the same columns, one row per time
+    for closed in (True, False):
+        cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                      "closed": closed, "t_max": 1.0,
+                                      "n_times": 5})
+        out_dir = tmp_path / f"closed_{closed}"
+        code, _, _ = run(capsys, "simulate", "--config", cfg, "--out",
+                         str(out_dir), "--quiet")
+        assert code == 0
+        lines = (out_dir / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,P_e,purity,sx,sy,sz,n_mean"
+        assert len(lines) == 1 + 5
+
+
+def test_qubit_phase_scan_rows_are_phase_major(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                  "n_phases": 3, "t_max": 1.0, "n_times": 4})
+    code, _, _ = run(capsys, "qubit-phase-scan", "--config", cfg, "--out",
+                     str(tmp_path), "--quiet")
+    assert code == 0
+    # reference: one row at a time, phase by phase
+    times = np.linspace(0.0, 1.0, 4)
+    lines = ["phase,time,P_e,sx,sy,sz"]
+    for phase in np.linspace(0.0, 2.0 * math.pi, 3):
+        c_e = complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)
+        obs = dynamics.jc_trajectory(dynamics.SystemParams(
+            g0=SCHEMAS["qubit-phase-scan"]["g0"].default, alpha0=1.0,
+            c_g=1.0 / math.sqrt(2.0), c_e=c_e), times).observables
+        for i, t in enumerate(times):
+            lines.append(",".join(fmt_float(v) for v in (
+                phase, t, obs["P_e"][i], obs["sx"][i], obs["sy"][i],
+                obs["sz"][i])))
+    assert (tmp_path / "phase_scan.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_open_simulate_builds_no_state(tmp_path, capsys, monkeypatch):
@@ -210,6 +249,17 @@ def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
     assert 0.0 <= rec["mle_stationarity_gap"] <= tomography.MLE_GAP_TOL
 
 
+def test_tomo_samples_csv_format(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_TOMO)
+    code, _, _ = run(capsys, "tomo", "--config", cfg, "--quiet",
+                     "--out", str(tmp_path / "out"))
+    assert code == 0
+    lines = (tmp_path / "out" / "samples.csv").read_text().splitlines()
+    assert lines[0] == "re_beta,im_beta,parity,shots"
+    assert len(lines) == 1 + SMALL_TOMO["n_grid"] ** 2
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"50"}
+
+
 def test_tomo_warns_when_mle_is_unconverged(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tomography, "mle_reconstruct",
                         functools.partial(tomography.mle_reconstruct,
@@ -259,6 +309,45 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                        str(tmp_path / "out"), "--quiet")
     assert code == 3
     assert "numerical failure" in err
+
+
+# a lifetime of 1e-300 us makes the propagators overflow to nan: each run
+# stops at the first time whose state is not finite, instead of writing nan
+# rows or failing later in a fit
+@pytest.mark.parametrize("command,payload", [
+    ("simulate", {"alpha0": 1.0, "closed": False, "t1_phonon": 1e-300,
+                  "n_times": 5, "t_max": 1.0}),
+    ("decay", {"t1_phonon": 1e-300}),
+    ("tomo", {"t1_qubit": 1e-300, "t2_qubit": 1e-300}),
+], ids=["simulate_open", "decay", "tomo"])
+def test_nan_states_are_integration_errors(tmp_path, capsys, command,
+                                           payload):
+    cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    code, _, err = run(capsys, command, "--config", cfg,
+                       "--out", str(tmp_path / "out"), "--quiet")
+    assert code == 3
+    assert "(IntegrationError): trace drift nan at t = " in err
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# configs whose values would overflow, underflow or make inf samples: each is
+# a config error or a numerical failure, never a traceback
+@pytest.mark.parametrize("command,payload,code", [
+    ("mass", {"p": 200}, 2),
+    ("mass", {"l": 300}, 2),
+    ("mass", {"l": -200}, 2),
+    ("mass", {"w0_um": 1e-300}, 2),
+    ("calibrate", {"kind": "drive", "drive_b": 1e-6}, 3),
+], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "calibrate_drive"])
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_extreme_configs_exit_without_traceback(tmp_path, capsys, command,
+                                                payload, code):
+    cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    got, _, err = run(capsys, command, "--config", cfg,
+                      "--out", str(tmp_path / "out"), "--quiet")
+    assert got == code
+    assert err.startswith("catsim: ") and "Traceback" not in err
 
 
 def test_wigner_decayed_css(tmp_path, capsys):

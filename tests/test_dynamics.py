@@ -249,15 +249,6 @@ def test_cat_time_qubit_state_universality(theta, phi):
     assert f > 0.98
 
 
-def test_trajectory_csv_columns(tmp_path):
-    params = SystemParams(g0=G0, alpha0=1.0)
-    traj = jc_trajectory(params, np.linspace(0.0, 1.0, 5))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,P_e,purity,sx,sy,sz,n_mean"
-
-
 _PAULI = {
     "sx": np.array([[0, 1], [1, 0]], dtype=complex),
     "sy": np.array([[0, -1j], [1j, 0]], dtype=complex),

@@ -370,6 +370,24 @@ def test_state_validation():
         JointState(space, bad, "mixed")
 
 
+@pytest.mark.parametrize("kind,data", [
+    ("pure", np.full(4, np.nan)),
+    ("mixed", np.full((4, 4), np.nan)),
+])
+def test_state_validation_rejects_nan(kind, data):
+    # a nan passes every tolerance comparison, so it is rejected by name
+    with pytest.raises(StateValidationError, match="nan or inf"):
+        JointState(HilbertSpace(3), data, kind)
+
+
+def test_psd_certificate_rejects_nan():
+    # LAPACK's Cholesky need not raise on a nan; the factor's diagonal shows it
+    rho = np.eye(4, dtype=complex) / 4
+    assert _psd_certified(rho)
+    rho[2, 1] = rho[1, 2] = np.nan
+    assert not _psd_certified(rho)
+
+
 def test_qubit_state_normalizes_and_rejects():
     vec = qubit_state(1.0, 0.0)
     assert np.allclose(vec, [1.0, 0.0])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from catsim.io_utils import fmt_float, write_json
+from catsim.io_utils import fmt_float, write_csv, write_json
 
 
 @pytest.mark.parametrize("value,text", [
@@ -15,10 +15,14 @@ from catsim.io_utils import fmt_float, write_json
     (0.1, "0.10000000000000001"),
     (np.float64(2.0) / 3.0, "0.66666666666666663"),
 ])
-def test_fmt_float_spells_every_float(value, text):
+def test_fmt_float_spells_every_float(value, text, tmp_path):
     assert fmt_float(value) == text
     if text != "nan":
         assert float(text) == value  # 17 significant digits round-trip
+    # write_csv spells every table entry the same way
+    path = tmp_path / "x.csv"
+    write_csv(path, ("x", "y"), [(value, 1.0), (0.5, value)])
+    assert path.read_text() == f"x,y\n{text},1\n0.5,{text}\n"
 
 
 def test_write_json_round_trips_every_float(tmp_path):

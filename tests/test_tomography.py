@@ -10,7 +10,6 @@ from catsim.catfit import css_state
 from catsim.hilbert import (
     HilbertSpace,
     coherent_state,
-    default_cutoff,
     displaced_parity,
     fidelity,
     fock_state,
@@ -244,17 +243,6 @@ def test_sample_wigner_names_first_deep_displacement():
     model = ReadoutModel(shots=10, seed=1)
     with pytest.raises(TruncationError, match=r"\|beta\|=4\.00 "):
         sample_wigner(fock_state(0, HilbertSpace(9)), [0.5, 4.0j, 5.0], model)
-
-
-def test_sample_set_csv_format(tmp_path):
-    samples = WignerSampleSet(
-        betas=np.array([0.5 + 0.25j]), parities=np.array([0.75]),
-        shots_per_point=100, normalization=ParityNormalization.identity())
-    path = tmp_path / "samples.csv"
-    samples.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "re_beta,im_beta,parity,shots"
-    assert len(lines) == 2
 
 
 @pytest.mark.parametrize("dim", [5, 13, 21])
