@@ -89,6 +89,8 @@ class _Field:
 # Fock cutoffs grow as 4 |alpha|^2 (hilbert.default_cutoff); |alpha| <= 6
 # keeps every state within the n_max ~ 150 the dense matrices are sized for
 _MAX_AMPLITUDE = 6.0
+# the longest admitted mode geometry (w0, length), 1 m; see the mass schema
+_MAX_LENGTH_UM = 1e6
 
 
 def _amplitude(default=None, required=False, desc=""):
@@ -196,15 +198,21 @@ SCHEMAS = {
         **_experiment_fields(),
     },
     # p + |l| <= 100 keeps the Laguerre-Gauss (p + |l|)! below 170!, the float
-    # limit, and w0_um >= 1e-3 keeps w0^2 in m^2 clear of underflow
+    # limit, and w0_um >= 1e-3 keeps w0^2 in m^2 clear of underflow.  Lengths
+    # up to 1 m keep w0^2 and the mode mass clear of overflow, and the
+    # one-phonon displacement u^2 ~ 1 / length clear of underflow; a tiny
+    # length or wavelength whose frequency overflows is a numerical failure
     "mass": {
         "schema_version": _Field(int, required=True),
-        "w0_um": _Field(float, default=27.0, minimum=1e-3),
-        "length_um": _positive(435.0),
+        "w0_um": _Field(float, default=27.0, minimum=1e-3,
+                        maximum=_MAX_LENGTH_UM),
+        "length_um": _Field(float, default=435.0, exclusive_minimum=0,
+                            maximum=_MAX_LENGTH_UM),
         "wavelength_um": _positive(1.7),
         "p": _Field(int, default=0, minimum=0, maximum=50),
         "l": _Field(int, default=0, minimum=-50, maximum=50),
         "alpha": _Field(float, default=1.61, minimum=0,
+                        maximum=_MAX_AMPLITUDE,
                         desc="cat size for delocalization"),
     },
     "calibrate": {
@@ -371,11 +379,12 @@ def _cmd_wigner(cfg, out_dir, seed, log):
         raise ConfigError(
             "config field state: must be 'coherent', 'css', 'decayed-css', "
             "or 'pipeline'")
+    neg = negativity(wg)  # fails on a nan value before any file is written
     io_utils.write_csv(out_dir / "wigner.csv", ("re_beta", "im_beta", "w"),
                        zip(wg.points.real, wg.points.imag, wg.values))
     io_utils.write_json(out_dir / "wigner_meta.json", {
         "state": kind, "extent": cfg["extent"], "n_grid": cfg["n_grid"],
-        "negativity": negativity(wg),
+        "negativity": neg,
     })
     log(f"wrote wigner.csv ({cfg['n_grid']}^2 points)")
 

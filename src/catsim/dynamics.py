@@ -5,17 +5,19 @@ JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and |e,n-1>), so
 no integrator is involved; a trajectory evaluates it once over its time
 grid.  Open-system evolution solves the Lindblad master equation with
 collapse channels sqrt(kappa) a, sqrt(gamma) sigma-, and
-sqrt(gamma_phi/2) sigma_z exactly: the Hamiltonian and all three channels
-conserve the coherence order k = N_row - N_col of the excitation number
-N = n + q, so the Liouvillian splits into independent blocks, one per k
-(Buca & Prosen, NJP 14, 073007 (2012)), each propagated with one matrix
-exponential per distinct time step.  Two routes share that block
-propagator: lindblad_evolve propagates every block and returns certified
-states, and lindblad_observables propagates only the k = 0 and k = 1
-blocks, in which every observable column is linear, and builds no state.
-Closed and open trajectories take their observables from one routine,
-vectorised over states.  Free decay of a phonon state alone is the
-amplitude-damping channel, applied in closed form by pipeline.free_decay.
+sqrt(gamma_phi/2) sigma_z exactly, by two routes.  lindblad_evolve
+returns certified states: it advances rho from one grid time to the next
+by the truncated-Taylor action of the Liouvillian on rho (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and forms no propagator.
+lindblad_observables builds no state: the Hamiltonian and all three
+channels conserve the coherence order k = N_row - N_col of the excitation
+number N = n + q, so the Liouvillian splits into independent blocks, one
+per k (Buca & Prosen, NJP 14, 073007 (2012)); every observable column is
+linear in the k = 0 and k = 1 blocks, and each is propagated with one
+matrix exponential per distinct time step.  Closed and open trajectories
+take their observables from one routine, vectorised over states.  Free
+decay of a phonon state alone is the amplitude-damping channel, applied in
+closed form by pipeline.free_decay.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -278,6 +280,13 @@ def _distinct_steps(times: np.ndarray):
     return np.bincount(which, dt) / np.bincount(which), which
 
 
+def _require_joint(space: HilbertSpace):
+    if not space.has_qubit:
+        raise DimensionMismatchError(
+            "the lossy JC master equation needs a qubit (x) phonon state; "
+            "the free decay of a phonon state is pipeline.free_decay")
+
+
 def _block_series(initial: JointState, params: SystemParams, times, orders):
     """The coherence-order blocks k in orders of rho(t) on the time grid.
 
@@ -296,10 +305,7 @@ def _block_series(initial: JointState, params: SystemParams, times, orders):
     from scipy.linalg import expm
 
     space = initial.space
-    if not space.has_qubit:
-        raise DimensionMismatchError(
-            "the lossy JC master equation needs a qubit (x) phonon state; "
-            "the free decay of a phonon state is pipeline.free_decay")
+    _require_joint(space)
     ops = OperatorSet(space)
     collapse = [(g, L) for g, L in ((params.kappa_phonon, ops.a),
                                     (params.gamma_qubit, ops.sigma_minus),
@@ -331,22 +337,114 @@ def _block_series(initial: JointState, params: SystemParams, times, orders):
     return blocks, series
 
 
-def _exact_states(initial: JointState, params: SystemParams, times):
-    """Yield rho(t) on the grid, from every coherence-order block.
+def _first_failure(bad):
+    """Index of the first time flagged in bad, or None if none is."""
+    return int(np.argmax(bad)) if bad.any() else None
 
-    Only the k >= 0 blocks are propagated; the k < 0 blocks are their
-    conjugates, since rho is hermitian.
+
+# A Taylor step of the action exp(L h) rho spans ||L||_1 h <= 9.9 with at
+# most 55 terms for a backward error of 2^-53: theta_55 of Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 33, 488 (2011)
+_TAYLOR_THETA = 9.9
+_TAYLOR_TERMS = 55
+# the drive presets take 7 steps to the cat time; an interval that needs more
+# than this (a lifetime of 1e-300 us makes ||L||_1 ~ 1e301) is an error at
+# once, not a run that never ends
+_MAX_TAYLOR_STEPS = 1000
+
+
+def _liouvillian(params: SystemParams, d: int):
+    """The lossy JC Liouvillian L as a function on hermitian (2, d, 2, d)
+    arrays rho[q, n, p, m].
+
+    L rho = h rho + rho h^dag + c rho + kappa a rho a^dag
+    + gamma sigma- rho sigma+, with h = -i g0 (sigma+ a + sigma- a^dag) and c
+    the coefficients of the diagonal terms: -1/2 sum g (L^dag L rho +
+    rho L^dag L) and the sigma_z dephasing, which together give
+    -(kappa (n + m) + gamma (q + p)) / 2 - gamma_phi [q != p].  On a
+    hermitian rho, rho h^dag = (h rho)^dag, so h is applied once.
     """
-    dim = initial.space.dim
-    blocks, series = _block_series(initial, params, times,
-                                   range(initial.space.n_max + 2))
-    rows, cols = (np.concatenate(idx) for idx in zip(*blocks))
-    upper, lower = rows * dim + cols, cols * dim + rows
-    for values in series:
-        rho = np.empty(dim * dim, dtype=complex)
-        rho[lower] = values.conj()
-        rho[upper] = values  # written last: k = 0 keeps its own elements
-        yield rho.reshape(dim, dim)
+    n = np.arange(d)
+    decay = 0.5 * (params.kappa_phonon * n + params.gamma_qubit * np.arange(2)[:, None])
+    coef = -(decay[:, :, None, None] + decay)
+    coef[0, :, 1] -= params.gamma_phi
+    coef[1, :, 0] -= params.gamma_phi
+    hop = -1j * params.g0 * np.sqrt(n[1:])[:, None, None]  # <e,n-1|h|g,n> = <g,n|h|e,n-1>
+    jump = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))[:, None, :]
+
+    def apply(rho):
+        h_rho = np.empty_like(rho)
+        h_rho[1, :-1] = hop * rho[0, 1:]
+        h_rho[0, 1:] = hop * rho[1, :-1]
+        h_rho[1, -1] = 0.0
+        h_rho[0, 0] = 0.0
+        out = coef * rho
+        out += h_rho
+        out += h_rho.conj().transpose(2, 3, 0, 1)
+        out[:, :-1, :, :-1] += jump * rho[:, 1:, :, 1:]
+        out[0, :, 0] += params.gamma_qubit * rho[1, :, 1]
+        return out
+
+    return apply
+
+
+def _liouvillian_norm(params: SystemParams, d: int) -> float:
+    """A bound on ||L||_1, the largest column sum of _liouvillian's L: h rho
+    and rho h^dag give 2 g0 sqrt(d), the diagonal its largest |c|, and the
+    jumps kappa (d - 1) + gamma.  In Python floats, a rate that overflows
+    gives inf with no warning."""
+    largest_c = params.kappa_phonon * (d - 1) + max(
+        params.gamma_qubit, 0.5 * params.gamma_qubit + params.gamma_phi)
+    return (2.0 * params.g0 * math.sqrt(d) + largest_c
+            + params.kappa_phonon * (d - 1) + params.gamma_qubit)
+
+
+def _max_norm(x: np.ndarray) -> float:
+    """max(|Re x_i|, |Im x_i|) over a contiguous complex array: a norm, and
+    cheaper than max |x_i|, whose square roots it skips."""
+    return float(np.abs(x.view(float)).max())
+
+
+def _exact_states(initial: JointState, params: SystemParams, times):
+    """Yield rho(t) on the grid, advanced from one time to the next by the
+    truncated-Taylor action of the Liouvillian (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)).
+
+    An interval dt takes s = ceil(||L||_1 dt / 9.9) steps, each summing at
+    most 55 terms and stopping once two successive terms fall below
+    2^-53 of the partial sum, in _max_norm.  No propagator is formed.  An
+    interval that would need more than _MAX_TAYLOR_STEPS steps, or whose
+    ||L||_1 dt is not finite, is an IntegrationError before any step.
+    """
+    space = initial.space
+    _require_joint(space)
+    d = space.phonon_dim
+    dts = np.diff(times)
+    norm_dt = _liouvillian_norm(params, d) * dts
+    k = _first_failure(~(norm_dt <= _TAYLOR_THETA * _MAX_TAYLOR_STEPS))
+    if k is not None:
+        raise IntegrationError(
+            f"||L||_1 dt = {norm_dt[k]:.3e} needs more than {_MAX_TAYLOR_STEPS} "
+            f"Taylor steps at t = {times[k + 1]:.4g}")
+    apply = _liouvillian(params, d)
+    tol = 2.0 ** -53
+    rho = initial.density_matrix().astype(complex).reshape(2, d, 2, d)
+    yield rho.reshape(space.dim, space.dim)
+    for dt, steps in zip(dts, np.maximum(1, np.ceil(norm_dt / _TAYLOR_THETA))):
+        h = dt / steps
+        for _ in range(int(steps)):
+            total, term = rho.copy(), rho
+            last = _max_norm(term)
+            for j in range(1, _TAYLOR_TERMS + 1):
+                term = apply(term)
+                term *= h / j
+                total += term
+                size = _max_norm(term)
+                if last + size <= tol * _max_norm(total):
+                    break
+                last = size
+            rho = total
+        yield rho.reshape(space.dim, space.dim)
 
 
 def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Trajectory:
@@ -354,9 +452,10 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
 
     The initial state lives on a qubit (x) phonon space.  Collapse channels:
     sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2)
-    sigma_z.  Each coherence-order block of the Liouvillian is propagated
-    with its matrix exponential; steps that differ only by float rounding
-    share one propagator.  Returns the states and no observables: those of
+    sigma_z.  rho is advanced from one grid time to the next by the
+    truncated-Taylor action of the Liouvillian (_exact_states), with no
+    propagator and no scipy routine; an interval too stiff for that is an
+    IntegrationError.  Returns the states and no observables: those of
     a trajectory come from lindblad_observables, which builds no state.  A
     one-point grid returns the initial state, checked like any other.
     """
@@ -386,11 +485,6 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
     return Trajectory(times=times, states=states, observables={})
 
 
-def _first_failure(bad):
-    """Index of the first time flagged in bad, or None if none is."""
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def _lambda_min(a, b, c):
     """Smaller eigenvalue of the hermitian 2 x 2 matrices [[a, c*], [c, b]]."""
     return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(c))
@@ -404,10 +498,10 @@ def lindblad_observables(initial: JointState, params: SystemParams,
     and k = 1 of rho: the Fock-basis populations (P_e, n_mean) lie on the
     k = 0 diagonal, and the qubit coherence
     rho_q[e, g] = sum_n rho[(e, n), (g, n)] lies in k = 1.  Only those two
-    blocks are propagated, by the same block propagator as lindblad_evolve,
-    and states is None.  Every time is checked: a k = 0 trace that drifts
-    from 1 by more than 1e-8, or an eigenvalue below -1e-7 of a 2 x 2
-    matrix the route reads, is an IntegrationError.  Those matrices are
+    blocks are propagated, by _block_series, and states is None.  Every
+    time is checked: a k = 0 trace that drifts from 1 by more than 1e-8,
+    or an eigenvalue below -1e-7 of a 2 x 2 matrix the route reads, is an
+    IntegrationError.  Those matrices are
     the excitation sectors {|g, N>, |e, N-1>} of the k = 0 block, each a
     principal submatrix of rho, and the qubit reduction, whose Bloch vector
     is then longer than 1 + 2e-7; both bounds are closed forms.

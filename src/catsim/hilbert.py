@@ -189,10 +189,12 @@ _PARITY_BLOCK = 256
 
 def _laguerre_rows(x: np.ndarray, dim: int):
     """Yield G_n[k, r] = sqrt(n!/(n+k)!) x_r^(k/2) e^(-x_r/2) L_n^(k)(x_r), k < dim - n, by n."""
-    from scipy.special import gammaln, xlogy
-
-    k = np.arange(dim)[:, None]
-    prev, cur = np.zeros((dim, len(x))), np.exp(xlogy(k / 2, x) - x / 2 - 0.5 * gammaln(k + 1))
+    k, log_fact = _fock_table(dim - 1)
+    k = k[:, None]
+    # log x^(k/2), with 0^0 = 1: row k = 0 stays 0, and log 0 = -inf gives 0^(k/2) = 0
+    log_pow = np.zeros((dim, len(x)))
+    log_pow[1:] = k[1:] / 2 * np.log(x, out=np.full(len(x), -np.inf), where=x > 0)
+    prev, cur = np.zeros((dim, len(x))), np.exp(log_pow - x / 2 - 0.5 * log_fact[:, None])
     for n in range(dim):
         yield cur
         k = k[:-1]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .errors import CatsimError
+
 
 _FLOAT = "%.17g"  # round-trips every float; nan, inf, -inf print as words
 
@@ -34,7 +36,14 @@ def _jsonable(obj):
 
 
 def write_json(path, obj):
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1, separators=(",", ": "))
+    """obj as sorted, indented JSON.  A nan or inf has no JSON spelling: it is
+    a numerical failure, raised before the file is written."""
+    try:
+        text = json.dumps(_jsonable(obj), sort_keys=True, indent=1,
+                          separators=(",", ": "), allow_nan=False)
+    except ValueError as exc:
+        raise CatsimError(
+            f"{Path(path).name} would hold a nan or inf, which is not JSON") from exc
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 

@@ -103,7 +103,8 @@ def negativity(grid: WignerGrid) -> float:
     """Integrated negative part, int (|W| - W), over the grid's measure.
 
     For 1D slices this is the main-text line integral along the slice; for
-    2D rasters it is the full area integral.
+    2D rasters it is the full area integral.  A nan or inf value or weight
+    makes it a FitError.
     """
     if len(grid.points) == 0:
         raise FitError("empty Wigner grid")
@@ -111,6 +112,8 @@ def negativity(grid: WignerGrid) -> float:
         raise FitError("grid carries no integration weights")
     w = np.asarray(grid.values, dtype=float)
     val = float(np.sum(grid.weights * (np.abs(w) - w)))
+    if not math.isfinite(val):
+        raise FitError(f"negativity {val}: the grid's values or weights are not finite")
     return 0.0 if val < 1e-12 else val
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -311,43 +312,62 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in err
 
 
-# a lifetime of 1e-300 us makes the propagators overflow to nan: each run
-# stops at the first time whose state is not finite, instead of writing nan
-# rows or failing later in a fit
-@pytest.mark.parametrize("command,payload", [
+# a lifetime of 1e-300 us makes the open simulate's propagators overflow to
+# nan, and puts the Taylor steps of prepare_cat's evolution beyond their
+# bound: each run stops at once, with no state to write, instead of writing
+# nan rows or failing later in a fit
+@pytest.mark.parametrize("command,payload,message", [
     ("simulate", {"alpha0": 1.0, "closed": False, "t1_phonon": 1e-300,
-                  "n_times": 5, "t_max": 1.0}),
-    ("decay", {"t1_phonon": 1e-300}),
-    ("tomo", {"t1_qubit": 1e-300, "t2_qubit": 1e-300}),
+                  "n_times": 5, "t_max": 1.0}, "trace drift nan at t = "),
+    ("decay", {"t1_phonon": 1e-300},
+     "||L||_1 dt = 2.320e+302 needs more than 1000 Taylor steps at t = 2.9\n"),
+    ("tomo", {"t1_qubit": 1e-300, "t2_qubit": 1e-300},
+     "||L||_1 dt = 5.800e+300 needs more than 1000 Taylor steps at t = 2.9\n"),
 ], ids=["simulate_open", "decay", "tomo"])
 def test_nan_states_are_integration_errors(tmp_path, capsys, command,
-                                           payload):
+                                           payload, message):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    start = time.perf_counter()
     code, _, err = run(capsys, command, "--config", cfg,
                        "--out", str(tmp_path / "out"), "--quiet")
+    assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "(IntegrationError): trace drift nan at t = " in err
+    assert "(IntegrationError): " + message in err
     assert "Traceback" not in err
     assert list((tmp_path / "out").iterdir()) == []
 
 
 # configs whose values would overflow, underflow or make inf samples: each is
-# a config error or a numerical failure, never a traceback
-@pytest.mark.parametrize("command,payload,code", [
-    ("mass", {"p": 200}, 2),
-    ("mass", {"l": 300}, 2),
-    ("mass", {"l": -200}, 2),
-    ("mass", {"w0_um": 1e-300}, 2),
-    ("calibrate", {"kind": "drive", "drive_b": 1e-6}, 3),
-], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "calibrate_drive"])
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+# a config error naming its field, or a numerical failure raised before any
+# file is written, never a traceback or a nan in an output
+@pytest.mark.parametrize("command,payload,code,message", [
+    ("mass", {"p": 200}, 2, "field p:"),
+    ("mass", {"l": 300}, 2, "field l:"),
+    ("mass", {"l": -200}, 2, "field l:"),
+    ("mass", {"w0_um": 1e-300}, 2, "field w0_um:"),
+    ("mass", {"w0_um": 1e200}, 2, "field w0_um:"),
+    ("mass", {"alpha": 1e300}, 2, "field alpha:"),
+    ("mass", {"length_um": 1e300}, 2, "field length_um:"),
+    # the mode frequency overflows: nan and inf in 9 fields of mass.json
+    ("mass", {"length_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
+    ("mass", {"wavelength_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
+    ("wigner", {"state": "coherent", "extent": 1e300, "n_grid": 5}, 3,
+     "(FitError): negativity nan"),
+    ("calibrate", {"kind": "drive", "drive_b": 1e-6}, 3, "(FitError)"),
+], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "mass_w0_huge",
+        "mass_alpha", "mass_length_huge", "mass_length_tiny",
+        "mass_wavelength_tiny", "wigner_extent", "calibrate_drive"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows under test
 def test_extreme_configs_exit_without_traceback(tmp_path, capsys, command,
-                                                payload, code):
+                                                payload, code, message):
     cfg = write_config(tmp_path, {"schema_version": 1, **payload})
+    out_dir = tmp_path / "out"
     got, _, err = run(capsys, command, "--config", cfg,
-                      "--out", str(tmp_path / "out"), "--quiet")
+                      "--out", str(out_dir), "--quiet")
     assert got == code
     assert err.startswith("catsim: ") and "Traceback" not in err
+    assert message in err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
 def test_wigner_decayed_css(tmp_path, capsys):
@@ -549,6 +569,12 @@ def test_light_commands_load_no_scipy(tmp_path):
     scan = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
                                    "n_phases": 3, "n_times": 5},
                         name="scan.json")
+    coherent = write_config(tmp_path, {"schema_version": 1, "state": "coherent",
+                                       "n_grid": 5}, name="coherent.json")
+    # the pipeline state runs prepare_cat, whose Lindblad evolution loads no scipy
+    pipeline_cat = write_config(tmp_path, {"schema_version": 1,
+                                           "state": "pipeline", "n_grid": 5},
+                                name="pipeline.json")
     out = str(tmp_path / "out")
     steps = [
         ("--schema", ["--schema"], 0),
@@ -557,6 +583,10 @@ def test_light_commands_load_no_scipy(tmp_path):
                              "--quiet"], 0),
         ("qubit-phase-scan", ["qubit-phase-scan", "--config", scan,
                               "--out", out, "--quiet"], 0),
+        ("wigner coherent", ["wigner", "--config", coherent, "--out", out,
+                             "--quiet"], 0),
+        ("wigner pipeline", ["wigner", "--config", pipeline_cat, "--out", out,
+                             "--quiet"], 0),
     ]
     src = str(Path(catsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

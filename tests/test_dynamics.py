@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from catsim.dynamics import (
     phi_states,
     revival_contrast,
 )
-from catsim.pipeline import ExperimentConfig, free_decay
+from catsim.pipeline import DRIVE_PRESETS, ExperimentConfig, free_decay
 from catsim.errors import DimensionMismatchError, IntegrationError
 from catsim.hilbert import (
     HilbertSpace,
@@ -390,7 +391,6 @@ def test_exact_route_matches_tight_rk45():
 
 def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     params, initial = _lossy_joint(1.0, 0.6, 0.8)
-    n_blocks = initial.space.n_max + 2  # k = 0 .. n_max + 1
     calls = []
     expm = scipy.linalg.expm
 
@@ -402,14 +402,83 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     grid = np.linspace(0.0, 10.0, 501)
     assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
-    lindblad_evolve(initial, params, times=grid)
-    assert len(calls) == n_blocks
-    calls.clear()
-    lindblad_evolve(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
-    assert len(calls) == 2 * n_blocks
-    calls.clear()
+    steps, which = dynamics._distinct_steps(grid)
+    assert len(steps) == 1 and not which.any()
     lindblad_observables(initial, params, times=grid)  # blocks k = 0 and 1
     assert len(calls) == 2
+    calls.clear()
+    lindblad_observables(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    assert len(calls) == 2 * 2
+    calls.clear()
+    # lindblad_evolve applies the Liouvillian to rho and forms no propagator
+    lindblad_evolve(initial, params, times=grid[:51])
+    lindblad_evolve(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    assert calls == []
+
+
+def _block_expm_states(initial, params, times):
+    """Reference for lindblad_evolve's raw states: every coherence-order
+    block k >= 0 propagated by its matrix exponential, the k < 0 blocks
+    their conjugates."""
+    dim = initial.space.dim
+    blocks, series = dynamics._block_series(initial, params, times,
+                                            range(initial.space.n_max + 2))
+    rows, cols = (np.concatenate(idx) for idx in zip(*blocks))
+    states = []
+    for values in series:
+        rho = np.empty((dim, dim), dtype=complex)
+        rho[cols, rows] = values.conj()
+        rho[rows, cols] = values  # written last: k = 0 keeps its own elements
+        states.append(rho)
+    return states
+
+
+def _cat_preparation(alpha, n_max):
+    config = ExperimentConfig()
+    space = HilbertSpace(n_max, has_qubit=True)
+    initial = tensor(qubit_state(1.0, 0.0), coherent_state(alpha, space.phonon_only()))
+    return config.system_params(alpha), initial, [0.0, config.t_cat]
+
+
+@pytest.mark.parametrize("case", [
+    *((alpha, 40) for alpha in DRIVE_PRESETS.values()),
+    (3.0, default_cutoff(3.0)), (4.0, default_cutoff(4.0)), "grid"],
+    ids=["drive_0.25", "drive_0.30", "drive_0.35", "alpha_3", "alpha_4",
+         "nonuniform_grid"])
+def test_taylor_action_matches_block_expm(case):
+    # dual route: the action of the Liouvillian on rho against every
+    # coherence-order block's matrix exponential
+    if case == "grid":
+        params, initial = _lossy_joint(1.2 + 0.4j, 0.6, 0.8j)
+        times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0, 6.5]
+    else:
+        params, initial, times = _cat_preparation(*case)
+    states = list(dynamics._exact_states(initial, params, np.array(times)))
+    reference = _block_expm_states(initial, params, np.array(times))
+    assert len(states) == len(reference) == len(times)
+    for rho, ref in zip(states, reference):
+        assert np.max(np.abs(rho - ref)) <= 1e-13
+    assert np.max(np.abs(states[-1] - states[0])) > 0.1
+
+
+@pytest.mark.parametrize("rates,norm_dt", [
+    ({"kappa_phonon": 1e300}, r"3\.800e\+301"),  # 2 kappa n_max, n_max 19
+    ({"gamma_qubit": 1e300, "gamma_phi": 5e299}, r"2\.000e\+300"),
+    ({"kappa_phonon": 1e308}, "inf")], ids=["kappa", "gamma", "norm_inf"])
+@pytest.mark.filterwarnings("error")
+def test_stiff_interval_is_an_error_at_once(rates, norm_dt):
+    # ||L||_1 dt far beyond _MAX_TAYLOR_STEPS steps, or not finite: no step is
+    # taken, no overflow warning is raised, and the error names ||L||_1 dt
+    # and the time
+    params = SystemParams(g0=G0, alpha0=1.0, **rates)
+    space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
+    initial = tensor(qubit_state(1.0, 0.0), coherent_state(1.0, space.phonon_only()))
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError,
+                       match=rf"^\|\|L\|\|_1 dt = {norm_dt} needs more than 1000 "
+                             r"Taylor steps at t = 1$"):
+        lindblad_evolve(initial, params, [0.0, 1.0])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_liouvillian_keeps_coherence_order():

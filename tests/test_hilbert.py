@@ -15,6 +15,7 @@ from catsim.hilbert import (
     JointState,
     OperatorSet,
     _fock_table,
+    _laguerre_rows,
     _psd_certified,
     _psd_sqrt,
     coherent_amplitudes,
@@ -332,6 +333,26 @@ def test_displaced_parity_exact_far_beyond_the_state():
     assert np.max(np.abs(ref - doubled)) < 1e-14
     got = displaced_parity(JointState(HilbertSpace(dim - 1), rho, "mixed"), betas)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_laguerre_seed_row_matches_scipy_special():
+    # G_0[k] = x^(k/2) e^(-x/2) / sqrt(k!) seeds every row; its log k! comes
+    # from _fock_table, scipy's route takes gammaln and xlogy.  x = 0 gives
+    # 0^0 = 1 at k = 0 and 0 above it, with no warning
+    from scipy.special import gammaln, xlogy
+
+    dim = 145
+    x = np.array([0.0, 1e-9, 0.5, 4.0, 19.36, 72.0, 144.0])
+    k = np.arange(dim)[:, None]
+    ref = np.exp(xlogy(k / 2, x) - x / 2 - 0.5 * gammaln(k + 1))
+    seed = next(_laguerre_rows(x, dim))
+    assert np.array_equal(seed[:, 0], np.eye(dim)[0])
+    assert np.array_equal(seed == 0, ref == 0)
+    nonzero = ref > 0
+    # each route's log k! is within ~1.5 ulp of log 144! = 1.1e-13 of exact
+    tol = 2.0 * np.spacing(gammaln(dim))
+    assert np.max(np.abs(seed - ref)[nonzero] / ref[nonzero]) <= tol
 
 
 def test_displaced_parity_empty_and_joint_inputs():

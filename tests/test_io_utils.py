@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from catsim.errors import CatsimError
 from catsim.io_utils import fmt_float, write_csv, write_json
 
 
@@ -32,3 +33,13 @@ def test_write_json_round_trips_every_float(tmp_path):
     back = json.loads(path.read_text())
     assert back["v"] == values and all(type(v) is float for v in back["v"])
     assert back["z"] == [0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf,
+                                   complex(0.0, np.nan)])
+def test_write_json_refuses_non_finite_floats(value, tmp_path):
+    # json.dumps would spell them NaN and Infinity, which are not JSON
+    path = tmp_path / "x.json"
+    with pytest.raises(CatsimError, match="x.json would hold a nan or inf"):
+        write_json(path, {"ok": 1.0, "deep": {"v": [0.5, value]}})
+    assert not path.exists()
