@@ -15,7 +15,7 @@ trigonometric polynomial of degree n_max whose coefficient c_k sums the
 k-th diagonal of conj(V_a) rho V_b.  _theta_profile scores every theta of
 a fine grid by one FFT of the c_k, and polishes the best one by Newton
 steps on the polynomial, so fit_analytical is a 1-D search over alpha: a
-bracket grid over (0, cap], then bounded Brent.
+bracket grid over (0, max_amplitude(n_max)], then bounded Brent.
 
 The CSS fit scores raw amplitude vectors: _coherent_pair builds both
 truncated coherent components in one expression, and for a fixed pair
@@ -53,8 +53,8 @@ from .hilbert import (
     HilbertSpace,
     JointState,
     _fock_table,
-    exceeds_truncation,
     fidelity,
+    max_amplitude,
     phonon_factor,
 )
 
@@ -285,18 +285,6 @@ def _theta_profile(rho: np.ndarray, factor: np.ndarray):
     return theta % (2.0 * math.pi), min(1.0, score / scale), abs(slope) / scale
 
 
-def _alpha_cap(n_max: int) -> float:
-    """Largest alpha that check_truncation admits for n_max.
-
-    sqrt(n_max / 4) squared exceeds n_max / 4 by an ulp for some n_max (20
-    and 40 among them), so the cap steps down until the same test passes.
-    """
-    cap = math.sqrt(n_max / 4.0)
-    while exceeds_truncation(cap, n_max):
-        cap = math.nextafter(cap, 0.0)
-    return cap
-
-
 def _analytical_profile(rho: np.ndarray, alpha: float, c_g: complex, c_e: complex,
                         t_c: float, g0: float):
     """(theta, F, |dF/dtheta|) of the analytical target at alpha, best over theta."""
@@ -344,16 +332,16 @@ def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
     """Maximize fidelity of rho to the analytical JC target over (alpha, theta).
 
     theta is profiled out by _theta_profile.  alpha is searched on a
-    _ALPHA_GRID-point grid over (0, cap], cap the largest alpha the
-    truncation guard admits, then by bounded Brent between the grid
-    neighbours of the best grid point; the best profiled point wins.
+    _ALPHA_GRID-point grid over (0, max_amplitude(n_max)], then by bounded
+    Brent between the grid neighbours of the best grid point; the best
+    profiled point wins.
     """
     from scipy.optimize import minimize_scalar
 
     if rho.space.has_qubit:
         raise DimensionMismatchError("fit_analytical expects a phonon-only state")
     rho_data = rho.density_matrix()
-    grid = np.linspace(0.0, _alpha_cap(rho.space.n_max), _ALPHA_GRID + 1)
+    grid = np.linspace(0.0, max_amplitude(rho.space.n_max), _ALPHA_GRID + 1)
     profiled = []
 
     def profile(alpha):
@@ -388,8 +376,7 @@ def _canonical_pair(alpha1: complex, alpha2: complex):
 
 def _css_admissible(a1: complex, a2: complex, n_max: int) -> bool:
     """Inside the truncation wall, and off the |a1 - a2| < 1e-6 plateau."""
-    return not (exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max)
-                or abs(a1 - a2) < 1e-6)
+    return max(abs(a1), abs(a2)) <= max_amplitude(n_max) and abs(a1 - a2) >= 1e-6
 
 
 def _css_objective(x: np.ndarray, rho: np.ndarray):
@@ -400,9 +387,8 @@ def _css_objective(x: np.ndarray, rho: np.ndarray):
     a line search backs away from them and a start on them stops at once.
     _css_search never counts such a stop as converged.
     """
-    n_max = len(rho) - 1
     a1, a2 = complex(x[0], x[1]), complex(x[2], x[3])
-    if exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max):
+    if max(abs(a1), abs(a2)) > max_amplitude(len(rho) - 1):
         return 1.0 + abs(a1) + abs(a2), np.zeros(4)
     if abs(a1 - a2) < 1e-6:
         return 1.0, np.zeros(4)
@@ -512,7 +498,7 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
     CSS profile re-optimizes the centre and axis by Nelder-Mead from a warm
     start.
     """
-    n_max = rho.space.n_max
+    cap = max_amplitude(rho.space.n_max)
     rho_data = rho.density_matrix()
     if isinstance(fit, AnalyticalFit):
         missing = [k for k in ("c_g", "c_e", "t_c", "g0") if k not in context]
@@ -522,7 +508,7 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
         best = fit.alpha_fit
 
         def profile(alpha):
-            if not 0.0 < alpha or exceeds_truncation(alpha, n_max):
+            if not 0.0 < alpha <= cap:
                 return 0.0
             return _analytical_profile(rho_data, alpha, c_g, c_e, t_c, g0)[1]
     elif isinstance(fit, CssFit):
@@ -536,7 +522,7 @@ def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
             c = complex(x[0], x[1])
             a1 = c + d_val * cmath.exp(1j * x[2])
             a2 = c - d_val * cmath.exp(1j * x[2])
-            if exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max):
+            if max(abs(a1), abs(a2)) > cap:
                 return 1.0
             return -_css_phase(a1, a2, rho_data)[1]
 

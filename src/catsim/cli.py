@@ -91,6 +91,10 @@ class _Field:
 _MAX_AMPLITUDE = 6.0
 # the longest admitted mode geometry (w0, length), 1 m; see the mass schema
 _MAX_LENGTH_UM = 1e6
+# the largest raster half-width: W of any state within _MAX_AMPLITUDE has
+# vanished long before |beta| = 100, and an extent of 1000 still runs
+# without a floating-point warning
+_MAX_EXTENT = 100.0
 
 
 def _amplitude(default=None, required=False, desc=""):
@@ -98,8 +102,9 @@ def _amplitude(default=None, required=False, desc=""):
                   minimum=-_MAX_AMPLITUDE, maximum=_MAX_AMPLITUDE)
 
 
-def _positive(default, desc=""):
-    return _Field(float, default=default, desc=desc, exclusive_minimum=0)
+def _positive(default, desc="", maximum=None):
+    return _Field(float, default=default, desc=desc, exclusive_minimum=0,
+                  maximum=maximum)
 
 
 def _experiment_fields():
@@ -165,7 +170,7 @@ SCHEMAS = {
         "kappa_t": _Field(float, default=0.0, minimum=0,
                           desc="decayed-css: kappa * t of the decay"),
         "drive_amplitude": _Field(float, default=0.35, desc="pipeline preset"),
-        "extent": _positive(3.0),
+        "extent": _positive(3.0, maximum=_MAX_EXTENT),
         "n_grid": _Field(int, default=81, minimum=1, maximum=1_000),
         **_experiment_fields(),
     },
@@ -179,7 +184,7 @@ SCHEMAS = {
                            maximum=1.0),
         "offset": _Field(float, default=0.02),
         "shots": _Field(int, default=500, minimum=1, maximum=10_000_000),
-        "extent": _positive(2.2),
+        "extent": _positive(2.2, maximum=_MAX_EXTENT),
         "n_grid": _Field(int, default=11, minimum=1, maximum=200,
                          desc="tomography raster points per axis; "
                               + _STACK_LIMIT),

@@ -109,7 +109,7 @@ def _jc_series(params: SystemParams, times, n_max: int) -> np.ndarray:
     truncation guard, and raises IntegrationError at the first time whose
     truncated state norm deviates from 1 by more than 1e-6.
     """
-    check_truncation(params.alpha0, HilbertSpace(n_max, has_qubit=True))
+    check_truncation(params.alpha0, n_max)
     c, _ = coherent_amplitudes(params.alpha0, n_max)
     t = np.asarray(times, dtype=float)[:, None]
     n = np.arange(n_max + 1)
@@ -147,7 +147,7 @@ def excited_population(params: SystemParams, times, n_max: int | None = None) ->
     """P_e(t) from the exact JC series, evaluated on a time grid."""
     if n_max is None:
         n_max = default_cutoff(params.alpha0)
-    check_truncation(params.alpha0, HilbertSpace(n_max, has_qubit=True))
+    check_truncation(params.alpha0, n_max)
     times = np.asarray(times, dtype=float)
     c, _ = coherent_amplitudes(params.alpha0, n_max)
     n = np.arange(n_max)
@@ -193,7 +193,7 @@ def phi_states(params: SystemParams, t: float, n_max: int | None = None):
     if n_max is None:
         n_max = default_cutoff(alpha)
     space = HilbertSpace(n_max, has_qubit=False)
-    check_truncation(alpha, space)
+    check_truncation(alpha, n_max)
     c, _ = coherent_amplitudes(alpha, n_max)
     phases = params.g0 * t * np.sqrt(np.arange(n_max + 1))
     plus = c * np.exp(-1j * phases)
@@ -455,9 +455,12 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
     sigma_z.  rho is advanced from one grid time to the next by the
     truncated-Taylor action of the Liouvillian (_exact_states), with no
     propagator and no scipy routine; an interval too stiff for that is an
-    IntegrationError.  Returns the states and no observables: those of
-    a trajectory come from lindblad_observables, which builds no state.  A
-    one-point grid returns the initial state, checked like any other.
+    IntegrationError.  Each grid interval costs its own Taylor action, of at
+    least one step, so a dense grid costs in proportion to its points:
+    trajectories belong to lindblad_observables, which builds no state and
+    reuses one propagator per distinct step.  Returns the states and no
+    observables.  A one-point grid returns the initial state, checked like
+    any other.
     """
     times = _time_grid(times)
     # the loop makes JointState's checks on every state (hermitian, unit

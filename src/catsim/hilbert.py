@@ -51,19 +51,19 @@ class HilbertSpace:
 def default_cutoff(alpha: complex) -> int:
     """Recommended Fock cutoff for a coherent amplitude alpha."""
     a = abs(alpha)
-    return max(10, math.ceil(4.0 * a * a), math.ceil(a * a + 8.0 * a + 10.0))
+    return max(math.ceil(4.0 * a * a), math.ceil(a * a + 8.0 * a + 10.0))
 
 
-def exceeds_truncation(alpha: complex, n_max: int) -> bool:
-    """The test check_truncation applies: |alpha|^2 > n_max / 4."""
-    return abs(alpha) ** 2 > n_max / 4.0
+def max_amplitude(n_max: int) -> float:
+    """The largest |alpha| a cutoff n_max admits, sqrt(n_max / 4)."""
+    return math.sqrt(n_max / 4.0)
 
 
-def check_truncation(alpha: complex, space: HilbertSpace):
-    """Guard |alpha|^2 <= n_max / 4; raises TruncationError otherwise."""
-    if exceeds_truncation(alpha, space.n_max):
+def check_truncation(alpha: complex, n_max: int):
+    """Guard |alpha| <= max_amplitude(n_max); raises TruncationError otherwise."""
+    if abs(alpha) > max_amplitude(n_max):
         raise TruncationError(
-            f"|alpha|^2 = {abs(alpha) ** 2:.3f} exceeds n_max/4 = {space.n_max / 4:.3f}; "
+            f"|alpha| = {abs(alpha):.3f} exceeds sqrt(n_max/4) = {max_amplitude(n_max):.3f}; "
             f"increase n_max (recommended >= {default_cutoff(alpha)})"
         )
 
@@ -317,7 +317,7 @@ def coherent_state(alpha: complex, space: HilbertSpace) -> JointState:
     """Truncated, renormalized coherent state |alpha> on a phonon-only space."""
     if space.has_qubit:
         raise DimensionMismatchError("coherent_state builds phonon-only states")
-    check_truncation(alpha, space)
+    check_truncation(alpha, space.n_max)
     amps, _ = coherent_amplitudes(alpha, space.n_max)
     return JointState(space, amps, "pure")
 

@@ -80,20 +80,14 @@ def drive_alpha(amplitude: float) -> float:
     raise ConfigError(f"no drive preset for amplitude {amplitude:g} (known: {known})")
 
 
-def prepare_cat(alpha0: float, config: ExperimentConfig,
-                n_max: int | None = None) -> JointState:
+def prepare_cat(alpha0: float, config: ExperimentConfig) -> JointState:
     """Master-equation cat preparation; returns the reduced phonon state.
 
-    Starts from |g> tensor |alpha0>, evolves the lossy Jaynes-Cummings
-    system to the cat time, and traces out the qubit.
+    Starts from |g> tensor |alpha0> at n_max = default_cutoff(alpha0),
+    evolves the lossy Jaynes-Cummings system to the cat time, and traces
+    out the qubit.
     """
-    if n_max is None:
-        # the floor of 40 only keeps outputs byte-identical: on the three
-        # drive presets the prepared state's weight above default_cutoff is
-        # <= 1.3e-18, so default_cutoff alone would serve the physics
-        n_max = max(40, default_cutoff(alpha0))
-    space = HilbertSpace(n_max, has_qubit=True)
-    phonon = coherent_state(alpha0, space.phonon_only())
+    phonon = coherent_state(alpha0, HilbertSpace(default_cutoff(alpha0)))
     initial = tensor(qubit_state(1.0, 0.0), phonon)
     traj = lindblad_evolve(initial, config.system_params(alpha0),
                            [0.0, config.t_cat])

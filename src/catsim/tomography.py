@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, StateValidationError, TruncationError
+from .errors import FitError, StateValidationError
 from .hilbert import HilbertSpace, JointState, _fock_table, displaced_parity, \
     parity_kernels
 
@@ -56,12 +56,6 @@ class ParityNormalization:
 
     def unapply(self, parity):
         return np.asarray(parity, dtype=float) * self.amplitude + self.offset
-
-
-def _check_displacement(state: JointState, betas):
-    beyond = np.abs(betas)[np.abs(betas) > math.sqrt(state.space.n_max)]
-    if len(beyond):
-        raise TruncationError(f"displacement |beta|={beyond[0]:.2f} beyond cutoff trust")
 
 
 def _draw_parity(pi_true: float, model: ReadoutModel, rng) -> float:
@@ -228,13 +222,14 @@ def sample_wigner(state: JointState, betas, model: ReadoutModel,
                   normalization: ParityNormalization | None = None) -> WignerSampleSet:
     """Simulate a Wigner tomography run over `betas`, one readout per point.
 
-    Per-point generators are derived as seed XOR point index, so points can
-    be sampled in any order (or in parallel) with identical results.
+    The true parities are displaced_parity's, exact for the truncated state
+    at every beta.  Per-point generators are derived as seed XOR point
+    index, so points can be sampled in any order (or in parallel) with
+    identical results.
     """
     betas = np.asarray(betas, dtype=complex).ravel()
     if normalization is None:
         normalization = ParityNormalization.identity()
-    _check_displacement(state, betas)
     pi_true = displaced_parity(state, betas)
     raw = np.empty(len(betas))
     for i in range(len(betas)):

@@ -8,7 +8,6 @@ from catsim.catfit import (
     FIT_FTOL,
     FIT_GTOL,
     FIT_XATOL,
-    _alpha_cap,
     _analytical_factor,
     _analytical_profile,
     _coherent_pair,
@@ -28,9 +27,9 @@ from catsim.hilbert import (
     HilbertSpace,
     JointState,
     coherent_amplitudes,
-    exceeds_truncation,
     factored_fidelity,
     fidelity,
+    max_amplitude,
 )
 from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat
 
@@ -76,7 +75,7 @@ def _reference_fit_analytical(rho, c_g, c_e, t_c, g0):
 
     def objective(x):
         alpha, theta = x
-        if not (0.0 < alpha and not exceeds_truncation(alpha, n_max)):
+        if not 0.0 < alpha <= max_amplitude(n_max):
             return 1.0 + abs(alpha)
         factor = _analytical_factor(alpha, theta, c_g, c_e, t_c, g0, n_max)
         return -factored_fidelity(rho.data, factor)
@@ -94,7 +93,7 @@ def _reference_fit_css_pair(rho):
 
     def objective(x):
         a1, a2 = complex(x[0], x[1]), complex(x[2], x[3])
-        if exceeds_truncation(a1, n_max) or exceeds_truncation(a2, n_max):
+        if max(abs(a1), abs(a2)) > max_amplitude(n_max):
             return 1.0 + abs(a1) + abs(a2)
         if abs(a1 - a2) < 1e-6:
             return 1.0
@@ -420,21 +419,18 @@ def test_theta_profile_is_the_scan_maximum():
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
-def test_analytical_profile_at_the_alpha_cap(n_max):
-    # sqrt(n_max / 4) squared exceeds n_max / 4 by an ulp at these n_max, so
-    # the profile at that alpha raises; the cap is the largest alpha the
-    # truncation test admits, and the profile there is a number
+def test_analytical_profile_at_max_amplitude(n_max):
+    # fit_analytical's alpha grid ends at max_amplitude(n_max), so the
+    # profile there is a number, and one ulp further the truncation guard
+    # raises (sqrt(n_max / 4) squared exceeds n_max / 4 at these n_max)
     config = ExperimentConfig()
     rho = _random_state(np.random.default_rng(n_max), HilbertSpace(n_max), 2).data
-    assert exceeds_truncation(math.sqrt(n_max / 4.0), n_max)
-    with pytest.raises(TruncationError):
-        _analytical_profile(rho, math.sqrt(n_max / 4.0), 1.0, 0.0, config.t_cat,
-                            config.g0)
-    cap = _alpha_cap(n_max)
-    assert not exceeds_truncation(cap, n_max)
-    assert exceeds_truncation(math.nextafter(cap, math.inf), n_max)
+    cap = max_amplitude(n_max)
     _, f, _ = _analytical_profile(rho, cap, 1.0, 0.0, config.t_cat, config.g0)
     assert 0.0 < f <= 1.0
+    with pytest.raises(TruncationError):
+        _analytical_profile(rho, math.nextafter(cap, math.inf), 1.0, 0.0,
+                            config.t_cat, config.g0)
 
 
 def test_drop_crossings_quadratic_profile_oracle():
@@ -500,7 +496,7 @@ def test_sensitivity_interval_analytical_matches_nelder_mead_profile():
     warm = [fit.theta]
 
     def reference(value):
-        if not 0.0 < value or exceeds_truncation(value, space.n_max):
+        if not 0.0 < value <= max_amplitude(space.n_max):
             return 0.0
 
         def objective(x):

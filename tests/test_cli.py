@@ -320,7 +320,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     ("simulate", {"alpha0": 1.0, "closed": False, "t1_phonon": 1e-300,
                   "n_times": 5, "t_max": 1.0}, "trace drift nan at t = "),
     ("decay", {"t1_phonon": 1e-300},
-     "||L||_1 dt = 2.320e+302 needs more than 1000 Taylor steps at t = 2.9\n"),
+     "||L||_1 dt = 1.798e+302 needs more than 1000 Taylor steps at t = 2.9\n"),
     ("tomo", {"t1_qubit": 1e-300, "t2_qubit": 1e-300},
      "||L||_1 dt = 5.800e+300 needs more than 1000 Taylor steps at t = 2.9\n"),
 ], ids=["simulate_open", "decay", "tomo"])
@@ -351,12 +351,17 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
     # the mode frequency overflows: nan and inf in 9 fields of mass.json
     ("mass", {"length_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
     ("mass", {"wavelength_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
-    ("wigner", {"state": "coherent", "extent": 1e300, "n_grid": 5}, 3,
-     "(FitError): negativity nan"),
+    # a huge raster is refused before any parity or W is computed
+    pytest.param("wigner", {"state": "coherent", "extent": 1e300, "n_grid": 5},
+                 2, "field extent:",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param("tomo", {"extent": 1e300, "n_grid": 5}, 2, "field extent:",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("calibrate", {"kind": "drive", "drive_b": 1e-6}, 3, "(FitError)"),
 ], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "mass_w0_huge",
         "mass_alpha", "mass_length_huge", "mass_length_tiny",
-        "mass_wavelength_tiny", "wigner_extent", "calibrate_drive"])
+        "mass_wavelength_tiny", "wigner_extent", "tomo_extent",
+        "calibrate_drive"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows under test
 def test_extreme_configs_exit_without_traceback(tmp_path, capsys, command,
                                                 payload, code, message):

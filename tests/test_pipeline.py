@@ -5,8 +5,10 @@ from math import comb
 import numpy as np
 import pytest
 
+from catsim.dynamics import lindblad_evolve
 from catsim.errors import ConfigError
-from catsim.hilbert import HilbertSpace, JointState, coherent_state, fock_state, purity
+from catsim.hilbert import HilbertSpace, JointState, coherent_state, default_cutoff, \
+    fock_state, partial_trace, purity, qubit_state, tensor
 from catsim.pipeline import (
     DRIVE_PRESETS,
     ExperimentConfig,
@@ -51,12 +53,30 @@ def test_t2_beyond_twice_t1_is_a_config_error():
 
 def test_prepare_cat_returns_phonon_state():
     config = ExperimentConfig()
-    rho = prepare_cat(0.8, config, n_max=14)
+    rho = prepare_cat(0.8, config)
     assert not rho.space.has_qubit
     assert rho.kind == "mixed"
     assert np.trace(rho.data).real == pytest.approx(1.0, abs=1e-8)
     # decoherence during the interaction leaves a mixed phonon state
     assert purity(rho) < 1.0
+
+
+@pytest.mark.parametrize("amplitude", sorted(DRIVE_PRESETS))
+def test_prepare_cat_tail_weight_at_default_cutoff(amplitude):
+    # prepare_cat's cutoff is default_cutoff(alpha0): the top three Fock
+    # levels hold no weight, and the same chain ten levels higher gives the
+    # same state
+    alpha0, config = drive_alpha(amplitude), ExperimentConfig()
+    rho = prepare_cat(alpha0, config).data
+    n_max = default_cutoff(alpha0)
+    assert len(rho) == n_max + 1
+    assert np.trace(rho[-3:, -3:]).real <= 1e-14
+    initial = tensor(qubit_state(1.0, 0.0),
+                     coherent_state(alpha0, HilbertSpace(n_max + 10)))
+    joint = lindblad_evolve(initial, config.system_params(alpha0),
+                            [0.0, config.t_cat]).states[-1]
+    reference = partial_trace(joint, "phonon").data[:n_max + 1, :n_max + 1]
+    assert np.max(np.abs(rho - reference)) <= 1e-8
 
 
 def test_free_decay_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from catsim.dynamics import SystemParams, excited_population
 from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat
-from catsim.errors import FitError, StateValidationError, TruncationError
+from catsim.errors import FitError, StateValidationError
 from catsim.catfit import css_state
 from catsim.hilbert import (
     HilbertSpace,
@@ -61,11 +61,17 @@ def test_readout_mean_within_binomial_error():
     assert abs(raw - 0.8) < 3.0 * sigma
 
 
-def test_readout_rejects_deep_displacement():
-    space = HilbertSpace(9)
-    model = ReadoutModel()
-    with pytest.raises(TruncationError):
-        sample_wigner(fock_state(0, space), [4.0], model)
+def test_deep_displacement_reads_the_truncated_state():
+    # displaced_parity is exact for the truncated state at every beta, so the
+    # vacuum on n_max 9 reads e^{-2 |beta|^2} far beyond |beta| = sqrt(9)
+    state = fock_state(0, HilbertSpace(9))
+    betas = np.array([4.0, 4.0j, 5.0])
+    exact = np.exp(-2.0 * np.abs(betas) ** 2)
+    assert displaced_parity(state, betas) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    model = ReadoutModel(shots=10000, seed=1)
+    parities = sample_wigner(state, betas, model).parities
+    # p_plus = (1 + e^{-32}) / 2 is 1/2 to roundoff, so the shot noise is 1/sqrt(shots)
+    assert np.all(np.abs(parities - exact) < 3.0 / math.sqrt(model.shots))
 
 
 def test_parity_calibration_ideal_model():
@@ -236,13 +242,6 @@ def test_mle_rejects_empty_sample_set():
         shots_per_point=100, normalization=ParityNormalization.identity())
     with pytest.raises(ValueError, match="sample set is empty"):
         mle_reconstruct(samples, HilbertSpace(4))
-
-
-def test_sample_wigner_names_first_deep_displacement():
-    # sqrt(9) = 3 bounds the readout; the guard runs before any parity
-    model = ReadoutModel(shots=10, seed=1)
-    with pytest.raises(TruncationError, match=r"\|beta\|=4\.00 "):
-        sample_wigner(fock_state(0, HilbertSpace(9)), [0.5, 4.0j, 5.0], model)
 
 
 @pytest.mark.parametrize("dim", [5, 13, 21])
