@@ -63,15 +63,29 @@ def test_readout_mean_within_binomial_error():
 
 def test_deep_displacement_reads_the_truncated_state():
     # displaced_parity is exact for the truncated state at every beta, so the
-    # vacuum on n_max 9 reads e^{-2 |beta|^2} far beyond |beta| = sqrt(9)
+    # vacuum on n_max 9 reads e^{-2 |beta|^2} = e^{-32} far beyond |beta| = sqrt(9)
     state = fock_state(0, HilbertSpace(9))
-    betas = np.array([4.0, 4.0j, 5.0])
+    exact = math.exp(-32.0)
+    assert displaced_parity(state, [4.0])[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    model = ReadoutModel(shots=10000, seed=1)
+    parity = sample_wigner(state, [4.0], model).parities[0]
+    # p_plus = (1 + e^{-32}) / 2 is 1/2 to roundoff, so the shot noise is 1/sqrt(shots)
+    assert abs(parity - exact) < 3.0 / math.sqrt(model.shots)
+
+
+def test_sample_wigner_reads_shallow_and_deep_points_alike():
+    # no point of a list is refused: each reads its own e^{-2 |beta|^2} within
+    # 3 sigma of its binomial shot noise, the shallow one included
+    state = fock_state(0, HilbertSpace(9))
+    betas = np.array([0.5, 4.0j, 5.0])
     exact = np.exp(-2.0 * np.abs(betas) ** 2)
     assert displaced_parity(state, betas) == pytest.approx(exact, rel=1e-12, abs=0.0)
     model = ReadoutModel(shots=10000, seed=1)
     parities = sample_wigner(state, betas, model).parities
-    # p_plus = (1 + e^{-32}) / 2 is 1/2 to roundoff, so the shot noise is 1/sqrt(shots)
-    assert np.all(np.abs(parities - exact) < 3.0 / math.sqrt(model.shots))
+    p_plus = (1.0 + exact) / 2.0
+    sigma = 2.0 * np.sqrt(p_plus * (1.0 - p_plus) / model.shots)
+    assert parities.shape == betas.shape
+    assert np.all(np.abs(parities - exact) < 3.0 * sigma)
 
 
 def test_parity_calibration_ideal_model():
