@@ -18,15 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from catsim import (
-    DRIVE_PRESETS,
-    ExperimentConfig,
-    cat_decay_time,
-    fit_css,
-    prepare_cat,
-    tau_cat_large_alpha,
-)
+from catsim.catfit import fit_css
 from catsim.io_utils import write_csv
+from catsim.phase_space import tau_cat_large_alpha
+from catsim.pipeline import DRIVE_PRESETS, ExperimentConfig, cat_decay_time, \
+    prepare_cat
 
 
 def main():

@@ -58,8 +58,6 @@ from .hilbert import (
     phonon_factor,
 )
 
-# fatol of the CSS sensitivity profile's Nelder-Mead re-optimisation
-FIT_FTOL = 1e-8
 # alpha tolerance of the analytical Brent search, and the width within
 # which _canonical_pair treats two real parts as equal
 FIT_XATOL = 1e-5
@@ -67,8 +65,6 @@ FIT_XATOL = 1e-5
 FIT_GTOL = 1e-8
 # iteration cap of each BFGS start and of the Brent search
 FIT_MAXITER = 200
-# bisection width at which find_drop_crossings stops
-DROP_XTOL = 1e-4
 # theta grid of the analytical profile (at least), and alpha bracket grid
 _THETA_GRID = 1024
 _ALPHA_GRID = 24
@@ -251,7 +247,7 @@ def _theta_profile(rho: np.ndarray, factor: np.ndarray):
     steps on the polynomial polish the best grid point; a point where the
     curvature is not negative, or a step out of the grid cell, stops the
     polish.  F is the polynomial's value at the polished theta (the
-    factored_fidelity of the rotated factor, to roundoff), and |dF/dtheta|
+    fidelity to the rotated factor's state, to roundoff), and |dF/dtheta|
     the stationarity the polish left.
     """
     dim, rank = factor.shape
@@ -315,16 +311,6 @@ class CssFit:
     n_evals: int  # value-and-gradient evaluations over all starts
     n_capped: int  # starts stopped by the iteration cap
     grad_norm: float  # largest |dF/dx| component at the optimum
-
-
-@dataclass(frozen=True)
-class SensitivityInterval:
-    best: float
-    low: float
-    high: float
-    drop: float
-    low_bounded: bool = True
-    high_bounded: bool = True
 
 
 def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
@@ -449,94 +435,3 @@ def fit_css(rho: JointState) -> CssFit:
                   fidelity=fidelity(css_state(a1, a2, vartheta, space), rho),
                   D=abs(a1 - a2) / 2.0, converged=converged,
                   n_evals=n_evals, n_capped=n_capped, grad_norm=grad_norm)
-
-
-def find_drop_crossings(profile, best_x: float, best_f: float, drop: float,
-                        step: float, max_steps: int = 60):
-    """Locate the two x where profile(x) = best_f - drop, bracketing best_x.
-
-    profile is a callable returning the (re-optimized) fidelity at a fixed
-    constrained parameter value.  Returns (low, high, low_bounded,
-    high_bounded); an unbracketed side returns the last probed x with its
-    bounded flag cleared.
-    """
-    if drop <= 0:
-        return best_x, best_x, True, True
-    target = best_f - drop
-
-    def walk(direction):
-        x_in, f_in = best_x, best_f
-        for k in range(1, max_steps + 1):
-            x = best_x + direction * k * step
-            f = profile(x)
-            if f < target:
-                a, b = x_in, x  # profile(a) >= target > profile(b)
-                while abs(b - a) > DROP_XTOL:
-                    m = 0.5 * (a + b)
-                    if profile(m) >= target:
-                        a = m
-                    else:
-                        b = m
-                return 0.5 * (a + b), True
-            x_in, f_in = x, f
-        return x_in, False
-
-    high, high_bounded = walk(+1.0)
-    low, low_bounded = walk(-1.0)
-    return low, high, low_bounded, high_bounded
-
-
-def sensitivity_interval(rho: JointState, fit, drop: float = 0.01,
-                         **context) -> SensitivityInterval:
-    """Fidelity-drop error interval for alpha_fit (analytical) or D (CSS).
-
-    The fit's type names the constrained parameter.  Sweeps it,
-    re-optimizing the remaining fit parameters, and bisects for the two
-    crossings where the profile fidelity is `drop` below the best fit.  The
-    analytical profile is _theta_profile's best theta at each alpha, and
-    needs the target context (c_g, c_e, t_c, g0) as keyword arguments; the
-    CSS profile re-optimizes the centre and axis by Nelder-Mead from a warm
-    start.
-    """
-    cap = max_amplitude(rho.space.n_max)
-    rho_data = rho.density_matrix()
-    if isinstance(fit, AnalyticalFit):
-        missing = [k for k in ("c_g", "c_e", "t_c", "g0") if k not in context]
-        if missing:
-            raise FitError(f"analytical sensitivity needs target context {missing}")
-        c_g, c_e, t_c, g0 = (context[k] for k in ("c_g", "c_e", "t_c", "g0"))
-        best = fit.alpha_fit
-
-        def profile(alpha):
-            if not 0.0 < alpha <= cap:
-                return 0.0
-            return _analytical_profile(rho_data, alpha, c_g, c_e, t_c, g0)[1]
-    elif isinstance(fit, CssFit):
-        from scipy.optimize import minimize
-
-        center = (fit.alpha1 + fit.alpha2) / 2.0
-        warm = [center.real, center.imag, np.angle(fit.alpha1 - fit.alpha2)]
-        best = fit.D
-
-        def objective(x, d_val):
-            c = complex(x[0], x[1])
-            a1 = c + d_val * cmath.exp(1j * x[2])
-            a2 = c - d_val * cmath.exp(1j * x[2])
-            if max(abs(a1), abs(a2)) > cap:
-                return 1.0
-            return -_css_phase(a1, a2, rho_data)[1]
-
-        def profile(d_val):
-            if not d_val > 0:
-                return 0.0
-            res = minimize(objective, warm, args=(d_val,), method="Nelder-Mead",
-                           options={"xatol": 1e-4, "fatol": FIT_FTOL, "maxiter": 2000})
-            warm[:] = list(res.x)
-            return -res.fun
-    else:
-        raise TypeError(f"unsupported fit type {type(fit)!r}")
-
-    low, high, lb, hb = find_drop_crossings(profile, best, fit.fidelity, drop,
-                                            max(0.04 * best, 0.02))
-    return SensitivityInterval(best=best, low=low, high=high, drop=drop,
-                               low_bounded=lb, high_bounded=hb)

@@ -25,7 +25,6 @@ Times are in microseconds, rates in 1/us, g0 in rad/us.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,45 +164,6 @@ def excited_population(params: SystemParams, times, n_max: int | None = None) ->
     return np.clip(pe, 0.0, 1.0)
 
 
-def excited_population_envelope(params: SystemParams, times) -> np.ndarray:
-    """Closed-form Gaussian-damped approximation to P_e(t); no revivals.
-
-    Valid for |alpha| >> 1 and t << alpha/g0.
-    """
-    if abs(params.alpha0) < 3:
-        warnings.warn("envelope approximation is inaccurate for |alpha| < 3", stacklevel=2)
-    times = np.asarray(times, dtype=float)
-    a = abs(params.alpha0)
-    # oscillation at the mean Rabi frequency 2 g0 sqrt(n_mean + 1); the
-    # Poisson spread of Fock frequencies gives the Gaussian damping with
-    # rate g0 a / sqrt(a^2 + 1) -> g0 for large a
-    mean_freq = 2.0 * params.g0 * math.sqrt(a * a + 1.0)
-    damp_rate = params.g0 * a / math.sqrt(a * a + 1.0)
-    damp = np.exp(-((damp_rate * times) ** 2) / 2.0)
-    osc = (abs(params.c_e) ** 2 - abs(params.c_g) ** 2) * np.cos(mean_freq * times) \
-        + 2.0 * np.imag(params.c_g * np.conj(params.c_e)) * np.sin(mean_freq * times)
-    return 0.5 * (1.0 + damp * osc)
-
-
-def phi_states(params: SystemParams, t: float, n_max: int | None = None):
-    """The counter-rotating phonon states Phi+/-(t) = sum c_n e^{-/+ i g0 t sqrt(n)} |n>."""
-    alpha = complex(params.alpha0)
-    if alpha.imag != 0 or alpha.real <= 0:
-        raise ValueError("phi_states uses the alpha real-positive phase convention")
-    if n_max is None:
-        n_max = default_cutoff(alpha)
-    space = HilbertSpace(n_max, has_qubit=False)
-    check_truncation(alpha, n_max)
-    c, _ = coherent_amplitudes(alpha, n_max)
-    phases = params.g0 * t * np.sqrt(np.arange(n_max + 1))
-    plus = c * np.exp(-1j * phases)
-    minus = c * np.exp(1j * phases)
-    return (
-        JointState(space, plus / np.linalg.norm(plus), "pure"),
-        JointState(space, minus / np.linalg.norm(minus), "pure"),
-    )
-
-
 def _time_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -242,13 +202,6 @@ def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Traj
     obs = _observables(space, np.abs(psi) ** 2, red)
     states = [JointState._trusted(space, vec, "pure") for vec in psi]
     return Trajectory(times=times, states=states, observables=obs)
-
-
-def pe_trajectory(params: SystemParams, times) -> Trajectory:
-    """Observable-only trajectory carrying just the exact P_e series."""
-    times = _time_grid(times)
-    pe = excited_population(params, times)
-    return Trajectory(times=times, states=None, observables={"P_e": pe})
 
 
 def _excitations(space: HilbertSpace) -> np.ndarray:
@@ -550,20 +503,3 @@ def lindblad_observables(initial: JointState, params: SystemParams,
             f"(eigenvalue {qubit_min[k]:.3e} below -1e-7) at t = {times[k]:.4g}")
     return Trajectory(times=times, states=None,
                       observables=_observables(space, pops, red))
-
-
-def revival_contrast(traj: Trajectory, t_r: float | None = None) -> float:
-    """Peak-to-trough P_e amplitude in the revival window [0.8 t_R, 1.2 t_R].
-
-    With t_r=None the full trajectory is used (vacuum Rabi case, where no
-    revival window exists).
-    """
-    pe = np.asarray(traj.observables["P_e"], dtype=float)
-    if t_r is None:
-        window = np.ones_like(traj.times, dtype=bool)
-    else:
-        if traj.times[0] > 0.8 * t_r or traj.times[-1] < 1.2 * t_r:
-            raise ValueError("trajectory does not cover the revival window")
-        window = (traj.times >= 0.8 * t_r) & (traj.times <= 1.2 * t_r)
-    seg = pe[window]
-    return float(seg.max() - seg.min())

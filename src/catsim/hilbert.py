@@ -275,16 +275,6 @@ class OperatorSet:
         self.a_dagger = self.a.conj().T
 
 
-def fock_state(n: int, space: HilbertSpace) -> JointState:
-    if space.has_qubit:
-        raise DimensionMismatchError("fock_state builds phonon-only states")
-    if not 0 <= n <= space.n_max:
-        raise TruncationError(f"Fock index {n} outside 0..{space.n_max}")
-    vec = np.zeros(space.dim, dtype=complex)
-    vec[n] = 1.0
-    return JointState(space, vec, "pure")
-
-
 @lru_cache(maxsize=32)
 def _fock_table(n_max: int):
     """Read-only (n, log n!) for n = 0..n_max, cached and shared by its callers."""
@@ -345,8 +335,8 @@ def phonon_factor(state: JointState) -> np.ndarray:
 
     partial_trace(state, "phonon") is V V^dag / Tr(V^dag V), and its
     pure-input branch is built from this factor, so a low-rank route
-    through V (factored_fidelity) sees the same reduction as the generic
-    one.  Like the mixed-input branch, the reduction sums the qubit blocks,
+    through V (the analytical cat fit) sees the same reduction as the
+    generic one.  Like the mixed-input branch, the reduction sums the qubit blocks,
     which leaves one column psi_g + psi_e; the trace over the qubit keeps
     them as two columns [psi_g psi_e].
     """
@@ -380,14 +370,6 @@ def partial_trace(state: JointState, keep: str) -> JointState:
     return JointState(space, red, "mixed")
 
 
-def purity(state: JointState) -> float:
-    """Tr(rho^2); 1 for pure states."""
-    if state.kind == "pure":
-        return 1.0
-    rho = state.data
-    return float(np.sum(np.abs(rho) ** 2))
-
-
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(mat)
     if evals.min() < -1e-8:
@@ -402,8 +384,8 @@ def fidelity(rho: JointState, sigma: JointState) -> float:
     Two mixed states go through two d x d matrix square roots whose
     roundoff eigenvalues (~1e-17) are clipped at 0; on rank-deficient
     pairs the square roots of what survives leave a noise floor of ~1e-8
-    in the value.  When sigma is known as a low-rank factor, use
-    factored_fidelity, which is exact to roundoff.
+    in the value.  The cat fits score their low-rank targets through the
+    factor instead (catfit._theta_profile), which is exact to roundoff.
     """
     if rho.space.dim != sigma.space.dim:
         raise DimensionMismatchError(
@@ -419,25 +401,3 @@ def fidelity(rho: JointState, sigma: JointState) -> float:
     sr = _psd_sqrt(rho.data)
     inner = _psd_sqrt(sr @ sigma.data @ sr)
     return float(min(1.0, np.trace(inner).real))
-
-
-def factored_fidelity(rho: np.ndarray, factor: np.ndarray) -> float:
-    """Fidelity of the density matrix rho to sigma = V V^dag / Tr(V^dag V).
-
-    The nonzero eigenvalues of sqrt(rho) V V^dag sqrt(rho) are those of
-    V^dag rho V, so F = Tr sqrt(V^dag rho V / Tr(V^dag V)): an r x r
-    eigenproblem for a d x r factor V, with no d x d square root.  rho is
-    taken as given (a validated JointState's data); nothing is checked
-    here, so optimizer loops can call it per evaluation.
-    """
-    gram = factor.conj().T @ rho @ factor
-    evals = np.linalg.eigvalsh(gram) / np.vdot(factor, factor).real
-    return float(min(1.0, np.sum(np.sqrt(np.clip(evals, 0.0, None)))))
-
-
-def expectation(op: np.ndarray, state: JointState) -> complex:
-    if op.shape[0] != state.space.dim:
-        raise DimensionMismatchError("operator/state dimension mismatch")
-    if state.kind == "pure":
-        return complex(np.vdot(state.data, op @ state.data))
-    return complex(np.trace(op @ state.data))

@@ -11,11 +11,6 @@ from .errors import CatsimError
 _FLOAT = "%.17g"  # round-trips every float; nan, inf, -inf print as words
 
 
-def fmt_float(x) -> str:
-    """Fixed 17-significant-digit formatting for byte-stable output."""
-    return _FLOAT % float(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -48,8 +43,9 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
-    """The table header, then one line per row of numbers, each spelled as
-    fmt_float spells it; every row has one number per header column."""
+    """The table header, then one line per row of numbers, each spelled in
+    _FLOAT's 17 significant digits; every row has one number per header
+    column."""
     row_format = ",".join((_FLOAT,) * len(header))
     lines = [",".join(header)]
     lines.extend(row_format % tuple(row) for row in rows)

@@ -21,7 +21,6 @@ from .hilbert import JointState, displaced_parity
 
 DEFAULT_EXTENT = 3.5
 DEFAULT_RASTER_N = 81
-DEFAULT_SLICE_N = 101
 
 
 @dataclass
@@ -56,24 +55,6 @@ def raster_grid(extent: float = DEFAULT_EXTENT, n: int = DEFAULT_RASTER_N) -> Gr
     return GridSpec(pts, weights)
 
 
-def slice_grid(
-    start: float = -DEFAULT_EXTENT,
-    stop: float = DEFAULT_EXTENT,
-    n: int = DEFAULT_SLICE_N,
-    offset: float = 0.0,
-    axis: str = "re",
-) -> GridSpec:
-    """1D slice; axis 're' sweeps Re(beta) at Im(beta)=offset, 'im' vice versa."""
-    x = np.linspace(start, stop, n)
-    if axis == "re":
-        pts = x + 1j * offset
-    elif axis == "im":
-        pts = offset + 1j * x
-    else:
-        raise ValueError("axis must be 're' or 'im'")
-    return GridSpec(pts, _trapz_weights(x))
-
-
 @dataclass
 class WignerGrid:
     """Sampled Wigner function, normalized so that int W d^2 beta = 1."""
@@ -102,9 +83,8 @@ def wigner(state: JointState, points) -> WignerGrid:
 def negativity(grid: WignerGrid) -> float:
     """Integrated negative part, int (|W| - W), over the grid's measure.
 
-    For 1D slices this is the main-text line integral along the slice; for
-    2D rasters it is the full area integral.  A nan or inf value or weight
-    makes it a FitError.
+    On a raster_grid this is the full area integral.  A nan or inf value or
+    weight makes it a FitError.
     """
     if len(grid.points) == 0:
         raise FitError("empty Wigner grid")
@@ -125,6 +105,7 @@ def decayed_css_wigner(alpha, kappa_t: float, points,
     positive, relaxed for a time t at rate kappa, kappa_t = kappa t;
     epsilon = e^{-kappa_t / 2} scales the component amplitudes and
     xi = e^{-2 alpha^2 (1 - epsilon^2)} suppresses the interference fringes.
+    A superposition whose components cancel is a FitError.
     """
     a = complex(alpha)
     if abs(a.imag) > 1e-12:
@@ -134,7 +115,12 @@ def decayed_css_wigner(alpha, kappa_t: float, points,
     beta = grid.points
     eps = math.exp(-kappa_t / 2.0)
     xi = math.exp(-2.0 * a * a * (1.0 - eps * eps))
-    norm = math.pi * (1.0 + math.cos(vartheta) * math.exp(-2.0 * a * a))
+    # |alpha> + e^{i vartheta} |-alpha> has squared norm 2 overlap; below the
+    # bound css_state applies to the same superposition the components cancel
+    overlap = 1.0 + math.cos(vartheta) * math.exp(-2.0 * a * a)
+    if 2.0 * overlap < 1e-24:
+        raise FitError("degenerate CSS (components cancel)")
+    norm = math.pi * overlap
     vals = (
         np.exp(-2.0 * np.abs(beta - a * eps) ** 2)
         + np.exp(-2.0 * np.abs(beta + a * eps) ** 2)

@@ -129,10 +129,12 @@ def calibrate_drive(samples) -> DriveCalibration:
 
     b0 = max(amps.max(), 1e-3)
     c0 = max(betas.max(), 1e-3) / max(math.expm1(amps.max() / b0), 1e-9)
+    # curve_fit raises RuntimeError when it does not converge, and ValueError
+    # on an inf or nan residual, which samples near the float limit give
     try:
         popt, _ = curve_fit(model, amps, betas, p0=(b0, c0),
                             bounds=([1e-6, 1e-9], [np.inf, np.inf]), maxfev=20000)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         raise FitError(f"drive calibration fit diverged: {exc}") from exc
     resid = float(np.sqrt(np.mean((model(amps, *popt) - betas) ** 2)))
     return DriveCalibration(B=float(popt[0]), C=float(popt[1]), residual=resid)

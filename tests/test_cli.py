@@ -16,7 +16,6 @@ import catsim
 from catsim import __version__, cli, dynamics, hilbert, pipeline, tomography
 from catsim.cli import SCHEMAS, main
 from catsim.hilbert import JointState
-from catsim.io_utils import fmt_float
 
 
 def run(capsys, *argv):
@@ -133,7 +132,7 @@ def test_qubit_phase_scan_rows_are_phase_major(tmp_path, capsys):
             g0=SCHEMAS["qubit-phase-scan"]["g0"].default, alpha0=1.0,
             c_g=1.0 / math.sqrt(2.0), c_e=c_e), times).observables
         for i, t in enumerate(times):
-            lines.append(",".join(fmt_float(v) for v in (
+            lines.append(",".join("%.17g" % v for v in (
                 phase, t, obs["P_e"][i], obs["sx"][i], obs["sy"][i],
                 obs["sz"][i])))
     assert (tmp_path / "phase_scan.csv").read_text() == "\n".join(lines) + "\n"
@@ -358,10 +357,21 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
     pytest.param("tomo", {"extent": 1e300, "n_grid": 5}, 2, "field extent:",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("calibrate", {"kind": "drive", "drive_b": 1e-6}, 3, "(FitError)"),
+    # samples near the float limit give the drive fit an inf residual
+    pytest.param("calibrate", {"kind": "drive", "noise": 1e300}, 3, "(FitError)",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:drive calibration data is non-monotone")),
+    ("calibrate", {"kind": "drive", "drive_c": 1e300}, 3, "(FitError)"),
+    # |0> - |0> has no norm: refused before W is divided by it
+    pytest.param("wigner", {"state": "decayed-css", "alpha": 0.0,
+                            "vartheta": math.pi},
+                 3, "(FitError): degenerate CSS (components cancel)",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "mass_w0_huge",
         "mass_alpha", "mass_length_huge", "mass_length_tiny",
         "mass_wavelength_tiny", "wigner_extent", "tomo_extent",
-        "calibrate_drive"])
+        "calibrate_drive", "calibrate_drive_noise", "calibrate_drive_c",
+        "wigner_decayed_css_degenerate"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows under test
 def test_extreme_configs_exit_without_traceback(tmp_path, capsys, command,
                                                 payload, code, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catsim.errors import CatsimError
-from catsim.io_utils import fmt_float, write_csv, write_json
+from catsim.io_utils import write_csv, write_json
 
 
 @pytest.mark.parametrize("value,text", [
@@ -16,11 +16,10 @@ from catsim.io_utils import fmt_float, write_csv, write_json
     (0.1, "0.10000000000000001"),
     (np.float64(2.0) / 3.0, "0.66666666666666663"),
 ])
-def test_fmt_float_spells_every_float(value, text, tmp_path):
-    assert fmt_float(value) == text
+def test_write_csv_spells_every_float(value, text, tmp_path):
     if text != "nan":
         assert float(text) == value  # 17 significant digits round-trip
-    # write_csv spells every table entry the same way
+    # in any column, each entry is spelled the same way
     path = tmp_path / "x.csv"
     write_csv(path, ("x", "y"), [(value, 1.0), (0.5, value)])
     assert path.read_text() == f"x,y\n{text},1\n0.5,{text}\n"

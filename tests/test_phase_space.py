@@ -12,18 +12,19 @@ from catsim.hilbert import (
     coherent_state,
     default_cutoff,
     displacement_operator,
-    fock_state,
 )
 from catsim.phase_space import (
+    GridSpec,
+    _trapz_weights,
     decayed_css_wigner,
     fit_negativity_decay,
     negativity,
     raster_grid,
-    slice_grid,
     tau_cat_large_alpha,
     wigner,
 )
 from catsim.pipeline import ExperimentConfig, free_decay
+from reference import fock_state
 
 SPACE = HilbertSpace(30)
 # n_max 60 leaves the test states of |alpha| <= 1.2 a negligible Fock tail,
@@ -79,9 +80,10 @@ def test_css_slice_matches_analytic_formula():
     a = 1.43
     space = HilbertSpace(40)  # a negligible Fock tail for the 1.43 cat
     state = css_state(1j * a, -1j * a, 0.0, space)
-    numeric = wigner(state, slice_grid(-3.0, 3.0, n=101, axis="re"))
+    x = np.linspace(-3.0, 3.0, 101)
+    numeric = wigner(state, GridSpec(x + 0j, _trapz_weights(x)))
     analytic = decayed_css_wigner(a, kappa_t=0.0,
-                                  points=slice_grid(-3.0, 3.0, n=101, axis="im"))
+                                  points=GridSpec(1j * x, _trapz_weights(x)))
     assert np.max(np.abs(numeric.values - analytic.values)) < 1e-6
     assert negativity(numeric) == pytest.approx(negativity(analytic), rel=1e-6)
 
@@ -99,9 +101,9 @@ def test_css_raster_exact_at_its_own_cutoff(vartheta, tol):
 
 
 def test_decayed_css_full_decay_is_vacuum():
-    grid = slice_grid(-2.0, 2.0, n=41)
-    wg = decayed_css_wigner(1.2, kappa_t=200.0, points=grid)
-    vac = (2.0 / math.pi) * np.exp(-2.0 * np.abs(grid.points) ** 2)
+    x = np.linspace(-2.0, 2.0, 41)
+    wg = decayed_css_wigner(1.2, kappa_t=200.0, points=x)
+    vac = (2.0 / math.pi) * np.exp(-2.0 * x ** 2)
     assert np.max(np.abs(wg.values - vac)) < 1e-10
 
 
@@ -113,7 +115,7 @@ def test_decayed_css_matches_master_equation():
     space = HilbertSpace(default_cutoff(a))
     state = css_state(a, -a, 0.0, space)
     decayed = free_decay(state, [0.0, t], ExperimentConfig(t1_phonon=1.0 / kappa))[-1]
-    pts = slice_grid(-2.5, 2.5, n=61, axis="im")
+    pts = 1j * np.linspace(-2.5, 2.5, 61)
     numeric = wigner(decayed, pts)
     analytic = decayed_css_wigner(a, kappa * t, pts)
     assert np.max(np.abs(numeric.values - analytic.values)) < 1e-4

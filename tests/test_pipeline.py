@@ -8,7 +8,7 @@ import pytest
 from catsim.dynamics import lindblad_evolve
 from catsim.errors import ConfigError
 from catsim.hilbert import HilbertSpace, JointState, coherent_state, default_cutoff, \
-    fock_state, partial_trace, purity, qubit_state, tensor
+    partial_trace, qubit_state, tensor
 from catsim.pipeline import (
     DRIVE_PRESETS,
     ExperimentConfig,
@@ -20,6 +20,7 @@ from catsim.pipeline import (
     simulate_tomography,
 )
 from catsim.tomography import ReadoutModel
+from reference import fock_state, purity
 
 
 def test_drive_presets():

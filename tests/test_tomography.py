@@ -12,9 +12,7 @@ from catsim.hilbert import (
     coherent_state,
     displaced_parity,
     fidelity,
-    fock_state,
     parity_kernels,
-    purity,
 )
 from catsim.phase_space import raster_grid
 from catsim.tomography import (
@@ -32,6 +30,7 @@ from catsim.tomography import (
     mle_reconstruct,
     sample_wigner,
 )
+from reference import fock_state, purity
 
 G0 = math.sqrt(2.0) / 0.9
 

@@ -1,8 +1,6 @@
-"""No module, script or test imports a name that it never uses, and no
-private module-level name of the package goes unread.
-
-The package's __init__.py is left out of the import check: its imports are
-the public API.
+"""No module, script or test imports a name that it never uses, no private
+module-level name of the package goes unread, and no public one goes unread
+outside the tests.
 """
 
 import ast
@@ -13,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(path for pattern in ("src/catsim/*.py", "scripts/*.py",
                                     "tests/*.py")
-               for path in ROOT.glob(pattern) if path.name != "__init__.py")
+               for path in ROOT.glob(pattern))
 PACKAGE = sorted((ROOT / "src" / "catsim").glob("*.py"))
 
 
@@ -42,29 +40,47 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def defined_names(tree) -> list:
+    """The names that the module tree binds at module level by def, class
+    or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def read_names(tree, strings: bool = False) -> set:
+    """The names that tree reads: loaded names, attributes and the names a
+    from-import takes; with strings, also identifier-shaped string constants,
+    by which a patcher names what it replaces."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) and node.value.isidentifier():
+            read.add(node.value)
+    return read
+
+
 def dead_private_names(sources: dict) -> list:
     """The module-level _names (def, class or assignment) that sources, a
     {module: source} map, define and none of them reads, as module.name."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for target in targets for n in ast.walk(target)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in defined_names(tree)
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
 
 
 def test_checker_finds_a_dead_private_name():
@@ -79,3 +95,44 @@ def test_checker_finds_a_dead_private_name():
 def test_no_dead_private_names():
     assert dead_private_names({path.stem: path.read_text(encoding="utf-8")
                                for path in PACKAGE}) == []
+
+
+def unread_public_names(package: dict, readers: list, patchers: list) -> list:
+    """The module-level public names (def, class or assignment) that package,
+    a {module: source} map, defines and no source reads, as module.name.
+    The package and the readers read by name, attribute and from-import;
+    the patchers also by string."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = set().union(*map(read_names, trees.values()),
+                       *(read_names(ast.parse(source)) for source in readers),
+                       *(read_names(ast.parse(source), strings=True)
+                         for source in patchers))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in defined_names(tree)
+                  if not name.startswith("_") and name not in read)
+
+
+def test_checker_finds_an_unread_public_name():
+    package = {"a": "KEPT = 1\nDEAD, ALSO = 2, 3\n"
+                    "def orphan():\n    return KEPT\n"
+                    "class Gone:\n    pass\n"
+                    "def patched():\n    pass\n"
+                    "def imported():\n    pass\n"
+                    "def _private():\n    pass\n",
+               "b": "from .a import imported\nUSED: int = 0\n"}
+    # a string names a target only in a patcher; a script's string reads nothing
+    scripts = ["from catsim import b\nprint(b.USED, 'Gone')\n"]
+    bench = ["patch(a, 'patched')\n"]
+    assert unread_public_names(package, scripts, bench) == [
+        "a.ALSO", "a.DEAD", "a.Gone", "a.orphan"]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # __init__.py counts as neither definer nor reader, and no test reads
+    package = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE if path.name != "__init__.py"}
+    scripts = [path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("scripts/*.py"))]
+    bench = [path.read_text(encoding="utf-8")
+             for path in sorted(ROOT.glob("bench/*.py"))]
+    assert unread_public_names(package, scripts, bench) == []
