@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CatsimError
+
 SAPPHIRE_DENSITY = 3980.0   # kg/m^3, inferred default
 SAPPHIRE_C33 = 3.92e11      # Pa, inferred default
 
@@ -136,6 +138,9 @@ def mass_model(mode: AcousticMode, convention: str) -> MassModel:
     w0 = um_to_m(mode.w0_um)
     length = um_to_m(mode.length_um)
     omega = mode.omega_p
+    if length * w0 ** 2 == 0.0:  # a divisor: Python raises where IEEE gives inf
+        raise CatsimError(f"mode volume L w0^2 of a {mode.length_um:g} um long, "
+                          f"{mode.w0_um:g} um waist mode underflows to 0")
     s0 = math.sqrt(4.0 * hbar * omega / (length * w0 ** 2 * mode.c33))
     m0 = mode.density * math.pi * w0 ** 2 * length
     if convention == "max":
@@ -146,6 +151,9 @@ def mass_model(mode: AcousticMode, convention: str) -> MassModel:
         u = (length / (mode.m * math.pi)) * (factor / math.sqrt(2.0)) * s0
     # x_eff = u at one-phonon energy: U = hbar omega = M_eff omega^2 u^2 / 2
     m_eff = 2.0 * hbar / (omega * u ** 2)
+    if 2.0 * m_eff * omega == 0.0:
+        raise CatsimError(f"M_eff omega of a {mode.length_um:g} um long, "
+                          f"{mode.w0_um:g} um waist mode underflows to 0")
     x_zpf = math.sqrt(hbar / (2.0 * m_eff * omega))
     return MassModel(convention=convention, S0=s0, M0_kg=m0, M_eff_kg=m_eff,
                      x_zpf_m=x_zpf, omega_p=omega)

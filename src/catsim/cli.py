@@ -27,8 +27,7 @@ from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
     characteristic_times, excited_population, jc_trajectory, \
     lindblad_observables
 from .errors import CatsimError, ConfigError
-from .hilbert import HilbertSpace, coherent_state, default_cutoff, \
-    qubit_state, tensor
+from .hilbert import HilbertSpace, coherent_state, default_cutoff
 from .phase_space import decayed_css_wigner, negativity, raster_grid, wigner
 from .pipeline import T1_PHONON_DEFAULT, T1_QUBIT_DEFAULT, T2_QUBIT_DEFAULT, \
     ExperimentConfig, cat_decay_time, drive_alpha, prepare_cat, \
@@ -205,8 +204,8 @@ SCHEMAS = {
     # p + |l| <= 100 keeps the Laguerre-Gauss (p + |l|)! below 170!, the float
     # limit, and w0_um >= 1e-3 keeps w0^2 in m^2 clear of underflow.  Lengths
     # up to 1 m keep w0^2 and the mode mass clear of overflow, and the
-    # one-phonon displacement u^2 ~ 1 / length clear of underflow; a tiny
-    # length or wavelength whose frequency overflows is a numerical failure
+    # one-phonon displacement u^2 ~ 1 / length clear of underflow; a length
+    # or wavelength so tiny that the mode leaves the float range is a numerical failure
     "mass": {
         "schema_version": _Field(int, required=True),
         "w0_um": _Field(float, default=27.0, minimum=1e-3,
@@ -322,14 +321,10 @@ def _cmd_simulate(cfg, out_dir, seed, log):
                               c_e=c_e)
         traj = jc_trajectory(params, times)
     else:
-        space = HilbertSpace(default_cutoff(cfg["alpha0"]), has_qubit=True)
-        econf = ExperimentConfig(g0=cfg["g0"], t1_phonon=cfg["t1_phonon"],
-                                 t1_qubit=cfg["t1_qubit"],
-                                 t2_qubit=cfg["t2_qubit"])
-        params = econf.system_params(cfg["alpha0"], c_g, c_e)
-        initial = tensor(qubit_state(params.c_g, params.c_e),
-                         coherent_state(cfg["alpha0"], space.phonon_only()))
-        traj = lindblad_observables(initial, params, times)
+        params = ExperimentConfig(
+            g0=cfg["g0"], t1_phonon=cfg["t1_phonon"], t1_qubit=cfg["t1_qubit"],
+            t2_qubit=cfg["t2_qubit"]).system_params(cfg["alpha0"], c_g, c_e)
+        traj = lindblad_observables(params, times)
     io_utils.write_csv(out_dir / "trajectory.csv", ("t",) + OBSERVABLE_COLUMNS,
                        zip(times, *(traj.observables[name]
                                     for name in OBSERVABLE_COLUMNS)))

@@ -14,10 +14,11 @@ channels conserve the coherence order k = N_row - N_col of the excitation
 number N = n + q, so the Liouvillian splits into independent blocks, one
 per k (Buca & Prosen, NJP 14, 073007 (2012)); every observable column is
 linear in the k = 0 and k = 1 blocks, and each is propagated with one
-matrix exponential per distinct time step.  Closed and open trajectories
-take their observables from one routine, vectorised over states.  Free
-decay of a phonon state alone is the amplitude-damping channel, applied in
-closed form by pipeline.free_decay.
+matrix exponential per distinct time step.  Every route starts from the
+state its SystemParams fixes.  Closed and open trajectories take their
+observables from one routine, vectorised over states.  Free decay of a
+phonon state alone is the amplitude-damping channel, applied in closed
+form by pipeline.free_decay.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IntegrationError, StateValidationError
+from .errors import IntegrationError, StateValidationError
 from .hilbert import (
     HilbertSpace,
     JointState,
@@ -38,6 +39,7 @@ from .hilbert import (
     check_truncation,
     coherent_amplitudes,
     default_cutoff,
+    qubit_state,
 )
 
 _SIGMA = {
@@ -51,7 +53,8 @@ OBSERVABLE_COLUMNS = ("P_e", "purity", "sx", "sy", "sz", "n_mean")
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical constants of one experimental configuration."""
+    """Physical constants of one experimental configuration, which also fix
+    every route's start state (c_g |g> + c_e |e>) (x) |alpha0>."""
 
     g0: float                      # rad/us
     alpha0: complex = 0.0          # initial coherent amplitude
@@ -233,19 +236,21 @@ def _distinct_steps(times: np.ndarray):
     return np.bincount(which, dt) / np.bincount(which), which
 
 
-def _require_joint(space: HilbertSpace):
-    if not space.has_qubit:
-        raise DimensionMismatchError(
-            "the lossy JC master equation needs a qubit (x) phonon state; "
-            "the free decay of a phonon state is pipeline.free_decay")
+def _start_state(params: SystemParams, n_max: int):
+    """(space, rho0): params' start state as a density matrix on the qubit
+    (x) phonon space at n_max."""
+    check_truncation(params.alpha0, n_max)
+    psi = np.kron(qubit_state(params.c_g, params.c_e),
+                  coherent_amplitudes(params.alpha0, n_max)[0])
+    return HilbertSpace(n_max, has_qubit=True), np.outer(psi, psi.conj())
 
 
-def _block_series(initial: JointState, params: SystemParams, times, orders):
+def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders):
     """The coherence-order blocks k in orders of rho(t) on the time grid.
 
-    Builds the lossy JC master equation for initial's qubit (x) phonon
-    space: collapse channels sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma-
-    and sqrt(gamma_phi/2) sigma_z, and drift A = -iH - 1/2 sum g L^dag L, so
+    Builds the lossy JC master equation on rho0's qubit (x) phonon space:
+    collapse channels sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and
+    sqrt(gamma_phi/2) sigma_z, and drift A = -iH - 1/2 sum g L^dag L, so
     that d rho/dt = A rho + rho A^dag + sum g L rho L^dag.  The elements
     rho[i, j] with N_i - N_j = k evolve on their own under
     S_k[(i,j),(l,m)] = A_il d_jm + d_il conj(A_jm) + sum g L_il conj(L_jm),
@@ -257,8 +262,6 @@ def _block_series(initial: JointState, params: SystemParams, times, orders):
     """
     from scipy.linalg import expm
 
-    space = initial.space
-    _require_joint(space)
     ops = OperatorSet(space)
     collapse = [(g, L) for g, L in ((params.kappa_phonon, ops.a),
                                     (params.gamma_qubit, ops.sigma_minus),
@@ -268,7 +271,6 @@ def _block_series(initial: JointState, params: SystemParams, times, orders):
                                + ops.sigma_minus @ ops.a_dagger)
     for g, L in collapse:
         drift = drift - 0.5 * g * (L.conj().T @ L)
-    rho0 = initial.density_matrix().astype(complex)
 
     steps, which = _distinct_steps(times)
     excitations = _excitations(space)
@@ -358,10 +360,10 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.abs(x.view(float)).max())
 
 
-def _exact_states(initial: JointState, params: SystemParams, times):
-    """Yield rho(t) on the grid, advanced from one time to the next by the
-    truncated-Taylor action of the Liouvillian (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)).
+def _exact_states(space: HilbertSpace, rho0, params: SystemParams, times):
+    """Yield rho(t) on the grid from rho0, advanced from one time to the
+    next by the truncated-Taylor action of the Liouvillian (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
     An interval dt takes s = ceil(||L||_1 dt / 9.9) steps, each summing at
     most 55 terms and stopping once two successive terms fall below
@@ -369,8 +371,6 @@ def _exact_states(initial: JointState, params: SystemParams, times):
     interval that would need more than _MAX_TAYLOR_STEPS steps, or whose
     ||L||_1 dt is not finite, is an IntegrationError before any step.
     """
-    space = initial.space
-    _require_joint(space)
     d = space.phonon_dim
     dts = np.diff(times)
     norm_dt = _liouvillian_norm(params, d) * dts
@@ -381,7 +381,7 @@ def _exact_states(initial: JointState, params: SystemParams, times):
             f"Taylor steps at t = {times[k + 1]:.4g}")
     apply = _liouvillian(params, d)
     tol = 2.0 ** -53
-    rho = initial.density_matrix().astype(complex).reshape(2, d, 2, d)
+    rho = rho0.reshape(2, d, 2, d)
     yield rho.reshape(space.dim, space.dim)
     for dt, steps in zip(dts, np.maximum(1, np.ceil(norm_dt / _TAYLOR_THETA))):
         h = dt / steps
@@ -400,10 +400,11 @@ def _exact_states(initial: JointState, params: SystemParams, times):
         yield rho.reshape(space.dim, space.dim)
 
 
-def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Trajectory:
+def lindblad_evolve(params: SystemParams, times) -> Trajectory:
     """Solve the Lindblad master equation of the lossy JC system on a time grid.
 
-    The initial state lives on a qubit (x) phonon space.  Collapse channels:
+    The run starts from params' state (c_g |g> + c_e |e>) (x) |alpha0> at
+    n_max = default_cutoff(alpha0).  Collapse channels:
     sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and sqrt(gamma_phi/2)
     sigma_z.  rho is advanced from one grid time to the next by the
     truncated-Taylor action of the Liouvillian (_exact_states), with no
@@ -412,10 +413,11 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
     least one step, so a dense grid costs in proportion to its points:
     trajectories belong to lindblad_observables, which builds no state and
     reuses one propagator per distinct step.  Returns the states and no
-    observables.  A one-point grid returns the initial state, checked like
+    observables.  A one-point grid returns the start state, checked like
     any other.
     """
     times = _time_grid(times)
+    space, rho0 = _start_state(params, default_cutoff(params.alpha0))
     # the loop makes JointState's checks on every state (hermitian, unit
     # trace, and the constructor's eigenvalue bound by its own Cholesky
     # certificate), so it builds them unchecked.  Only a state that fails
@@ -423,7 +425,7 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
     # the negative eigenvalues, which only roundoff can leave, are clipped;
     # a certified state is kept as computed
     states = []
-    for k, rho in enumerate(_exact_states(initial, params, times)):
+    for k, rho in enumerate(_exact_states(space, rho0, params, times)):
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         if not abs(tr - 1.0) <= 1e-8:  # written so that a nan trace fails
@@ -437,7 +439,7 @@ def lindblad_evolve(initial: JointState, params: SystemParams, times) -> Traject
                     f"t = {times[k]:.4g}")
             rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
             rho = rho / np.trace(rho).real
-        states.append(JointState._trusted(initial.space, rho, "mixed"))
+        states.append(JointState._trusted(space, rho, "mixed"))
     return Trajectory(times=times, states=states, observables={})
 
 
@@ -446,12 +448,12 @@ def _lambda_min(a, b, c):
     return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(c))
 
 
-def lindblad_observables(initial: JointState, params: SystemParams,
-                         times) -> Trajectory:
+def lindblad_observables(params: SystemParams, times) -> Trajectory:
     """Observables of the lossy JC trajectory, with no state built.
 
-    Every observable column is linear in the coherence-order blocks k = 0
-    and k = 1 of rho: the Fock-basis populations (P_e, n_mean) lie on the
+    The run starts from params' state, as lindblad_evolve's does.  Every
+    observable column is linear in the coherence-order blocks k = 0 and
+    k = 1 of rho: the Fock-basis populations (P_e, n_mean) lie on the
     k = 0 diagonal, and the qubit coherence
     rho_q[e, g] = sum_n rho[(e, n), (g, n)] lies in k = 1.  Only those two
     blocks are propagated, by _block_series, and states is None.  Every
@@ -463,8 +465,8 @@ def lindblad_observables(initial: JointState, params: SystemParams,
     is then longer than 1 + 2e-7; both bounds are closed forms.
     """
     times = _time_grid(times)
-    space = initial.space
-    blocks, series = _block_series(initial, params, times, (0, 1))
+    space, rho0 = _start_state(params, default_cutoff(params.alpha0))
+    blocks, series = _block_series(space, rho0, params, times, (0, 1))
     (rows, cols), (rows1, cols1) = blocks
     zero, one = series[:, :len(rows)], series[:, len(rows):]
     pops = zero[:, rows == cols].real

@@ -44,9 +44,6 @@ class HilbertSpace:
     def dim(self) -> int:
         return 2 * self.phonon_dim if self.has_qubit else self.phonon_dim
 
-    def phonon_only(self) -> "HilbertSpace":
-        return HilbertSpace(self.n_max, has_qubit=False)
-
 
 def default_cutoff(alpha: complex) -> int:
     """Recommended Fock cutoff for a coherent amplitude alpha."""
@@ -319,15 +316,6 @@ def qubit_state(c_g: complex, c_e: complex) -> np.ndarray:
     if abs(norm - 1.0) > 1e-6:
         raise StateValidationError(f"qubit amplitudes have norm {norm}")
     return vec / norm
-
-
-def tensor(qubit_amps: np.ndarray, phonon_state: JointState) -> JointState:
-    """Product state (qubit amplitudes) (x) (phonon pure state)."""
-    if phonon_state.space.has_qubit or phonon_state.kind != "pure":
-        raise DimensionMismatchError("tensor expects a pure phonon-only state")
-    space = HilbertSpace(phonon_state.space.n_max, has_qubit=True)
-    vec = np.kron(np.asarray(qubit_amps, dtype=complex), phonon_state.data)
-    return JointState(space, vec, "pure")
 
 
 def phonon_factor(state: JointState) -> np.ndarray:

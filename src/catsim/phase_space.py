@@ -153,6 +153,9 @@ def fit_negativity_decay(taus, deltas) -> NegativityDecayFit:
     spread = deltas.max() - deltas.min()
     if spread <= 1e-12 * max(1.0, deltas.max()):
         raise FitError("constant negativity series; decay fit is degenerate")
+    # one positive point is a step, which any tau_cat below the first wait fits
+    if np.count_nonzero(deltas > 0) < 2:
+        raise FitError("fewer than two positive negativities; no decay left to fit")
 
     def model(tau, amp, tau_cat, off):
         return amp * np.exp(-tau / tau_cat) + off

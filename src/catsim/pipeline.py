@@ -17,8 +17,7 @@ import numpy as np
 
 from .dynamics import SystemParams, lindblad_evolve
 from .errors import ConfigError
-from .hilbert import HilbertSpace, JointState, _fock_table, coherent_state, \
-    default_cutoff, partial_trace, qubit_state, tensor
+from .hilbert import HilbertSpace, JointState, _fock_table, partial_trace
 from .phase_space import NegativityDecayFit, fit_negativity_decay, negativity, \
     raster_grid, wigner
 
@@ -83,15 +82,12 @@ def drive_alpha(amplitude: float) -> float:
 def prepare_cat(alpha0: float, config: ExperimentConfig) -> JointState:
     """Master-equation cat preparation; returns the reduced phonon state.
 
-    Starts from |g> tensor |alpha0> at n_max = default_cutoff(alpha0),
-    evolves the lossy Jaynes-Cummings system to the cat time, and traces
-    out the qubit.
+    Evolves the lossy Jaynes-Cummings system of config.system_params(alpha0)
+    from |g> (x) |alpha0> at n_max = default_cutoff(alpha0) to the cat
+    time, and traces out the qubit.
     """
-    phonon = coherent_state(alpha0, HilbertSpace(default_cutoff(alpha0)))
-    initial = tensor(qubit_state(1.0, 0.0), phonon)
-    traj = lindblad_evolve(initial, config.system_params(alpha0),
-                           [0.0, config.t_cat])
-    return partial_trace(traj.states[-1], "phonon")
+    return partial_trace(lindblad_evolve(config.system_params(alpha0),
+                                         [0.0, config.t_cat]).states[-1], "phonon")
 
 
 def _amplitude_damping(rho: np.ndarray, kappa_t: float) -> np.ndarray:

@@ -104,7 +104,12 @@ class DriveCalibration:
             raise ValueError("B and C must be positive")
 
     def beta_abs(self, amplitude):
-        return self.C * (np.exp(np.asarray(amplitude, dtype=float) / self.B) - 1.0)
+        """C (e^{A/B} - 1); a value beyond the float range is a FitError."""
+        try:
+            with np.errstate(over="raise"):
+                return self.C * (np.exp(np.asarray(amplitude, dtype=float) / self.B) - 1.0)
+        except FloatingPointError as exc:
+            raise FitError(f"drive model C (e^(A/B) - 1) at B = {self.B:g} overflows") from exc
 
 
 def calibrate_drive(samples) -> DriveCalibration:
@@ -129,12 +134,13 @@ def calibrate_drive(samples) -> DriveCalibration:
 
     b0 = max(amps.max(), 1e-3)
     c0 = max(betas.max(), 1e-3) / max(math.expm1(amps.max() / b0), 1e-9)
-    # curve_fit raises RuntimeError when it does not converge, and ValueError
-    # on an inf or nan residual, which samples near the float limit give
+    # curve_fit raises RuntimeError when it does not converge, and ValueError on
+    # an inf or nan residual; samples near the float limit overflow before that
     try:
-        popt, _ = curve_fit(model, amps, betas, p0=(b0, c0),
-                            bounds=([1e-6, 1e-9], [np.inf, np.inf]), maxfev=20000)
-    except (RuntimeError, ValueError) as exc:
+        with np.errstate(over="raise"):
+            popt, _ = curve_fit(model, amps, betas, p0=(b0, c0),
+                                bounds=([1e-6, 1e-9], [np.inf, np.inf]), maxfev=20000)
+    except (RuntimeError, ValueError, FloatingPointError) as exc:
         raise FitError(f"drive calibration fit diverged: {exc}") from exc
     resid = float(np.sqrt(np.mean((model(amps, *popt) - betas) ** 2)))
     return DriveCalibration(B=float(popt[0]), C=float(popt[1]), residual=resid)

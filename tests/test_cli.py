@@ -350,6 +350,14 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
     # the mode frequency overflows: nan and inf in 9 fields of mass.json
     ("mass", {"length_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
     ("mass", {"wavelength_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
+    # at the smallest waist the mode volume L w0^2, or M_eff omega, underflows
+    # to 0, which Python refuses to divide by
+    ("mass", {"w0_um": 1e-3, "length_um": 1e-300}, 3,
+     "(CatsimError): mode volume L w0^2 of a 1e-300 um long, 0.001 um waist "
+     "mode underflows to 0"),
+    ("mass", {"w0_um": 1e-3, "length_um": 1e-290}, 3,
+     "(CatsimError): M_eff omega of a 1e-290 um long, 0.001 um waist mode "
+     "underflows to 0"),
     # a huge raster is refused before any parity or W is computed
     pytest.param("wigner", {"state": "coherent", "extent": 1e300, "n_grid": 5},
                  2, "field extent:",
@@ -357,11 +365,23 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
     pytest.param("tomo", {"extent": 1e300, "n_grid": 5}, 2, "field extent:",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("calibrate", {"kind": "drive", "drive_b": 1e-6}, 3, "(FitError)"),
-    # samples near the float limit give the drive fit an inf residual
-    pytest.param("calibrate", {"kind": "drive", "noise": 1e300}, 3, "(FitError)",
-                 marks=pytest.mark.filterwarnings(
-                     "ignore:drive calibration data is non-monotone")),
-    ("calibrate", {"kind": "drive", "drive_c": 1e300}, 3, "(FitError)"),
+    # the drive model itself overflows: e^(A/B) at B = 1e-300
+    pytest.param("calibrate", {"kind": "drive", "drive_b": 1e-300}, 3,
+                 "(FitError): drive model C (e^(A/B) - 1) at B = 1e-300",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # samples near the float limit overflow the drive fit's squares
+    pytest.param("calibrate", {"kind": "drive", "noise": 1e300}, 3,
+                 "(FitError): drive calibration fit diverged: overflow",
+                 marks=[pytest.mark.filterwarnings("error::RuntimeWarning"),
+                        pytest.mark.filterwarnings(
+                            "ignore:drive calibration data is non-monotone")]),
+    pytest.param("calibrate", {"kind": "drive", "drive_c": 1e300}, 3,
+                 "(FitError): drive calibration fit diverged: overflow",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # past wait 100 us no negativity is left: one positive point is no decay
+    pytest.param("decay", {"wait_max": 1000.0}, 3,
+                 "(FitError): fewer than two positive negativities",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     # |0> - |0> has no norm: refused before W is divided by it
     pytest.param("wigner", {"state": "decayed-css", "alpha": 0.0,
                             "vartheta": math.pi},
@@ -369,8 +389,9 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "mass_w0_huge",
         "mass_alpha", "mass_length_huge", "mass_length_tiny",
-        "mass_wavelength_tiny", "wigner_extent", "tomo_extent",
-        "calibrate_drive", "calibrate_drive_noise", "calibrate_drive_c",
+        "mass_wavelength_tiny", "mass_volume_underflow", "mass_m_eff_underflow",
+        "wigner_extent", "tomo_extent", "calibrate_drive", "calibrate_drive_b_tiny",
+        "calibrate_drive_noise", "calibrate_drive_c", "decay_no_decay_left",
         "wigner_decayed_css_degenerate"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows under test
 def test_extreme_configs_exit_without_traceback(tmp_path, capsys, command,

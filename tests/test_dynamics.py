@@ -20,17 +20,17 @@ from catsim.dynamics import (
     lindblad_observables,
 )
 from catsim.pipeline import DRIVE_PRESETS, ExperimentConfig, free_decay
-from catsim.errors import DimensionMismatchError, IntegrationError
+from catsim.errors import IntegrationError
 from catsim.hilbert import (
     HilbertSpace,
     JointState,
     OperatorSet,
+    coherent_amplitudes,
     coherent_state,
     default_cutoff,
     fidelity,
     partial_trace,
     qubit_state,
-    tensor,
 )
 from reference import excited_population_envelope, phi_states, purity, \
     revival_contrast
@@ -133,11 +133,8 @@ def test_phi_states_orthogonal_at_cat_time():
 def test_lindblad_zero_rates_matches_exact():
     params = SystemParams(g0=G0, alpha0=2.0)
     t_c = characteristic_times(params).t_C
-    space = HilbertSpace(default_cutoff(2.0), has_qubit=True)
-    initial = tensor(qubit_state(1.0, 0.0),
-                     coherent_state(2.0, space.phonon_only()))
-    traj = lindblad_evolve(initial, params, times=[0.0, t_c])
-    exact = jc_evolve_exact(params, t_c, n_max=space.n_max)
+    traj = lindblad_evolve(params, times=[0.0, t_c])
+    exact = jc_evolve_exact(params, t_c)
     assert fidelity(traj.states[-1], exact) > 1.0 - 1e-6
 
 
@@ -159,10 +156,7 @@ def test_revival_contrast_decreases_with_phonon_loss():
         params = SystemParams(g0=G0, alpha0=2.0, kappa_phonon=kappa)
         t_r = characteristic_times(params).t_R
         times = np.linspace(0.0, 1.25 * t_r, 220)
-        space = HilbertSpace(default_cutoff(2.0), has_qubit=True)
-        initial = tensor(qubit_state(1.0, 0.0),
-                         coherent_state(2.0, space.phonon_only()))
-        traj = lindblad_observables(initial, params, times=times)
+        traj = lindblad_observables(params, times=times)
         contrasts.append(revival_contrast(traj.times, traj.observables["P_e"], t_r))
     assert contrasts[0] > contrasts[1] > contrasts[2]
 
@@ -293,12 +287,12 @@ def test_lindblad_observables_match_per_state_reference():
     # of lindblad_evolve's states, all three channels on
     times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0, 6.5]
     for alpha in (1.5, 3.0):
-        params, initial = _lossy_joint(alpha, 0.6, 0.8j)
-        traj = lindblad_observables(initial, params, times)
+        params = _lossy(alpha, 0.6, 0.8j)
+        traj = lindblad_observables(params, times)
         assert traj.states is None
         assert list(traj.times) == times
         _assert_matches_reference(
-            traj.observables, lindblad_evolve(initial, params, times).states)
+            traj.observables, lindblad_evolve(params, times).states)
 
 
 def test_jc_evolve_exact_matches_trajectory_states():
@@ -321,13 +315,12 @@ def test_truncated_jc_norm_names_first_failing_time():
 def test_lindblad_one_point_grid_returns_initial_state():
     params = SystemParams(g0=G0, alpha0=1.0, c_g=0.6, c_e=0.8,
                           kappa_phonon=0.1)
-    space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
-    initial = tensor(qubit_state(0.6, 0.8),
-                     coherent_state(1.0, space.phonon_only()))
-    traj = lindblad_evolve(initial, params, times=[0.5])
+    psi = np.kron(qubit_state(0.6, 0.8),
+                  coherent_amplitudes(1.0, default_cutoff(1.0))[0])
+    traj = lindblad_evolve(params, times=[0.5])
     assert list(traj.times) == [0.5]
-    assert np.max(np.abs(traj.states[0].data - initial.density_matrix())) < 1e-15
-    obs = lindblad_observables(initial, params, times=[0.5]).observables
+    assert np.max(np.abs(traj.states[0].data - np.outer(psi, psi.conj()))) < 1e-15
+    obs = lindblad_observables(params, times=[0.5]).observables
     assert obs["P_e"][0] == pytest.approx(0.64, abs=1e-14)
     assert obs["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
     _assert_matches_reference(obs, traj.states)
@@ -337,58 +330,40 @@ def test_lindblad_one_point_grid_returns_initial_state():
                                     "lindblad_observables"])
 def test_empty_time_grid_is_rejected(evolve):
     params = SystemParams(g0=G0, alpha0=1.0)
-    if evolve == "jc_trajectory":
-        with pytest.raises(ValueError):
-            jc_trajectory(params, [])
-    else:
-        space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
-        initial = tensor(qubit_state(1.0, 0.0),
-                         coherent_state(1.0, space.phonon_only()))
-        with pytest.raises(ValueError):
-            getattr(dynamics, evolve)(initial, params, times=[])
+    with pytest.raises(ValueError):
+        getattr(dynamics, evolve)(params, times=[])
 
 
 _LINDBLAD_ROUTES = (lindblad_evolve, lindblad_observables)
 
 
 def test_lindblad_rejects_unordered_grid():
-    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    params = _lossy(1.0, 1.0, 0.0)
     for route in _LINDBLAD_ROUTES:
         for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                route(initial, params, times)
+                route(params, times)
 
 
-def test_lindblad_rejects_phonon_only_state():
-    params, initial = _lossy_joint(1.0, 1.0, 0.0)
-    phonon = coherent_state(1.0, initial.space.phonon_only())
-    for route in _LINDBLAD_ROUTES:
-        with pytest.raises(DimensionMismatchError, match="free_decay"):
-            route(phonon, params, [0.0, 1.0])
-
-
-def _lossy_joint(alpha, c_g, c_e):
-    params = SystemParams(g0=G0, alpha0=alpha, c_g=c_g, c_e=c_e,
-                          kappa_phonon=0.05, gamma_qubit=0.1, gamma_phi=0.2)
-    space = HilbertSpace(default_cutoff(alpha), has_qubit=True)
-    initial = tensor(qubit_state(c_g, c_e),
-                     coherent_state(alpha, space.phonon_only()))
-    return params, initial
+def _lossy(alpha, c_g, c_e):
+    return SystemParams(g0=G0, alpha0=alpha, c_g=c_g, c_e=c_e,
+                        kappa_phonon=0.05, gamma_qubit=0.1, gamma_phi=0.2)
 
 
 def test_exact_route_matches_tight_rk45():
-    params, initial = _lossy_joint(1.2 + 0.4j, 0.6, 0.8j)
+    params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
+    space, rho0 = dynamics._start_state(params, default_cutoff(params.alpha0))
     times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0]
-    exact = lindblad_evolve(initial, params, times)
-    reference = _rk45_states(*_jc_master_equation(initial.space, params),
-                             initial.density_matrix(), times, rtol=1e-12, atol=1e-14)
+    exact = lindblad_evolve(params, times)
+    reference = _rk45_states(*_jc_master_equation(space, params),
+                             rho0, times, rtol=1e-12, atol=1e-14)
     for a, b in zip(exact.states, reference):
         assert np.max(np.abs(a.data - b)) <= 1e-10
-    assert np.max(np.abs(exact.states[-1].data - initial.density_matrix())) > 0.1
+    assert np.max(np.abs(exact.states[-1].data - rho0)) > 0.1
 
 
 def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
-    params, initial = _lossy_joint(1.0, 0.6, 0.8)
+    params = _lossy(1.0, 0.6, 0.8)
     calls = []
     expm = scipy.linalg.expm
 
@@ -402,25 +377,25 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
     steps, which = dynamics._distinct_steps(grid)
     assert len(steps) == 1 and not which.any()
-    lindblad_observables(initial, params, times=grid)  # blocks k = 0 and 1
+    lindblad_observables(params, times=grid)  # blocks k = 0 and 1
     assert len(calls) == 2
     calls.clear()
-    lindblad_observables(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    lindblad_observables(params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
     assert len(calls) == 2 * 2
     calls.clear()
     # lindblad_evolve applies the Liouvillian to rho and forms no propagator
-    lindblad_evolve(initial, params, times=grid[:51])
-    lindblad_evolve(initial, params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    lindblad_evolve(params, times=grid[:51])
+    lindblad_evolve(params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
     assert calls == []
 
 
-def _block_expm_states(initial, params, times):
+def _block_expm_states(space, rho0, params, times):
     """Reference for lindblad_evolve's raw states: every coherence-order
     block k >= 0 propagated by its matrix exponential, the k < 0 blocks
     their conjugates."""
-    dim = initial.space.dim
-    blocks, series = dynamics._block_series(initial, params, times,
-                                            range(initial.space.n_max + 2))
+    dim = space.dim
+    blocks, series = dynamics._block_series(space, rho0, params, times,
+                                            range(space.n_max + 2))
     rows, cols = (np.concatenate(idx) for idx in zip(*blocks))
     states = []
     for values in series:
@@ -433,9 +408,8 @@ def _block_expm_states(initial, params, times):
 
 def _cat_preparation(alpha, n_max):
     config = ExperimentConfig()
-    space = HilbertSpace(n_max, has_qubit=True)
-    initial = tensor(qubit_state(1.0, 0.0), coherent_state(alpha, space.phonon_only()))
-    return config.system_params(alpha), initial, [0.0, config.t_cat]
+    params = config.system_params(alpha)
+    return params, dynamics._start_state(params, n_max), [0.0, config.t_cat]
 
 
 @pytest.mark.parametrize("case", [
@@ -447,12 +421,13 @@ def test_taylor_action_matches_block_expm(case):
     # dual route: the action of the Liouvillian on rho against every
     # coherence-order block's matrix exponential
     if case == "grid":
-        params, initial = _lossy_joint(1.2 + 0.4j, 0.6, 0.8j)
+        params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
+        start = dynamics._start_state(params, default_cutoff(params.alpha0))
         times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0, 6.5]
     else:
-        params, initial, times = _cat_preparation(*case)
-    states = list(dynamics._exact_states(initial, params, np.array(times)))
-    reference = _block_expm_states(initial, params, np.array(times))
+        params, start, times = _cat_preparation(*case)
+    states = list(dynamics._exact_states(*start, params, np.array(times)))
+    reference = _block_expm_states(*start, params, np.array(times))
     assert len(states) == len(reference) == len(times)
     for rho, ref in zip(states, reference):
         assert np.max(np.abs(rho - ref)) <= 1e-13
@@ -469,13 +444,11 @@ def test_stiff_interval_is_an_error_at_once(rates, norm_dt):
     # taken, no overflow warning is raised, and the error names ||L||_1 dt
     # and the time
     params = SystemParams(g0=G0, alpha0=1.0, **rates)
-    space = HilbertSpace(default_cutoff(1.0), has_qubit=True)
-    initial = tensor(qubit_state(1.0, 0.0), coherent_state(1.0, space.phonon_only()))
     start = time.perf_counter()
     with pytest.raises(IntegrationError,
                        match=rf"^\|\|L\|\|_1 dt = {norm_dt} needs more than 1000 "
                              r"Taylor steps at t = 1$"):
-        lindblad_evolve(initial, params, [0.0, 1.0])
+        lindblad_evolve(params, [0.0, 1.0])
     assert time.perf_counter() - start < 1.0
 
 
@@ -502,16 +475,16 @@ def test_liouvillian_keeps_coherence_order():
 
 
 def test_trace_drift_names_the_route(monkeypatch):
-    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    params = _lossy(1.0, 1.0, 0.0)
 
-    def drifting(initial, params, times):
+    def drifting(space, rho0, params, times):
         for _ in times:
-            yield 1.1 * initial.density_matrix()
+            yield 1.1 * rho0
 
     monkeypatch.setattr(dynamics, "_exact_states", drifting)
     with pytest.raises(IntegrationError,
                        match=r"^trace drift 1\.000e-01 at t = 0$"):
-        lindblad_evolve(initial, params, times=[0.0, 1.0])
+        lindblad_evolve(params, times=[0.0, 1.0])
 
 
 def _with_negative_eigenvalue(pure, eps):
@@ -526,23 +499,25 @@ def _with_negative_eigenvalue(pure, eps):
 
 
 def test_negative_eigenvalue_names_route_and_bound(monkeypatch):
-    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    params = _lossy(1.0, 0.6, 0.8j)
+    initial = jc_evolve_exact(params, 0.0)
     states = [initial.density_matrix(), _with_negative_eigenvalue(initial, 1e-6)]
     monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
     with pytest.raises(IntegrationError,
                        match=r"^negative eigenvalue -1\.000e-06 below -1e-7 at "
                              r"t = 1$"):
-        lindblad_evolve(initial, params, times=[0.0, 1.0])
+        lindblad_evolve(params, times=[0.0, 1.0])
 
 
 def test_small_negative_eigenvalue_is_clipped(monkeypatch):
     # -1e-8 fails the certificate but not the -1e-7 bound: the loop clips it
     # and renormalises, which here leaves exactly |psi><psi|
-    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    params = _lossy(1.0, 0.6, 0.8j)
+    initial = jc_evolve_exact(params, 0.0)
     pure = initial.density_matrix()
     states = [pure, _with_negative_eigenvalue(initial, 1e-8)]
     monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
-    traj = lindblad_evolve(initial, params, times=[0.0, 1.0])
+    traj = lindblad_evolve(params, times=[0.0, 1.0])
     rho = traj.states[1].data
     assert abs(np.trace(rho) - 1.0) <= 1e-14
     assert np.max(np.abs(rho - pure)) <= 1e-12
@@ -552,7 +527,7 @@ def test_small_negative_eigenvalue_is_clipped(monkeypatch):
 def test_certified_states_match_eigh_and_clip_reference(monkeypatch):
     # the loop before the certificate: every state diagonalised, negative
     # eigenvalues clipped at 0 and the trace restored
-    params, initial = _lossy_joint(2.0, 1.0, 0.0)
+    params = _lossy(2.0, 1.0, 0.0)
     raw = []
     exact_states = dynamics._exact_states
 
@@ -562,7 +537,7 @@ def test_certified_states_match_eigh_and_clip_reference(monkeypatch):
             yield rho
 
     monkeypatch.setattr(dynamics, "_exact_states", recording)
-    traj = lindblad_evolve(initial, params, times=np.linspace(0.0, 10.0, 40))
+    traj = lindblad_evolve(params, times=np.linspace(0.0, 10.0, 40))
     assert len(raw) == len(traj.states) == 40
     for rho, state in zip(raw, traj.states):
         rho = 0.5 * (rho + rho.conj().T)
@@ -577,7 +552,7 @@ def test_certified_states_match_eigh_and_clip_reference(monkeypatch):
 def test_open_run_diagonalises_no_state(monkeypatch):
     # each state is certified by one Cholesky factorisation; an eigensolver
     # per state would cost several times as much
-    params, initial = _lossy_joint(2.0, 1.0, 0.0)
+    params = _lossy(2.0, 1.0, 0.0)
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -587,7 +562,7 @@ def test_open_run_diagonalises_no_state(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    traj = lindblad_evolve(initial, params, times=np.linspace(0.0, 10.0, 501))
+    traj = lindblad_evolve(params, times=np.linspace(0.0, 10.0, 501))
     assert len(traj.states) == 501
     assert calls == []
 
@@ -606,14 +581,14 @@ def _corrupt_block_series(monkeypatch, corrupt):
 
 
 def test_two_block_trace_drift_is_an_error(monkeypatch):
-    params, initial = _lossy_joint(1.0, 1.0, 0.0)
+    params = _lossy(1.0, 1.0, 0.0)
 
     def drift(blocks, series):
         series[1] *= 1.1
 
     _corrupt_block_series(monkeypatch, drift)
     with pytest.raises(IntegrationError, match=r"^trace drift 1\.000e-01 at t = 1$"):
-        lindblad_observables(initial, params, times=[0.0, 1.0, 2.0])
+        lindblad_observables(params, times=[0.0, 1.0, 2.0])
 
 
 def test_two_block_negative_sector_eigenvalue_is_an_error(monkeypatch):
@@ -621,8 +596,8 @@ def test_two_block_negative_sector_eigenvalue_is_an_error(monkeypatch):
     # sector {|g, 1>, |e, 0>} has populations 0.31 and 0.05 at t = 2, so an
     # eigenvalue of -0.34, while the trace and the qubit reduction are as
     # they were
-    params, initial = _lossy_joint(1.0, 1.0, 0.0)
-    pd = initial.space.phonon_dim
+    params = _lossy(1.0, 1.0, 0.0)
+    pd = default_cutoff(1.0) + 1
 
     def negative(blocks, series):
         rows, cols = blocks[0]
@@ -633,13 +608,13 @@ def test_two_block_negative_sector_eigenvalue_is_an_error(monkeypatch):
     with pytest.raises(IntegrationError,
                        match=r"^negative eigenvalue -3\.\d{3}e-01 below -1e-7 in "
                              r"an excitation sector at t = 2$"):
-        lindblad_observables(initial, params, times=[0.0, 1.0, 2.0])
+        lindblad_observables(params, times=[0.0, 1.0, 2.0])
 
 
 def test_two_block_bloch_vector_beyond_one_is_an_error(monkeypatch):
     # the qubit coherence rho_q[e, g] lives in k = 1 alone: scaling that
     # block leaves the populations and every k = 0 sector as they were
-    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    params = _lossy(1.0, 0.6, 0.8j)
 
     def stretched(blocks, series):
         series[1, len(blocks[0][0]):] *= 1.5
@@ -647,7 +622,7 @@ def test_two_block_bloch_vector_beyond_one_is_an_error(monkeypatch):
     _corrupt_block_series(monkeypatch, stretched)
     with pytest.raises(IntegrationError,
                        match=r"^qubit Bloch vector of length 1\.\d+ > 1 .* at t = 1$"):
-        lindblad_observables(initial, params, times=[0.0, 1.0])
+        lindblad_observables(params, times=[0.0, 1.0])
 
 
 def _assert_constructor_accepts(states):
@@ -667,8 +642,7 @@ def test_jc_and_css_states_pass_the_constructor():
 
 @pytest.mark.parametrize("times", [[0.0, 0.4, 1.5], [0.7]], ids=["grid", "one_point"])
 def test_lindblad_states_pass_the_constructor(times):
-    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
-    _assert_constructor_accepts(lindblad_evolve(initial, params, times).states)
+    _assert_constructor_accepts(lindblad_evolve(_lossy(1.0, 0.6, 0.8j), times).states)
 
 
 def _random_mixed(dim, seed):
@@ -701,7 +675,7 @@ def test_free_decay_at_wait_zero_returns_the_input():
 
 
 def test_evolved_states_are_not_validated_again(monkeypatch):
-    params, initial = _lossy_joint(1.0, 0.6, 0.8j)
+    params = _lossy(1.0, 0.6, 0.8j)
     target = css_state(1.2, -1.2j, 0.4, HilbertSpace(12))
     validated = []
     check = JointState.__post_init__
@@ -712,7 +686,7 @@ def test_evolved_states_are_not_validated_again(monkeypatch):
 
     monkeypatch.setattr(JointState, "__post_init__", counting)
     jc_trajectory(params, np.linspace(0.0, 3.0, 7))
-    lindblad_evolve(initial, params, times=[0.0, 0.4, 1.5])
-    lindblad_observables(initial, params, times=[0.0, 0.4, 1.5])
+    lindblad_evolve(params, times=[0.0, 0.4, 1.5])
+    lindblad_observables(params, times=[0.0, 0.4, 1.5])
     fit_css(target)
     assert validated == []

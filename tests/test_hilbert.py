@@ -28,7 +28,6 @@ from catsim.hilbert import (
     partial_trace,
     phonon_factor,
     qubit_state,
-    tensor,
 )
 from catsim.phase_space import raster_grid
 from reference import factored_fidelity, fock_state, purity
@@ -114,7 +113,8 @@ def test_bell_like_state_gives_maximally_mixed_qubit():
 
 def test_partial_trace_of_product_state():
     phonon = coherent_state(1.2, HilbertSpace(20))
-    joint = tensor(qubit_state(1.0, 0.0), phonon)
+    joint = JointState(HilbertSpace(20, has_qubit=True),
+                       np.kron(qubit_state(1.0, 0.0), phonon.data), "pure")
     rho_p = partial_trace(joint, "phonon")
     expected = np.outer(phonon.data, phonon.data.conj())
     assert np.allclose(rho_p.data, expected, atol=1e-12)
@@ -354,7 +354,9 @@ def test_laguerre_seed_row_matches_scipy_special():
 
 def test_displaced_parity_empty_and_joint_inputs():
     assert displaced_parity(fock_state(1, HilbertSpace(6)), []).shape == (0,)
-    joint = tensor(qubit_state(1.0, 0.0), fock_state(0, HilbertSpace(4)))
+    joint = JointState(HilbertSpace(4, has_qubit=True),
+                       np.kron(qubit_state(1.0, 0.0), fock_state(0, HilbertSpace(4)).data),
+                       "pure")
     with pytest.raises(DimensionMismatchError):
         displaced_parity(joint, [0.0])
 

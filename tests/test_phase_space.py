@@ -180,6 +180,17 @@ def test_fit_negativity_decay_rejects_bad_series():
         fit_negativity_decay([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, -0.1, 0.2])
     with pytest.raises(FitError):
         fit_negativity_decay([0.0, 1.0, 2.0, 3.0], [0.4, 0.4, 0.4, 0.4])
+    # one positive point: any tau_cat below the first wait fits the step
+    with pytest.raises(FitError, match="fewer than two positive"):
+        fit_negativity_decay(np.linspace(0.0, 1000.0, 11), [0.43] + [0.0] * 10)
+
+
+def test_fit_negativity_decay_fits_two_positive_points():
+    # the default cat's decay series at waits up to 400 us: two positive points
+    taus = np.linspace(0.0, 400.0, 11)
+    fit = fit_negativity_decay(taus, [0.4264362016, 0.0036030571] + [0.0] * 9)
+    assert fit.tau_cat == pytest.approx(40.0 / math.log(0.4264362016 / 0.0036030571),
+                                        rel=1e-3)
 
 
 def test_tau_cat_large_alpha_values():

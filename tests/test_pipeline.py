@@ -5,10 +5,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from catsim.dynamics import lindblad_evolve
+from catsim import dynamics
 from catsim.errors import ConfigError
 from catsim.hilbert import HilbertSpace, JointState, coherent_state, default_cutoff, \
-    partial_trace, qubit_state, tensor
+    partial_trace
 from catsim.pipeline import (
     DRIVE_PRESETS,
     ExperimentConfig,
@@ -72,10 +72,11 @@ def test_prepare_cat_tail_weight_at_default_cutoff(amplitude):
     n_max = default_cutoff(alpha0)
     assert len(rho) == n_max + 1
     assert np.trace(rho[-3:, -3:]).real <= 1e-14
-    initial = tensor(qubit_state(1.0, 0.0),
-                     coherent_state(alpha0, HilbertSpace(n_max + 10)))
-    joint = lindblad_evolve(initial, config.system_params(alpha0),
-                            [0.0, config.t_cat]).states[-1]
+    params = config.system_params(alpha0)
+    space, rho0 = dynamics._start_state(params, n_max + 10)
+    joint = list(dynamics._exact_states(space, rho0, params,
+                                        np.array([0.0, config.t_cat])))[-1]
+    joint = JointState(space, joint, "mixed")
     reference = partial_trace(joint, "phonon").data[:n_max + 1, :n_max + 1]
     assert np.max(np.abs(rho - reference)) <= 1e-8
 

@@ -1,6 +1,6 @@
 """No module, script or test imports a name that it never uses, no private
-module-level name of the package goes unread, and no public one goes unread
-outside the tests.
+module-level name of the package goes unread, and no public one, nor any
+public method or property of a public class, goes unread outside the tests.
 """
 
 import ast
@@ -127,12 +127,64 @@ def test_checker_finds_an_unread_public_name():
         "a.ALSO", "a.DEAD", "a.Gone", "a.orphan"]
 
 
-def test_every_public_name_is_read_outside_the_tests():
-    # __init__.py counts as neither definer nor reader, and no test reads
+def package_scripts_bench():
+    """The sources that may read a public name: the package as a
+    {module: source} map, and the scripts' and the benchmark's sources.
+    __init__.py counts as neither definer nor reader, and no test reads."""
     package = {path.stem: path.read_text(encoding="utf-8")
                for path in PACKAGE if path.name != "__init__.py"}
-    scripts = [path.read_text(encoding="utf-8")
-               for path in sorted(ROOT.glob("scripts/*.py"))]
-    bench = [path.read_text(encoding="utf-8")
-             for path in sorted(ROOT.glob("bench/*.py"))]
-    assert unread_public_names(package, scripts, bench) == []
+    return package, *([path.read_text(encoding="utf-8")
+                       for path in sorted(ROOT.glob(pattern))]
+                      for pattern in ("scripts/*.py", "bench/*.py"))
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    assert unread_public_names(*package_scripts_bench()) == []
+
+
+def public_methods(tree) -> list:
+    """The public defs, properties included, of the module tree's public
+    classes, as (class, name)."""
+    return [(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def unread_public_methods(package: dict, readers: list, patchers: list) -> list:
+    """The public methods and properties of the public classes that package,
+    a {module: source} map, defines and no source reads as an attribute, as
+    module.class.name.  The patchers also read by identifier-shaped string."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    patcher_trees = [ast.parse(source) for source in patchers]
+    read = {node.attr
+            for tree in [*trees.values(), *map(ast.parse, readers), *patcher_trees]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {node.value for tree in patcher_trees for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.isidentifier()}
+    return sorted(f"{module}.{cls}.{name}" for module, tree in trees.items()
+                  for cls, name in public_methods(tree) if name not in read)
+
+
+def test_checker_finds_an_unread_public_method():
+    package = {"a": "class Kept:\n"
+                    "    def used(self):\n        pass\n"
+                    "    @property\n    def size(self):\n        return 1\n"
+                    "    def orphan(self):\n        pass\n"
+                    "    @property\n    def gone(self):\n        return 2\n"
+                    "    def named(self):\n        pass\n"
+                    "    def patched(self):\n        pass\n"
+                    "    def _private(self):\n        pass\n"
+                    "    def __init__(self):\n        pass\n"
+                    "class _Hidden:\n    def unread(self):\n        pass\n",
+               "b": "from .a import Kept\nKept().used()\n"}
+    # a bare name is no attribute read, and a script's string reads nothing
+    scripts = ["from catsim import a\nnamed = a.Kept().size\nprint(named, 'orphan')\n"]
+    bench = ["patch(a.Kept, 'patched')\n"]
+    assert unread_public_methods(package, scripts, bench) == [
+        "a.Kept.gone", "a.Kept.named", "a.Kept.orphan"]
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    assert unread_public_methods(*package_scripts_bench()) == []
