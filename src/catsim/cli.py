@@ -26,7 +26,7 @@ from .catfit import fit_analytical, fit_css
 from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
     characteristic_times, excited_population, jc_trajectory, \
     lindblad_observables
-from .errors import CatsimError, ConfigError
+from .errors import CatsimError, ConfigError, FitError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff
 from .phase_space import decayed_css_wigner, negativity, raster_grid, wigner
 from .pipeline import T1_PHONON_DEFAULT, T1_QUBIT_DEFAULT, T2_QUBIT_DEFAULT, \
@@ -493,7 +493,11 @@ def _cmd_calibrate(cfg, out_dir, seed, log):
         truth = DriveCalibration(B=cfg["drive_b"], C=cfg["drive_c"],
                                  residual=0.0)
         betas = np.array([truth.beta_abs(a) for a in amps])
-        noisy = betas * (1.0 + cfg["noise"] * rng.standard_normal(len(amps)))
+        try:
+            with np.errstate(over="raise"):
+                noisy = betas * (1.0 + cfg["noise"] * rng.standard_normal(len(amps)))
+        except FloatingPointError as exc:
+            raise FitError("drive calibration samples must be finite") from exc
         fit = calibrate_drive(list(zip(amps, noisy)))
         io_utils.write_csv(out_dir / "drive_samples.csv",
                            ("amplitude", "beta_abs"), zip(amps, noisy))
@@ -501,7 +505,7 @@ def _cmd_calibrate(cfg, out_dir, seed, log):
             "B_true": cfg["drive_b"], "C_true": cfg["drive_c"],
             "B_fit": fit.B, "C_fit": fit.C, "residual": fit.residual,
         })
-        log(f"wrote drive_fit.json (B = {fit.B:.4f}, C = {fit.C:.4f})")
+        log(f"wrote drive_fit.json (B = {fit.B:.4g}, C = {fit.C:.4g})")
     elif kind == "parity":
         model = ReadoutModel(contrast=cfg["contrast"], offset=cfg["offset"],
                              shots=cfg["shots"], seed=seed)

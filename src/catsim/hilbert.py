@@ -180,8 +180,9 @@ def displacement_operator(beta: complex, phonon_dim: int) -> np.ndarray:
     return (phases[:, None] * core) * phases.conj()[None, :]
 
 
-# points, and radii, per block in displaced_parity; bounds its block x dim temporaries
-_PARITY_BLOCK = 256
+# distinct radii per Laguerre pass, and points per Horner sum, in displaced_parity; bounds
+# its temporaries to S x dim x _PARITY_BLOCK for a stack of S states
+_PARITY_BLOCK = 128
 
 
 def _laguerre_rows(x: np.ndarray, dim: int):
@@ -199,31 +200,49 @@ def _laguerre_rows(x: np.ndarray, dim: int):
         prev, cur = cur, nxt / np.sqrt((n + 1) * (n + 1 + k))
 
 
-def displaced_parity(state: JointState, betas) -> np.ndarray:
-    """Displaced-parity expectations Tr[rho D(beta) Pi D^dag(beta)] at every beta.
+def displaced_parity(states, betas) -> np.ndarray:
+    """(S, N) displaced-parity expectations Tr[rho_s D(beta) Pi D^dag(beta)] of a stack of S
+    phonon-only states of one dimension d at N points beta; one state is the stack [state].
 
-    Exact for the truncated state, no padding: D(beta) Pi D^dag(beta) = D(2 beta) Pi (Royer,
-    PRA 15, 449 (1977)), <n+k|D(2 beta)|n> = G_n[k] e^{ik arg beta} at x = 4|beta|^2 (Cahill
-    & Glauber, Phys. Rev. 177, 1857 (1969)), and with S_k = sum_n (-1)^n rho_{n,n+k} G_n[k],
-    <Pi> = Re[S_0 + 2 sum_k e^{ik arg beta} S_k]: O(d^2 R + N d) at R distinct |beta|.
+    Exact for the truncated states, no padding: D(beta) Pi D^dag(beta) = D(2 beta) Pi (Royer,
+    PRA 15, 449 (1977)), <n+k|D(2 beta)|n> = G_n[k] z^k with z = e^{i arg beta} at
+    x = 4|beta|^2 (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and with
+    S_k = sum_n (-1)^n rho_{n,n+k} G_n[k], <Pi> = Re[S_0 + 2 sum_k z^k S_k], a Horner sum in z.
+    The recurrence for G runs once per block of distinct |beta| and serves the whole stack;
+    only the signed diagonals and the sums are per state: O(d^2 R + S d^2 R + S N d) at R
+    distinct |beta|.  A nan or inf beta is a ValueError.
     """
-    if state.space.has_qubit:
-        raise DimensionMismatchError("displaced_parity expects a phonon-only state")
+    states = list(states)
+    dims = {state.space.dim for state in states}
+    if len(dims) != 1 or any(state.space.has_qubit for state in states):
+        raise DimensionMismatchError(
+            "displaced_parity expects a nonempty stack of phonon-only states of one dimension")
+    (dim,) = dims
     betas = np.asarray(betas, dtype=complex).ravel()
-    dim = state.space.dim
-    rho = state.density_matrix()
-    radii, which = np.unique(np.abs(betas), return_inverse=True)
-    sums = np.zeros((dim, len(radii)), dtype=complex)
+    if not np.isfinite(betas).all():
+        raise ValueError("displaced_parity needs finite betas")
+    signed = np.array([state.density_matrix() for state in states])
+    signed[:, 1::2] *= -1.0  # row n of each state carries (-1)^n
+    size = np.abs(betas)
+    radii, which = np.unique(size, return_inverse=True)
+    z = np.exp(1j * np.angle(betas))
+    out = np.empty((len(states), len(betas)))
     for lo in range(0, len(radii), _PARITY_BLOCK):
-        chunk = slice(lo, lo + _PARITY_BLOCK)
-        for n, g in enumerate(_laguerre_rows(4.0 * radii[chunk] ** 2, dim)):
-            sums[:dim - n, chunk] += ((-1) ** n * rho[n, n:])[:, None] * g
-    sums[1:] *= 2.0
-    out = np.empty(len(betas))
-    for start in range(0, len(betas), _PARITY_BLOCK):
-        block = slice(start, start + _PARITY_BLOCK)
-        angular = np.exp(1j * np.angle(betas[block])[:, None] * np.arange(dim))
-        out[block] = np.einsum("pk,kp->p", angular, sums[:, which[block]]).real
+        chunk = radii[lo:lo + _PARITY_BLOCK]
+        sums = np.zeros((len(states), dim, len(chunk)), dtype=complex)
+        for n, g in enumerate(_laguerre_rows(4.0 * chunk ** 2, dim)):
+            sums[:, :dim - n] += signed[:, n, n:, None] * g
+        sums[:, 1:] *= 2.0
+        # the points at these radii: chunk holds the values of size itself, so the
+        # closed interval is exact
+        block = np.flatnonzero((size >= chunk[0]) & (size <= chunk[-1]))
+        for start in range(0, len(block), _PARITY_BLOCK):
+            points = block[start:start + _PARITY_BLOCK]
+            local, zp = which[points] - lo, z[points]
+            acc = sums[:, -1, local]
+            for k in range(dim - 2, -1, -1):
+                acc = acc * zp + sums[:, k, local]
+            out[:, points] = acc.real
     return out
 
 

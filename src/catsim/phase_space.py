@@ -7,6 +7,9 @@ and integral over d^2 beta equal to 1.
 Pure and mixed states take one route, hilbert.displaced_parity (exact
 Laguerre elements, no padding): W is exact for the truncated state, at
 O(d^2 R + N d) for N points at R distinct |beta| on a d-level state.
+wigner passes it the one state [state]; a series of states over one grid
+(pipeline.negativity_series) passes the whole stack, which shares each
+Laguerre recurrence, so S states cost O(d^2 R + S d^2 R + S N d).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FitError
+from .errors import FitError
 from .hilbert import JointState, displaced_parity
 
 DEFAULT_EXTENT = 3.5
@@ -73,10 +76,8 @@ def _as_grid(points) -> GridSpec:
 
 def wigner(state: JointState, points) -> WignerGrid:
     """Displaced-parity Wigner function of a phonon-only state."""
-    if state.space.has_qubit:
-        raise DimensionMismatchError("wigner expects a phonon-only state")
     grid = _as_grid(points)
-    values = (2.0 / math.pi) * displaced_parity(state, grid.points)
+    values = (2.0 / math.pi) * displaced_parity([state], grid.points)[0]
     return WignerGrid(grid.points, values, grid.weights)
 
 

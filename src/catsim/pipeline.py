@@ -17,9 +17,10 @@ import numpy as np
 
 from .dynamics import SystemParams, lindblad_evolve
 from .errors import ConfigError
-from .hilbert import HilbertSpace, JointState, _fock_table, partial_trace
-from .phase_space import NegativityDecayFit, fit_negativity_decay, negativity, \
-    raster_grid, wigner
+from .hilbert import HilbertSpace, JointState, _fock_table, displaced_parity, \
+    partial_trace
+from .phase_space import NegativityDecayFit, WignerGrid, fit_negativity_decay, \
+    negativity, raster_grid
 
 # Coherent amplitudes calibrated per drive-amplitude setting.
 DRIVE_PRESETS = {0.25: 1.28, 0.30: 1.74, 0.35: 2.05}
@@ -142,9 +143,16 @@ def negativity_grid(extent: float = 3.0, n: int = 61):
 
 
 def negativity_series(states, grid=None) -> np.ndarray:
-    """Wigner negativity of each state in a decay series over one grid."""
+    """Wigner negativity of each state in a decay series over one grid.
+
+    The states share one displaced_parity pass, whose (S, N) rows scale in
+    place to W = (2/pi) <Pi>.
+    """
     grid = grid if grid is not None else negativity_grid()
-    return np.array([negativity(wigner(s, grid)) for s in states])
+    values = displaced_parity(states, grid.points)
+    values *= 2.0 / math.pi
+    return np.array([negativity(WignerGrid(grid.points, row, grid.weights))
+                     for row in values])
 
 
 def simulate_tomography(rho_phonon: JointState, model, grid,

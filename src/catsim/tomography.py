@@ -113,8 +113,17 @@ class DriveCalibration:
 
 
 def calibrate_drive(samples) -> DriveCalibration:
-    """Fit (B, C) of |beta| = C (e^{A/B} - 1) to (A, |beta|) samples."""
-    from scipy.optimize import curve_fit
+    """Fit (B, C) of |beta| = C (e^{A/B} - 1) to (A, |beta|) samples.
+
+    The model is linear in C, so C is profiled out in closed form: with
+    f = e^{x u} - 1 at x = A / max A and u = max A / B, C*(u) = sum f beta /
+    sum f^2.  u alone is searched, first on a log grid over [1e-3, 300] and
+    then as the root of the least squares' derivative in u, proportional to
+    sum (beta - C* f) x e^{x u}, between the grid points beside the best one.
+    Scaling every |beta| by s scales C by s and leaves B as it is.  A best u
+    at the grid's edge, or C* <= 0, is a FitError.
+    """
+    from scipy.optimize import brentq
 
     samples = [(float(a), float(b)) for a, b in samples]
     if len(samples) < 3:
@@ -125,25 +134,41 @@ def calibrate_drive(samples) -> DriveCalibration:
         raise FitError("drive calibration samples must be finite")
     if np.any(amps < 0):
         raise FitError("drive amplitudes must be >= 0")
+    if amps.max() == 0:
+        raise FitError("drive calibration needs a nonzero amplitude")
     order = np.argsort(amps)
     if np.any(np.diff(betas[order]) < -0.05 * max(betas.max(), 1e-9)):
         warnings.warn("drive calibration data is non-monotone beyond noise", stacklevel=2)
+    x = amps / amps.max()
 
-    def model(a, b, c):
-        return c * (np.exp(a / b) - 1.0)
+    def profile(u):
+        """C* and the residuals beta - C* f at the exponent scale(s) u."""
+        f = np.expm1(np.multiply.outer(u, x))
+        c = f @ betas / np.einsum("...i,...i->...", f, f)
+        return c, betas - c[..., None] * f, f
 
-    b0 = max(amps.max(), 1e-3)
-    c0 = max(betas.max(), 1e-3) / max(math.expm1(amps.max() / b0), 1e-9)
-    # curve_fit raises RuntimeError when it does not converge, and ValueError on
-    # an inf or nan residual; samples near the float limit overflow before that
+    def slope(u):
+        _, resid, f = profile(u)
+        return resid @ (x * (f + 1.0))
+
+    # samples near the float limit overflow the sums of squares, and brentq
+    # raises ValueError on a bracket whose ends share a sign
     try:
         with np.errstate(over="raise"):
-            popt, _ = curve_fit(model, amps, betas, p0=(b0, c0),
-                                bounds=([1e-6, 1e-9], [np.inf, np.inf]), maxfev=20000)
-    except (RuntimeError, ValueError, FloatingPointError) as exc:
+            grid = np.geomspace(1e-3, 300.0, 241)
+            _, resid, _ = profile(grid)
+            best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+            if best in (0, len(grid) - 1):
+                raise FitError(f"drive calibration least squares has no interior minimum "
+                               f"in max A / B on [{grid[0]:g}, {grid[-1]:g}]")
+            u = brentq(slope, grid[best - 1], grid[best + 1])
+            c, resid, _ = profile(u)
+    except (ValueError, FloatingPointError) as exc:
         raise FitError(f"drive calibration fit diverged: {exc}") from exc
-    resid = float(np.sqrt(np.mean((model(amps, *popt) - betas) ** 2)))
-    return DriveCalibration(B=float(popt[0]), C=float(popt[1]), residual=resid)
+    if c <= 0:
+        raise FitError(f"drive calibration gives prefactor C = {c:g} <= 0")
+    return DriveCalibration(B=float(amps.max() / u), C=float(c),
+                            residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
 @dataclass(frozen=True)
@@ -238,7 +263,7 @@ def sample_wigner(state: JointState, betas, model: ReadoutModel,
     betas = np.asarray(betas, dtype=complex).ravel()
     if normalization is None:
         normalization = ParityNormalization.identity()
-    pi_true = displaced_parity(state, betas)
+    pi_true = displaced_parity([state], betas)[0]
     raw = np.empty(len(betas))
     for i in range(len(betas)):
         rng = np.random.default_rng(model.seed ^ (i + 1))

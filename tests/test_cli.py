@@ -202,6 +202,23 @@ def test_calibrate_drive_determinism(tmp_path, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_calibrate_drive_fit_does_not_depend_on_the_prefactor(tmp_path, capsys):
+    # one seed draws the same relative noise, so the samples scale with C
+    # and the fitted B stays at the true 0.2 however small C is
+    fits = []
+    for drive_c in (1.1, 1e-8):
+        cfg = write_config(tmp_path, {"schema_version": 1, "kind": "drive",
+                                      "drive_c": drive_c})
+        out = tmp_path / f"c{drive_c:g}"
+        code, _, _ = run(capsys, "calibrate", "--config", cfg, "--seed", "7",
+                         "--out", str(out), "--quiet")
+        assert code == 0
+        fits.append(json.loads((out / "drive_fit.json").read_text()))
+    assert fits[0]["B_fit"] == pytest.approx(0.2, rel=0.05)
+    assert fits[1]["B_fit"] == pytest.approx(fits[0]["B_fit"], rel=1e-9)
+    assert fits[1]["C_fit"] == pytest.approx(1e-8 / 1.1 * fits[0]["C_fit"], rel=1e-9)
+
+
 def test_seed_changes_samples(tmp_path, capsys):
     cfg = write_config(tmp_path, {"schema_version": 1, "kind": "drive"})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -378,6 +395,10 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
     pytest.param("calibrate", {"kind": "drive", "drive_c": 1e300}, 3,
                  "(FitError): drive calibration fit diverged: overflow",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # the noisy samples themselves overflow, before any fit
+    pytest.param("calibrate", {"kind": "drive", "noise": 1e308}, 3,
+                 "(FitError): drive calibration samples must be finite",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     # past wait 100 us no negativity is left: one positive point is no decay
     pytest.param("decay", {"wait_max": 1000.0}, 3,
                  "(FitError): fewer than two positive negativities",
@@ -391,7 +412,8 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
         "mass_alpha", "mass_length_huge", "mass_length_tiny",
         "mass_wavelength_tiny", "mass_volume_underflow", "mass_m_eff_underflow",
         "wigner_extent", "tomo_extent", "calibrate_drive", "calibrate_drive_b_tiny",
-        "calibrate_drive_noise", "calibrate_drive_c", "decay_no_decay_left",
+        "calibrate_drive_noise", "calibrate_drive_c", "calibrate_drive_noise_huge",
+        "decay_no_decay_left",
         "wigner_decayed_css_degenerate"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows under test
 def test_extreme_configs_exit_without_traceback(tmp_path, capsys, command,

@@ -287,7 +287,7 @@ def test_displaced_parity_matches_dense_reference(dim):
         for beta in PARITY_POINTS:
             d = displacement_operator(beta, dim + 150)
             ref.append(np.trace(dense @ (d @ parity @ d.conj().T)[:dim, :dim]).real)
-        got = displaced_parity(state, PARITY_POINTS)
+        got = displaced_parity([state], PARITY_POINTS)[0]
         assert np.max(np.abs(got - np.array(ref))) <= 1e-12
 
 
@@ -312,7 +312,7 @@ def test_parity_kernels_match_padded_reference(dim):
     rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
     state = JointState(HilbertSpace(dim - 1), rho, "mixed")
     traces = np.einsum("kij,ji->k", kernels, rho).real
-    assert np.max(np.abs(traces - displaced_parity(state, betas))) <= 1e-13
+    assert np.max(np.abs(traces - displaced_parity([state], betas)[0])) <= 1e-13
 
 
 def test_displaced_parity_exact_far_beyond_the_state():
@@ -328,7 +328,7 @@ def test_displaced_parity_exact_far_beyond_the_state():
     ref = np.einsum("kij,ji->k", _padded_kernels(betas, dim, 300), rho).real
     doubled = np.einsum("kij,ji->k", _padded_kernels(betas, dim, 600), rho).real
     assert np.max(np.abs(ref - doubled)) < 1e-14
-    got = displaced_parity(JointState(HilbertSpace(dim - 1), rho, "mixed"), betas)
+    got = displaced_parity([JointState(HilbertSpace(dim - 1), rho, "mixed")], betas)[0]
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -352,13 +352,55 @@ def test_laguerre_seed_row_matches_scipy_special():
     assert np.max(np.abs(seed - ref)[nonzero] / ref[nonzero]) <= tol
 
 
+def _random_stack(dim, size):
+    """size random states on dim levels, mixed and pure in turn."""
+    rng = np.random.default_rng(dim)
+    space, states = HilbertSpace(dim - 1), []
+    for i in range(size):
+        if i % 2:
+            vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            states.append(JointState(space, vec / np.linalg.norm(vec), "pure"))
+        else:
+            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = m @ m.conj().T
+            states.append(JointState(space, rho / np.trace(rho).real, "mixed"))
+    return states
+
+
+@pytest.mark.parametrize("dim", [13, 21])
+def test_displaced_parity_stack_matches_padded_reference(dim):
+    # more distinct radii than one block, so the stack spans several
+    # recurrence passes; each row is its state's own S = 1 call
+    betas = np.concatenate((raster_grid(2.2, 41).points, PARITY_POINTS))
+    states = _random_stack(dim, 5)
+    got = displaced_parity(states, betas)
+    assert got.shape == (5, len(betas))
+    kernels = _padded_kernels(betas, dim, 150)
+    for state, row in zip(states, got):
+        ref = np.einsum("kij,ji->k", kernels, state.density_matrix()).real
+        assert np.max(np.abs(row - ref)) <= 1e-12
+        assert np.max(np.abs(row - displaced_parity([state], betas)[0])) <= 1e-15
+
+
 def test_displaced_parity_empty_and_joint_inputs():
-    assert displaced_parity(fock_state(1, HilbertSpace(6)), []).shape == (0,)
+    assert displaced_parity([fock_state(1, HilbertSpace(6))], []).shape == (1, 0)
+    assert displaced_parity(_random_stack(5, 3), []).shape == (3, 0)
     joint = JointState(HilbertSpace(4, has_qubit=True),
                        np.kron(qubit_state(1.0, 0.0), fock_state(0, HilbertSpace(4)).data),
                        "pure")
     with pytest.raises(DimensionMismatchError):
-        displaced_parity(joint, [0.0])
+        displaced_parity([joint], [0.0])
+    with pytest.raises(DimensionMismatchError):
+        # one dimension, 10, but one member carries a qubit
+        displaced_parity([fock_state(0, HilbertSpace(9)), joint], [0.0])
+    with pytest.raises(DimensionMismatchError):
+        displaced_parity([fock_state(0, HilbertSpace(4)), fock_state(0, HilbertSpace(6))],
+                         [0.0])
+    with pytest.raises(DimensionMismatchError):
+        displaced_parity([], [0.0])
+    for bad in (np.nan, np.inf, complex(0.5, np.nan)):
+        with pytest.raises(ValueError, match="finite betas"):
+            displaced_parity([fock_state(0, HilbertSpace(4))], [0.3, bad])
 
 
 @settings(max_examples=25, deadline=None)

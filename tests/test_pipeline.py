@@ -5,10 +5,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from catsim import dynamics
+from catsim import dynamics, hilbert
+from catsim.cli import SCHEMAS
 from catsim.errors import ConfigError
 from catsim.hilbert import HilbertSpace, JointState, coherent_state, default_cutoff, \
     partial_trace
+from catsim.phase_space import negativity, wigner
 from catsim.pipeline import (
     DRIVE_PRESETS,
     ExperimentConfig,
@@ -138,6 +140,33 @@ def test_negativity_series_on_decaying_fock():
     assert np.all(deltas >= 0.0)
     assert np.all(np.diff(deltas) <= 0.0)
     assert deltas[1] < deltas[0]  # Fock |1> negativity drains quickly
+
+
+def test_negativity_series_runs_one_recurrence_per_radius_block(monkeypatch):
+    # the default decay command's 11 states share each Laguerre pass; a loop
+    # over the states would run the recurrence 11 times per block of radii
+    config = ExperimentConfig()
+    decay = SCHEMAS["decay"]
+    waits = np.linspace(0.0, decay["wait_max"].default, decay["n_waits"].default)
+    states = free_decay(prepare_cat(drive_alpha(decay["drive_amplitude"].default),
+                                    config), waits, config)
+    grid = negativity_grid()
+    calls = []
+    laguerre_rows = hilbert._laguerre_rows
+
+    def counting(x, dim):
+        calls.append(len(x))
+        return laguerre_rows(x, dim)
+
+    monkeypatch.setattr(hilbert, "_laguerre_rows", counting)
+    deltas = negativity_series(states, grid)
+    radii = len(np.unique(np.abs(grid.points)))
+    assert len(states) == 11
+    assert len(calls) == math.ceil(radii / hilbert._PARITY_BLOCK) < len(states)
+    assert sum(calls) == radii
+    monkeypatch.undo()
+    each = [negativity(wigner(state, grid)) for state in states]
+    assert np.max(np.abs(deltas - each)) <= 1e-15
 
 
 def test_grids():

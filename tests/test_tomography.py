@@ -37,8 +37,8 @@ G0 = math.sqrt(2.0) / 0.9
 
 def test_parity_expectation_eigenstates():
     space = HilbertSpace(20)
-    assert displaced_parity(fock_state(0, space), [0.0])[0] == pytest.approx(1.0)
-    assert displaced_parity(fock_state(1, space), [0.0])[0] == pytest.approx(-1.0)
+    assert displaced_parity([fock_state(0, space)], [0.0])[0, 0] == pytest.approx(1.0)
+    assert displaced_parity([fock_state(1, space)], [0.0])[0, 0] == pytest.approx(-1.0)
 
 
 def test_parity_expectation_coherent():
@@ -47,7 +47,7 @@ def test_parity_expectation_coherent():
     state = coherent_state(1.1, space)
     for beta in (0.0, 0.5 + 0.3j, 1.1):
         expected = math.exp(-2.0 * abs(1.1 - beta) ** 2)
-        assert displaced_parity(state, [beta])[0] == pytest.approx(expected, abs=1e-8)
+        assert displaced_parity([state], [beta])[0, 0] == pytest.approx(expected, abs=1e-8)
 
 
 def test_readout_mean_within_binomial_error():
@@ -65,7 +65,7 @@ def test_deep_displacement_reads_the_truncated_state():
     # vacuum on n_max 9 reads e^{-2 |beta|^2} = e^{-32} far beyond |beta| = sqrt(9)
     state = fock_state(0, HilbertSpace(9))
     exact = math.exp(-32.0)
-    assert displaced_parity(state, [4.0])[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert displaced_parity([state], [4.0])[0, 0] == pytest.approx(exact, rel=1e-12, abs=0.0)
     model = ReadoutModel(shots=10000, seed=1)
     parity = sample_wigner(state, [4.0], model).parities[0]
     # p_plus = (1 + e^{-32}) / 2 is 1/2 to roundoff, so the shot noise is 1/sqrt(shots)
@@ -78,7 +78,7 @@ def test_sample_wigner_reads_shallow_and_deep_points_alike():
     state = fock_state(0, HilbertSpace(9))
     betas = np.array([0.5, 4.0j, 5.0])
     exact = np.exp(-2.0 * np.abs(betas) ** 2)
-    assert displaced_parity(state, betas) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert displaced_parity([state], betas)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
     model = ReadoutModel(shots=10000, seed=1)
     parities = sample_wigner(state, betas, model).parities
     p_plus = (1.0 + exact) / 2.0
@@ -133,6 +133,35 @@ def test_drive_calibration_roundtrip():
     fit = calibrate_drive(list(zip(amps, betas)))
     assert fit.B == pytest.approx(0.5, rel=0.05)
     assert fit.C == pytest.approx(0.9, rel=0.05)
+
+
+def test_drive_calibration_is_scale_invariant():
+    # the model is linear in C: scaling every |beta| by s scales C_fit and the
+    # residual by s and leaves B_fit as it is, for tiny and huge prefactors alike
+    rng = np.random.default_rng(41)
+    amps = np.linspace(0.05, 0.4, 15)
+    betas = DriveCalibration(B=0.2, C=1.1).beta_abs(amps) \
+        * (1.0 + 0.01 * rng.standard_normal(len(amps)))
+    ref = calibrate_drive(list(zip(amps, betas)))
+    assert ref.B == pytest.approx(0.2, rel=0.05)
+    for s in (1e-8, 1.0, 1e20):
+        fit = calibrate_drive(list(zip(amps, s * betas)))
+        assert fit.B == pytest.approx(ref.B, rel=1e-9, abs=0.0)
+        assert fit.C == pytest.approx(s * ref.C, rel=1e-9, abs=0.0)
+        assert fit.residual == pytest.approx(s * ref.residual, rel=1e-9, abs=0.0)
+
+
+def test_drive_calibration_refuses_a_negative_prefactor_and_a_straight_line():
+    # the mirrored curve -C (e^{A/B} - 1) is best fit by C = -1.1, which a
+    # displacement magnitude has no room for
+    amps = np.linspace(0.05, 0.4, 15)
+    betas = -DriveCalibration(B=0.2, C=1.1).beta_abs(amps)
+    with pytest.warns(UserWarning, match="non-monotone"), \
+            pytest.raises(FitError, match="prefactor C = -1.1 <= 0"):
+        calibrate_drive(list(zip(amps, betas)))
+    # |beta| linear in A has its least squares at B -> infinity
+    with pytest.raises(FitError, match="no interior minimum"):
+        calibrate_drive(list(zip(amps, 3.0 * amps)))
 
 
 def test_drive_model_slope_and_monotonicity():
@@ -210,7 +239,7 @@ def test_mle_vacuum_reconstruction():
     space = HilbertSpace(40)  # large source space: exact sampled parities
     state = fock_state(0, space)
     grid = raster_grid(2.0, 9)
-    parities = displaced_parity(state, grid.points)
+    parities = displaced_parity([state], grid.points)[0]
     samples = WignerSampleSet(betas=grid.points, parities=parities,
                               shots_per_point=100000,
                               normalization=ParityNormalization.identity())
