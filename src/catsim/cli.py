@@ -24,8 +24,8 @@ from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
     mass_model
 from .catfit import fit_analytical, fit_css
 from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
-    characteristic_times, excited_population, jc_trajectory, \
-    lindblad_observables
+    characteristic_times, excited_population, jc_observables, \
+    jc_trajectory, lindblad_observables
 from .errors import CatsimError, ConfigError, FitError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff
 from .phase_space import decayed_css_wigner, negativity, raster_grid, wigner
@@ -342,7 +342,7 @@ def _cmd_qubit_phase_scan(cfg, out_dir, seed, log):
     times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     phases = np.linspace(0.0, 2.0 * math.pi, cfg["n_phases"])
     observables = [
-        jc_trajectory(SystemParams(
+        jc_observables(SystemParams(
             g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=1.0 / math.sqrt(2.0),
             c_e=complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)),
             times).observables

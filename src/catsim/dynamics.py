@@ -3,22 +3,25 @@
 Closed-system evolution uses the exact Fock-basis solution of the resonant
 JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and |e,n-1>), so
 no integrator is involved; a trajectory evaluates it once over its time
-grid.  Open-system evolution solves the Lindblad master equation with
-collapse channels sqrt(kappa) a, sqrt(gamma) sigma-, and
-sqrt(gamma_phi/2) sigma_z exactly, by two routes.  lindblad_evolve
-returns certified states: it advances rho from one grid time to the next
-by the truncated-Taylor action of the Liouvillian on rho (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and forms no propagator.
-lindblad_observables builds no state: the Hamiltonian and all three
-channels conserve the coherence order k = N_row - N_col of the excitation
-number N = n + q, so the Liouvillian splits into independent blocks, one
-per k (Buca & Prosen, NJP 14, 073007 (2012)); every observable column is
-linear in the k = 0 and k = 1 blocks, and each is propagated with one
-matrix exponential per distinct time step.  Every route starts from the
-state its SystemParams fixes.  Closed and open trajectories take their
-observables from one routine, vectorised over states.  Free decay of a
-phonon state alone is the amplitude-damping channel, applied in closed
-form by pipeline.free_decay.
+grid.  jc_trajectory returns the states and their observables,
+jc_observables the observables alone.  Open-system evolution solves the
+Lindblad master equation with collapse channels sqrt(kappa) a,
+sqrt(gamma) sigma-, and sqrt(gamma_phi/2) sigma_z exactly, by two routes.
+lindblad_evolve returns certified states: it advances rho from one grid
+time to the next by the truncated-Taylor action of the Liouvillian on rho
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and forms no
+propagator.  lindblad_observables builds no state: the Hamiltonian and all
+three channels conserve the coherence order k = N_row - N_col of the
+excitation number N = n + q, so the Liouvillian splits into independent
+blocks, one per k (Buca & Prosen, NJP 14, 073007 (2012)); every
+observable column is linear in the k = 0 and k = 1 blocks.  In the frame
+rotated by a phase i on |e>, every block generator is real, so each
+block is propagated by one real matrix exponential per distinct time
+step.  Every route starts from the state its SystemParams fixes.  Closed
+and open trajectories take their observables from one routine,
+vectorised over states, with the Pauli expectations in closed form.
+Free decay of a phonon state alone is the amplitude-damping channel,
+applied in closed form by pipeline.free_decay.
 
 Times are in microseconds, rates in 1/us, g0 in rad/us.
 """
@@ -41,12 +44,6 @@ from .hilbert import (
     default_cutoff,
     qubit_state,
 )
-
-_SIGMA = {
-    "sx": np.array([[0, 1], [1, 0]], dtype=complex),
-    "sy": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "sz": np.array([[-1, 0], [0, 1]], dtype=complex),  # |e> -> +1
-}
 
 OBSERVABLE_COLUMNS = ("P_e", "purity", "sx", "sy", "sz", "n_mean")
 
@@ -181,18 +178,22 @@ def _observables(space: HilbertSpace, pops, red) -> dict:
 
     pops (T, dim) are the states' Fock-basis populations and give n_mean;
     red (T, 2, 2) holds their hermitian, unit-trace qubit reductions, which
-    give P_e, the qubit purity and <sigma_x,y,z>.
+    give P_e, the qubit purity and, in closed form, <sigma_x> = 2 Re rho_eg,
+    <sigma_y> = 2 Im rho_eg and <sigma_z> = rho_ee - rho_gg (|e> -> +1).
+    Adding 0.0 turns a -0.0 into the +0.0 that Tr(red sigma) gives, so each
+    column equals that trace bit for bit.
     """
-    obs = {"n_mean": pops @ (np.arange(space.dim) % space.phonon_dim),
-           "purity": np.sum(np.abs(red) ** 2, axis=(1, 2)),
-           "P_e": red[:, 1, 1].real}
-    for name, sig in _SIGMA.items():
-        obs[name] = np.trace(red @ sig, axis1=1, axis2=2).real
-    return obs
+    return {"n_mean": pops @ (np.arange(space.dim) % space.phonon_dim),
+            "purity": np.sum(np.abs(red) ** 2, axis=(1, 2)),
+            "P_e": red[:, 1, 1].real,
+            "sx": 2.0 * red[:, 1, 0].real + 0.0,
+            "sy": 2.0 * red[:, 1, 0].imag + 0.0,
+            "sz": red[:, 1, 1].real - red[:, 0, 0].real}
 
 
-def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
-    """Closed-system trajectory with states and standard observables."""
+def _jc_run(params: SystemParams, times, n_max: int | None):
+    """(times, space, psi, observables) of the closed trajectory: the JC
+    series psi (T, dim) on the checked grid and its standard observables."""
     times = _time_grid(times)
     if n_max is None:
         n_max = default_cutoff(params.alpha0)
@@ -202,7 +203,20 @@ def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Traj
     red = 0.5 * (red + red.conj().swapaxes(1, 2))
     red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
     psi = psi.reshape(len(times), -1)
-    obs = _observables(space, np.abs(psi) ** 2, red)
+    return times, space, psi, _observables(space, np.abs(psi) ** 2, red)
+
+
+def jc_observables(params: SystemParams, times) -> Trajectory:
+    """Closed-system observables with no state built (states is None): the
+    closed counterpart of lindblad_observables."""
+    times, _, _, obs = _jc_run(params, times, None)
+    return Trajectory(times=times, states=None, observables=obs)
+
+
+def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
+    """Closed-system trajectory: jc_observables' columns and the state at
+    every time."""
+    times, space, psi, obs = _jc_run(params, times, n_max)
     states = [JointState._trusted(space, vec, "pure") for vec in psi]
     return Trajectory(times=times, states=states, observables=obs)
 
@@ -245,6 +259,11 @@ def _start_state(params: SystemParams, n_max: int):
     return HilbertSpace(n_max, has_qubit=True), np.outer(psi, psi.conj())
 
 
+# i^(q_row - q_col) for q_row - q_col = 0, 1, -1 (a negative index reads
+# from the end): the phase U = diag(i^q) puts on an element of rho
+_QUARTER_TURNS = np.array([1.0, 1j, -1j])
+
+
 def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders):
     """The coherence-order blocks k in orders of rho(t) on the time grid.
 
@@ -253,8 +272,15 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders
     sqrt(gamma_phi/2) sigma_z, and drift A = -iH - 1/2 sum g L^dag L, so
     that d rho/dt = A rho + rho A^dag + sum g L rho L^dag.  The elements
     rho[i, j] with N_i - N_j = k evolve on their own under
-    S_k[(i,j),(l,m)] = A_il d_jm + d_il conj(A_jm) + sum g L_il conj(L_jm),
-    stepped with one exp(S_k dt) per distinct step.
+    S_k[(i,j),(l,m)] = A_il d_jm + d_il conj(A_jm) + sum g L_il conj(L_jm).
+
+    Every S_k is taken in the rotated frame rho~ = U rho U^dag,
+    U = diag(i^q), a phase i on |e>, where it is real: the drift becomes
+    g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^dag L, and the sigma- jump,
+    rotated to -i sigma-, enters S_k as (-i)(+i) = 1.  A block starts from
+    ph rho0[rows, cols], ph = i^(q_row - q_col), and is stepped in place
+    with one real exp(S_k dt) per distinct step, acting on its elements as
+    real (re, im) pairs; the end multiplies it by conj(ph).
 
     Returns (blocks, series): blocks[b] = (rows, cols) lists block b's
     elements in row-major order, and series (T, total size) holds every
@@ -263,18 +289,21 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders
     from scipy.linalg import expm
 
     ops = OperatorSet(space)
-    collapse = [(g, L) for g, L in ((params.kappa_phonon, ops.a),
-                                    (params.gamma_qubit, ops.sigma_minus),
-                                    (params.gamma_phi / 2.0, ops.sigma_z))
+    a, a_dagger, sigma_plus, sigma_minus, sigma_z = (
+        op.real for op in (ops.a, ops.a_dagger, ops.sigma_plus,
+                           ops.sigma_minus, ops.sigma_z))
+    collapse = [(g, L) for g, L in ((params.kappa_phonon, a),
+                                    (params.gamma_qubit, sigma_minus),
+                                    (params.gamma_phi / 2.0, sigma_z))
                 if g > 0]
-    drift = -1j * params.g0 * (ops.sigma_plus @ ops.a
-                               + ops.sigma_minus @ ops.a_dagger)
+    drift = params.g0 * (sigma_plus @ a - sigma_minus @ a_dagger)
     for g, L in collapse:
-        drift = drift - 0.5 * g * (L.conj().T @ L)
+        drift = drift - 0.5 * g * (L.T @ L)
 
     steps, which = _distinct_steps(times)
     excitations = _excitations(space)
     order = excitations[:, None] - excitations[None, :]
+    qubit = np.arange(space.dim) // space.phonon_dim
     blocks = [np.nonzero(order == k) for k in orders]
     series = np.empty((len(times), sum(len(r) for r, _ in blocks)), dtype=complex)
     stop = 0
@@ -282,13 +311,16 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders
         block = slice(stop, stop + len(rows))
         stop = block.stop
         gen = drift[np.ix_(rows, rows)] * (cols[:, None] == cols) \
-            + (rows[:, None] == rows) * drift[np.ix_(cols, cols)].conj()
+            + (rows[:, None] == rows) * drift[np.ix_(cols, cols)]
         for g, L in collapse:
-            gen += g * L[np.ix_(rows, rows)] * L[np.ix_(cols, cols)].conj()
+            gen += g * L[np.ix_(rows, rows)] * L[np.ix_(cols, cols)]
         props = [expm(gen * h) for h in steps]
-        series[0, block] = rho0[rows, cols]
+        ph = _QUARTER_TURNS[qubit[rows] - qubit[cols]]
+        series[0, block] = ph * rho0[rows, cols]
+        pairs = series[:, block].view(float).reshape(len(times), -1, 2)
         for t, w in enumerate(which):
-            series[t + 1, block] = props[w] @ series[t, block]
+            np.matmul(props[w], pairs[t], out=pairs[t + 1])
+        series[:, block] *= ph.conj()
     return blocks, series
 
 

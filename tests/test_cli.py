@@ -138,6 +138,38 @@ def test_qubit_phase_scan_rows_are_phase_major(tmp_path, capsys):
     assert (tmp_path / "phase_scan.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def test_qubit_phase_scan_builds_no_state(tmp_path, capsys, monkeypatch):
+    # the scan reads observables only: no JointState is built, checked or
+    # trusted, at any phase or time
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(JointState, "_trusted", classmethod(
+        counted("_trusted", JointState._trusted.__func__)))
+    monkeypatch.setattr(JointState, "__post_init__",
+                        counted("__post_init__", JointState.__post_init__))
+    cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                  "n_phases": 3, "t_max": 1.0, "n_times": 4})
+    code, _, _ = run(capsys, "qubit-phase-scan", "--config", cfg, "--out",
+                     str(tmp_path / "scan"), "--quiet")
+    assert code == 0
+    assert calls == {}
+    # the counters see the closed simulate, which keeps its states
+    cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
+                                  "t_max": 1.0, "n_times": 4})
+    code, _, _ = run(capsys, "simulate", "--config", cfg, "--out",
+                     str(tmp_path / "closed"), "--quiet")
+    assert code == 0
+    assert calls == {"_trusted": 4}
+    JointState(hilbert.HilbertSpace(1), np.array([1.0, 0.0]), "pure")
+    assert calls["__post_init__"] == 1
+
+
 def test_open_simulate_builds_no_state(tmp_path, capsys, monkeypatch):
     # the open run reads its observables from two propagated coherence
     # blocks: no joint state is built, certified or partial-traced
@@ -522,7 +554,7 @@ def _reached(*args, **kwargs):
 
 @pytest.mark.parametrize("command,solver,payload,fields", [
     # 1,000 phases x 10,000 times: 10^7 rows built before any is written
-    ("qubit-phase-scan", "jc_trajectory",
+    ("qubit-phase-scan", "jc_observables",
      {"alpha0": 1.0, "n_phases": 1_000, "n_times": 10_000},
      ("n_phases", "n_times")),
 ], ids=["phase_scan_rows"])
@@ -555,7 +587,7 @@ def test_joint_size_budgets_are_config_errors(tmp_path, capsys, monkeypatch,
     ("simulate", "lindblad_observables",
      {"alpha0": 6.0, "closed": False, "n_times": 10_000}),
     ("simulate", "jc_trajectory", {"alpha0": 6.0, "n_times": 10_000}),
-    ("qubit-phase-scan", "jc_trajectory", {"alpha0": 1.0}),
+    ("qubit-phase-scan", "jc_observables", {"alpha0": 1.0}),
 ], ids=["open_default_n_times", "open_max_config", "closed_max_n_times",
         "phase_scan_defaults"])
 def test_joint_size_budgets_admit_defaults(tmp_path, capsys, monkeypatch,

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from catsim.dynamics import (
     characteristic_times,
     excited_population,
     jc_evolve_exact,
+    jc_observables,
     jc_trajectory,
     lindblad_evolve,
     lindblad_observables,
@@ -295,6 +297,48 @@ def test_lindblad_observables_match_per_state_reference():
             traj.observables, lindblad_evolve(params, times).states)
 
 
+def test_jc_observables_are_the_trajectory_columns_without_states():
+    params = SystemParams(g0=G0, alpha0=2.0 + 0.5j, c_g=0.6, c_e=0.8j)
+    times = np.linspace(0.0, 8.0, 17)
+    traj = jc_observables(params, times)
+    assert traj.states is None
+    assert list(traj.times) == list(times)
+    reference = jc_trajectory(params, times).observables
+    assert set(traj.observables) == set(reference)
+    for name, series in traj.observables.items():
+        assert series.tobytes() == reference[name].tobytes(), name
+
+
+def test_closed_form_paulis_equal_the_trace_bit_for_bit():
+    # <sigma> = Tr(red sigma) of hermitian, unit-trace 2 x 2 matrices, with
+    # exact zeros, -0.0 and tiny values among the entries
+    rng = np.random.default_rng(11)
+    size = 4000
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.25])
+
+    def entries(values):
+        pick = rng.random(size) < 0.3
+        return np.where(pick, rng.choice(special, size), values)
+
+    p = np.where(rng.random(size) < 0.1, rng.choice([0.0, 0.5, 1.0], size),
+                 rng.random(size))
+    red = np.zeros((size, 2, 2), dtype=complex)
+    red.real[:, 0, 0] = 1.0 - p
+    red.real[:, 1, 1] = p
+    red.imag[:, 0, 0] = rng.choice([0.0, -0.0], size)
+    red.imag[:, 1, 1] = rng.choice([0.0, -0.0], size)
+    red.real[:, 1, 0] = entries(0.5 * rng.normal(size=size))
+    red.imag[:, 1, 0] = entries(0.5 * rng.normal(size=size))
+    red[:, 0, 1] = red[:, 1, 0].conj()
+    assert np.any(np.signbit(red.imag[:, 1, 0]) & (red.imag[:, 1, 0] == 0))
+    assert np.any(np.signbit(red.real[:, 1, 0]) & (red.real[:, 1, 0] == 0))
+    space = HilbertSpace(1, has_qubit=True)
+    obs = dynamics._observables(space, np.zeros((size, space.dim)), red)
+    for name, sig in _PAULI.items():
+        trace = np.trace(red @ sig, axis1=1, axis2=2).real
+        assert obs[name].view(np.int64).tolist() == trace.view(np.int64).tolist(), name
+
+
 def test_jc_evolve_exact_matches_trajectory_states():
     params = SystemParams(g0=G0, alpha0=2.0 + 0.5j, c_g=0.6, c_e=0.8j)
     times = np.linspace(0.0, 8.0, 17)
@@ -326,8 +370,8 @@ def test_lindblad_one_point_grid_returns_initial_state():
     _assert_matches_reference(obs, traj.states)
 
 
-@pytest.mark.parametrize("evolve", ["jc_trajectory", "lindblad_evolve",
-                                    "lindblad_observables"])
+@pytest.mark.parametrize("evolve", ["jc_trajectory", "jc_observables",
+                                    "lindblad_evolve", "lindblad_observables"])
 def test_empty_time_grid_is_rejected(evolve):
     params = SystemParams(g0=G0, alpha0=1.0)
     with pytest.raises(ValueError):
@@ -368,6 +412,8 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     expm = scipy.linalg.expm
 
     def counting_expm(m):
+        # every block generator is real in the rotated frame
+        assert m.dtype == np.float64
         calls.append(m.shape)
         return expm(m)
 
@@ -387,6 +433,27 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     lindblad_evolve(params, times=grid[:51])
     lindblad_evolve(params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
     assert calls == []
+
+
+def test_open_observables_hold_one_series_of_memory():
+    # the two blocks are propagated in place: the run's peak allocation
+    # stays within twice the bytes of the (T, block elements) series it
+    # fills, where a second series-sized copy would pass that
+    params = _lossy(3.0, 1.0, 0.0)
+    space, _ = dynamics._start_state(params, default_cutoff(params.alpha0))
+    excitations = dynamics._excitations(space)
+    order = excitations[:, None] - excitations[None, :]
+    times = np.linspace(0.0, 10.0, 2001)
+    series_bytes = len(times) * np.count_nonzero((order == 0) | (order == 1)) \
+        * np.dtype(complex).itemsize
+    lindblad_observables(params, times)  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        lindblad_observables(params, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * series_bytes
 
 
 def _block_expm_states(space, rho0, params, times):
