@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, io_utils
 from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
     mass_model
-from .catfit import fit_analytical, fit_css
+from .catfit import css_state, fit_analytical, fit_css
 from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
     characteristic_times, excited_population, jc_observables, \
     jc_trajectory, lindblad_observables
@@ -42,6 +42,15 @@ SCHEMA_VERSION = 1
 _BOUNDS = (("minimum", operator.ge, ">="),
            ("exclusive_minimum", operator.gt, ">"),
            ("maximum", operator.le, "<="))
+
+
+def _finite(value) -> bool:
+    """Whether a JSON number is finite: json.loads admits NaN and Infinity,
+    and an integer beyond the float range is not finite as a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class _Field:
@@ -70,13 +79,16 @@ class _Field:
                 if getattr(self, key) is not None}
 
     def check(self, name: str, value):
-        """Raise ConfigError unless value lies within the field's bounds."""
+        """Raise ConfigError unless value lies within the field's bounds; a
+        float, and every entry of a list, must also be finite."""
         if self.length is not None and (len(value) != self.length or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in value)):
+                and _finite(v) for v in value)):
             raise ConfigError(
                 f"config field {name}: expected a list of {self.length} "
-                f"numbers, got {value!r}")
+                f"finite numbers, got {value!r}")
+        if self.typ is float and not _finite(value):
+            raise ConfigError(f"config field {name}: must be finite, got {value}")
         for key, admits, wording in _BOUNDS:
             bound = getattr(self, key)
             if bound is not None and not admits(value, bound):
@@ -263,7 +275,7 @@ def _load_config(path: str, command: str) -> dict:
             continue
         value = data[name]
         if field.typ is float and isinstance(value, int) \
-                and not isinstance(value, bool):
+                and not isinstance(value, bool) and _finite(value):
             value = float(value)
         if not isinstance(value, field.typ) or isinstance(value, bool) \
                 and field.typ is not bool:
@@ -364,7 +376,6 @@ def _cmd_wigner(cfg, out_dir, seed, log):
         space = HilbertSpace(default_cutoff(cfg["alpha"]))
         wg = wigner(coherent_state(cfg["alpha"], space), grid)
     elif kind == "css":
-        from .catfit import css_state
         space = HilbertSpace(default_cutoff(cfg["alpha"]))
         wg = wigner(css_state(cfg["alpha"], -cfg["alpha"], cfg["vartheta"],
                               space), grid)

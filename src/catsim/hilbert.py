@@ -89,8 +89,8 @@ class JointState:
     shape, norm or trace, hermiticity and, for a density matrix, that no
     eigenvalue lies below -_EIG_TOL (by _psd_certified, one Cholesky
     factorisation), and freezes data.  Producers that make those checks
-    themselves on every state they build (the JC series, the Lindblad loop,
-    which certifies each state with the same _psd_certified, css_state) use
+    themselves on every state they build (the JC series, lindblad_evolve,
+    which certifies its state with the same _psd_certified, css_state) use
     _trusted, which freezes data without checking it again.
     """
 
@@ -326,15 +326,6 @@ def coherent_state(alpha: complex, space: HilbertSpace) -> JointState:
     check_truncation(alpha, space.n_max)
     amps, _ = coherent_amplitudes(alpha, space.n_max)
     return JointState(space, amps, "pure")
-
-
-def qubit_state(c_g: complex, c_e: complex) -> np.ndarray:
-    """Normalized qubit amplitude vector (|g>, |e>) ordering."""
-    vec = np.array([c_g, c_e], dtype=complex)
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-6:
-        raise StateValidationError(f"qubit amplitudes have norm {norm}")
-    return vec / norm
 
 
 def phonon_factor(state: JointState) -> np.ndarray:

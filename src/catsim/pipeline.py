@@ -21,6 +21,7 @@ from .hilbert import HilbertSpace, JointState, _fock_table, displaced_parity, \
     partial_trace
 from .phase_space import NegativityDecayFit, WignerGrid, fit_negativity_decay, \
     negativity, raster_grid
+from .tomography import calibrate_parity, mle_reconstruct, sample_wigner
 
 # Coherent amplitudes calibrated per drive-amplitude setting.
 DRIVE_PRESETS = {0.25: 1.28, 0.30: 1.74, 0.35: 2.05}
@@ -88,7 +89,7 @@ def prepare_cat(alpha0: float, config: ExperimentConfig) -> JointState:
     time, and traces out the qubit.
     """
     return partial_trace(lindblad_evolve(config.system_params(alpha0),
-                                         [0.0, config.t_cat]).states[-1], "phonon")
+                                         config.t_cat).states[0], "phonon")
 
 
 def _amplitude_damping(rho: np.ndarray, kappa_t: float) -> np.ndarray:
@@ -163,8 +164,6 @@ def simulate_tomography(rho_phonon: JointState, model, grid,
     Returns (samples, MleResult); the reconstruction lives on a phonon
     space with cutoff recon_n_max.
     """
-    from .tomography import calibrate_parity, mle_reconstruct, sample_wigner
-
     normalization = calibrate_parity(model)
     samples = sample_wigner(rho_phonon, grid.points, model, normalization)
     result = mle_reconstruct(samples, HilbertSpace(recon_n_max))

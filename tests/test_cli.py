@@ -310,7 +310,7 @@ def test_tomo_samples_csv_format(tmp_path, capsys):
 
 
 def test_tomo_warns_when_mle_is_unconverged(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tomography, "mle_reconstruct",
+    monkeypatch.setattr(pipeline, "mle_reconstruct",
                         functools.partial(tomography.mle_reconstruct,
                                           max_iters=1))
     cfg = write_config(tmp_path, SMALL_TOMO)
@@ -396,6 +396,10 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
     ("mass", {"w0_um": 1e200}, 2, "field w0_um:"),
     ("mass", {"alpha": 1e300}, 2, "field alpha:"),
     ("mass", {"length_um": 1e300}, 2, "field length_um:"),
+    # JSON integers beyond the float range, where a float or a list of
+    # numbers is expected
+    ("wigner", {"state": "decayed-css", "vartheta": 10 ** 400}, 2, "field vartheta:"),
+    ("simulate", {"alpha0": 1.0, "c_e": [0, -10 ** 400]}, 2, "field c_e:"),
     # the mode frequency overflows: nan and inf in 9 fields of mass.json
     ("mass", {"length_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
     ("mass", {"wavelength_um": 1e-300}, 3, "mass.json would hold a nan or inf"),
@@ -441,7 +445,8 @@ def test_nan_states_are_integration_errors(tmp_path, capsys, command,
                  3, "(FitError): degenerate CSS (components cancel)",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ], ids=["mass_p", "mass_l", "mass_l_negative", "mass_w0", "mass_w0_huge",
-        "mass_alpha", "mass_length_huge", "mass_length_tiny",
+        "mass_alpha", "mass_length_huge", "wigner_int_beyond_float",
+        "simulate_list_int_beyond_float", "mass_length_tiny",
         "mass_wavelength_tiny", "mass_volume_underflow", "mass_m_eff_underflow",
         "wigner_extent", "tomo_extent", "calibrate_drive", "calibrate_drive_b_tiny",
         "calibrate_drive_noise", "calibrate_drive_c", "calibrate_drive_noise_huge",
@@ -597,6 +602,38 @@ def test_joint_size_budgets_admit_defaults(tmp_path, capsys, monkeypatch,
     with pytest.raises(_Reached):
         main([command, "--config", cfg, "--out", str(tmp_path / "out"),
               "--quiet"])
+
+
+# the required fields of each command, at admissible values
+_REQUIRED = {"simulate": {"alpha0": 1.0}, "qubit-phase-scan": {"alpha0": 1.0},
+             "wigner": {"state": "coherent"}, "calibrate": {"kind": "parity"}}
+# json.loads admits NaN and +-Infinity: every float field, and every entry
+# of a list field, given one of them
+_NONFINITE = [
+    pytest.param(command, name, value, id=f"{command}-{name}-{text}")
+    for command, schema in SCHEMAS.items()
+    for name, field in schema.items()
+    for text, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))
+    if field.typ is float] + [
+    pytest.param(command, name, value, id=f"{command}-{name}-{text}")
+    for command, schema in SCHEMAS.items()
+    for name, field in schema.items()
+    for text, value in (("nan_re", [math.nan, 0.0]), ("inf_im", [0.0, math.inf]))
+    if field.length is not None]
+
+
+@pytest.mark.parametrize("command,name,value", _NONFINITE)
+def test_nonfinite_config_values_are_config_errors(tmp_path, capsys, command,
+                                                   name, value):
+    cfg = write_config(tmp_path, {"schema_version": 1,
+                                  **_REQUIRED.get(command, {}), name: value})
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, "--config", cfg, "--out", str(out_dir),
+                       "--quiet")
+    assert code == 2
+    assert f"config error: config field {name}:" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_schema_lists_value_bounds(capsys):

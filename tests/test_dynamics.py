@@ -22,7 +22,7 @@ from catsim.dynamics import (
     lindblad_observables,
 )
 from catsim.pipeline import DRIVE_PRESETS, ExperimentConfig, free_decay
-from catsim.errors import IntegrationError
+from catsim.errors import IntegrationError, StateValidationError
 from catsim.hilbert import (
     HilbertSpace,
     JointState,
@@ -32,7 +32,6 @@ from catsim.hilbert import (
     default_cutoff,
     fidelity,
     partial_trace,
-    qubit_state,
 )
 from reference import excited_population_envelope, phi_states, purity, \
     revival_contrast
@@ -135,9 +134,10 @@ def test_phi_states_orthogonal_at_cat_time():
 def test_lindblad_zero_rates_matches_exact():
     params = SystemParams(g0=G0, alpha0=2.0)
     t_c = characteristic_times(params).t_C
-    traj = lindblad_evolve(params, times=[0.0, t_c])
+    traj = lindblad_evolve(params, t_c)
+    assert list(traj.times) == [t_c] and len(traj.states) == 1
     exact = jc_evolve_exact(params, t_c)
-    assert fidelity(traj.states[-1], exact) > 1.0 - 1e-6
+    assert fidelity(traj.states[0], exact) > 1.0 - 1e-6
 
 
 def test_damped_coherent_state_analytic_oracle():
@@ -294,7 +294,7 @@ def test_lindblad_observables_match_per_state_reference():
         assert traj.states is None
         assert list(traj.times) == times
         _assert_matches_reference(
-            traj.observables, lindblad_evolve(params, times).states)
+            traj.observables, [lindblad_evolve(params, t).states[0] for t in times])
 
 
 def test_jc_observables_are_the_trajectory_columns_without_states():
@@ -356,14 +356,46 @@ def test_truncated_jc_norm_names_first_failing_time():
         jc_trajectory(params, np.linspace(0.0, 3.0, 7), n_max=4)
 
 
+def test_nan_amplitudes_fail_the_jc_norm_check(monkeypatch):
+    # the norm check is written so that a nan norm fails it, instead of
+    # returning columns of nan
+    monkeypatch.setattr(dynamics, "coherent_amplitudes",
+                        lambda alpha, n_max: (np.full(n_max + 1, np.nan), 0.0))
+    with pytest.raises(IntegrationError, match=r"^truncated JC state norm nan at t = 0;"):
+        jc_observables(SystemParams(g0=G0, alpha0=1.0), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("field", ["g0", "alpha0", "c_g", "c_e", "kappa_phonon",
+                                   "gamma_qubit", "gamma_phi"])
+def test_system_params_reject_nan(field):
+    values = {"g0": G0, "alpha0": 1.0, "c_g": 1.0, "c_e": 0.0, field: math.nan}
+    with pytest.raises((ValueError, StateValidationError)):
+        SystemParams(**values)
+
+
+def test_system_params_normalise_or_reject_qubit_amplitudes():
+    # a norm 1e-7 off 1 is restored; one 1e-5 off is refused
+    params = SystemParams(g0=G0, c_g=math.sqrt(1.0 + 1e-7), c_e=0.0)
+    assert abs(params.c_g) == pytest.approx(1.0, abs=1e-15)
+    skew = SystemParams(g0=G0, c_g=0.6 * (1.0 + 5e-8), c_e=0.8j * (1.0 + 5e-8))
+    assert abs(skew.c_g) ** 2 + abs(skew.c_e) ** 2 == pytest.approx(1.0, abs=1e-15)
+    assert skew.c_e / skew.c_g == pytest.approx(0.8j / 0.6, abs=1e-15)
+    with pytest.raises(StateValidationError, match="deviates from 1"):
+        SystemParams(g0=G0, c_g=math.sqrt(1.0 + 1e-5), c_e=0.0)
+
+
 def test_lindblad_one_point_grid_returns_initial_state():
+    # t = 0 returns the start state exactly, with its trace restored; a
+    # one-point grid of the observables route reads that state's columns
     params = SystemParams(g0=G0, alpha0=1.0, c_g=0.6, c_e=0.8,
                           kappa_phonon=0.1)
-    psi = np.kron(qubit_state(0.6, 0.8),
+    psi = np.kron(np.array([0.6, 0.8], dtype=complex),
                   coherent_amplitudes(1.0, default_cutoff(1.0))[0])
-    traj = lindblad_evolve(params, times=[0.5])
-    assert list(traj.times) == [0.5]
-    assert np.max(np.abs(traj.states[0].data - np.outer(psi, psi.conj()))) < 1e-15
+    rho0 = np.outer(psi, psi.conj())
+    traj = lindblad_evolve(params, 0.0)
+    assert list(traj.times) == [0.0]
+    assert np.array_equal(traj.states[0].data, rho0 / np.trace(rho0).real)
+    assert np.max(np.abs(traj.states[0].data - rho0)) < 1e-15
     obs = lindblad_observables(params, times=[0.5]).observables
     assert obs["P_e"][0] == pytest.approx(0.64, abs=1e-14)
     assert obs["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
@@ -371,22 +403,24 @@ def test_lindblad_one_point_grid_returns_initial_state():
 
 
 @pytest.mark.parametrize("evolve", ["jc_trajectory", "jc_observables",
-                                    "lindblad_evolve", "lindblad_observables"])
+                                    "lindblad_observables"])
 def test_empty_time_grid_is_rejected(evolve):
     params = SystemParams(g0=G0, alpha0=1.0)
     with pytest.raises(ValueError):
         getattr(dynamics, evolve)(params, times=[])
 
 
-_LINDBLAD_ROUTES = (lindblad_evolve, lindblad_observables)
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_lindblad_evolve_rejects_a_negative_or_nonfinite_time(t):
+    with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got "):
+        lindblad_evolve(_lossy(1.0, 1.0, 0.0), t)
 
 
 def test_lindblad_rejects_unordered_grid():
     params = _lossy(1.0, 1.0, 0.0)
-    for route in _LINDBLAD_ROUTES:
-        for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                route(params, times)
+    for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            lindblad_observables(params, times)
 
 
 def _lossy(alpha, c_g, c_e):
@@ -398,12 +432,12 @@ def test_exact_route_matches_tight_rk45():
     params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
     space, rho0 = dynamics._start_state(params, default_cutoff(params.alpha0))
     times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0]
-    exact = lindblad_evolve(params, times)
+    exact = [lindblad_evolve(params, t).states[0].data for t in times]
     reference = _rk45_states(*_jc_master_equation(space, params),
                              rho0, times, rtol=1e-12, atol=1e-14)
-    for a, b in zip(exact.states, reference):
-        assert np.max(np.abs(a.data - b)) <= 1e-10
-    assert np.max(np.abs(exact.states[-1].data - rho0)) > 0.1
+    for a, b in zip(exact, reference):
+        assert np.max(np.abs(a - b)) <= 1e-10
+    assert np.max(np.abs(exact[-1] - rho0)) > 0.1
 
 
 def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
@@ -430,8 +464,7 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
     assert len(calls) == 2 * 2
     calls.clear()
     # lindblad_evolve applies the Liouvillian to rho and forms no propagator
-    lindblad_evolve(params, times=grid[:51])
-    lindblad_evolve(params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
+    lindblad_evolve(params, 5.0)
     assert calls == []
 
 
@@ -457,7 +490,7 @@ def test_open_observables_hold_one_series_of_memory():
 
 
 def _block_expm_states(space, rho0, params, times):
-    """Reference for lindblad_evolve's raw states: every coherence-order
+    """Reference for _taylor_action's raw states: every coherence-order
     block k >= 0 propagated by its matrix exponential, the k < 0 blocks
     their conjugates."""
     dim = space.dim
@@ -485,15 +518,15 @@ def _cat_preparation(alpha, n_max):
     ids=["drive_0.25", "drive_0.30", "drive_0.35", "alpha_3", "alpha_4",
          "nonuniform_grid"])
 def test_taylor_action_matches_block_expm(case):
-    # dual route: the action of the Liouvillian on rho against every
-    # coherence-order block's matrix exponential
+    # dual route: the action of the Liouvillian on rho, from 0 to each time
+    # on its own, against every coherence-order block's matrix exponential
     if case == "grid":
         params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
         start = dynamics._start_state(params, default_cutoff(params.alpha0))
         times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0, 6.5]
     else:
         params, start, times = _cat_preparation(*case)
-    states = list(dynamics._exact_states(*start, params, np.array(times)))
+    states = [dynamics._taylor_action(*start, params, t) for t in times]
     reference = _block_expm_states(*start, params, np.array(times))
     assert len(states) == len(reference) == len(times)
     for rho, ref in zip(states, reference):
@@ -515,7 +548,7 @@ def test_stiff_interval_is_an_error_at_once(rates, norm_dt):
     with pytest.raises(IntegrationError,
                        match=rf"^\|\|L\|\|_1 dt = {norm_dt} needs more than 1000 "
                              r"Taylor steps at t = 1$"):
-        lindblad_evolve(params, [0.0, 1.0])
+        lindblad_evolve(params, 1.0)
     assert time.perf_counter() - start < 1.0
 
 
@@ -543,15 +576,11 @@ def test_liouvillian_keeps_coherence_order():
 
 def test_trace_drift_names_the_route(monkeypatch):
     params = _lossy(1.0, 1.0, 0.0)
-
-    def drifting(space, rho0, params, times):
-        for _ in times:
-            yield 1.1 * rho0
-
-    monkeypatch.setattr(dynamics, "_exact_states", drifting)
+    monkeypatch.setattr(dynamics, "_taylor_action",
+                        lambda space, rho0, params, t: 1.1 * rho0)
     with pytest.raises(IntegrationError,
-                       match=r"^trace drift 1\.000e-01 at t = 0$"):
-        lindblad_evolve(params, times=[0.0, 1.0])
+                       match=r"^trace drift 1\.000e-01 at t = 1$"):
+        lindblad_evolve(params, 1.0)
 
 
 def _with_negative_eigenvalue(pure, eps):
@@ -568,52 +597,45 @@ def _with_negative_eigenvalue(pure, eps):
 def test_negative_eigenvalue_names_route_and_bound(monkeypatch):
     params = _lossy(1.0, 0.6, 0.8j)
     initial = jc_evolve_exact(params, 0.0)
-    states = [initial.density_matrix(), _with_negative_eigenvalue(initial, 1e-6)]
-    monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
+    bad = _with_negative_eigenvalue(initial, 1e-6)
+    monkeypatch.setattr(dynamics, "_taylor_action", lambda *args: bad)
     with pytest.raises(IntegrationError,
-                       match=r"^negative eigenvalue -1\.000e-06 below -1e-7 at "
+                       match=r"^negative eigenvalue -1\.000e-06 below -1e-9 at "
                              r"t = 1$"):
-        lindblad_evolve(params, times=[0.0, 1.0])
+        lindblad_evolve(params, 1.0)
 
 
-def test_small_negative_eigenvalue_is_clipped(monkeypatch):
-    # -1e-8 fails the certificate but not the -1e-7 bound: the loop clips it
-    # and renormalises, which here leaves exactly |psi><psi|
+def test_small_negative_eigenvalue_is_an_error(monkeypatch):
+    # -1e-8 fails the certificate's -1e-9 bound: the state is refused, not
+    # repaired
     params = _lossy(1.0, 0.6, 0.8j)
     initial = jc_evolve_exact(params, 0.0)
-    pure = initial.density_matrix()
-    states = [pure, _with_negative_eigenvalue(initial, 1e-8)]
-    monkeypatch.setattr(dynamics, "_exact_states", lambda *args: iter(states))
-    traj = lindblad_evolve(params, times=[0.0, 1.0])
-    rho = traj.states[1].data
-    assert abs(np.trace(rho) - 1.0) <= 1e-14
-    assert np.max(np.abs(rho - pure)) <= 1e-12
-    JointState(traj.states[1].space, rho.copy(), "mixed")
+    bad = _with_negative_eigenvalue(initial, 1e-8)
+    monkeypatch.setattr(dynamics, "_taylor_action", lambda *args: bad)
+    with pytest.raises(IntegrationError,
+                       match=r"^negative eigenvalue -1\.000e-08 below -1e-9 at "
+                             r"t = 1$"):
+        lindblad_evolve(params, 1.0)
 
 
-def test_certified_states_match_eigh_and_clip_reference(monkeypatch):
-    # the loop before the certificate: every state diagonalised, negative
-    # eigenvalues clipped at 0 and the trace restored
+def test_certified_state_is_the_hermitised_taylor_action(monkeypatch):
+    # a certified state is _taylor_action's output, hermitised and
+    # renormalised, bit for bit
     params = _lossy(2.0, 1.0, 0.0)
     raw = []
-    exact_states = dynamics._exact_states
+    taylor_action = dynamics._taylor_action
 
     def recording(*args):
-        for rho in exact_states(*args):
-            raw.append(rho.copy())
-            yield rho
+        raw.append(taylor_action(*args))
+        return raw[-1]
 
-    monkeypatch.setattr(dynamics, "_exact_states", recording)
-    traj = lindblad_evolve(params, times=np.linspace(0.0, 10.0, 40))
-    assert len(raw) == len(traj.states) == 40
-    for rho, state in zip(raw, traj.states):
-        rho = 0.5 * (rho + rho.conj().T)
+    monkeypatch.setattr(dynamics, "_taylor_action", recording)
+    for t in (0.0, 0.3, 2.9, 10.0):
+        state = lindblad_evolve(params, t).states[0]
+        rho = 0.5 * (raw[-1] + raw[-1].conj().T)
         rho = rho / np.trace(rho).real
-        evals, evecs = np.linalg.eigh(rho)
-        if evals.min() < 0:
-            rho = (evecs * np.clip(evals, 0.0, None)) @ evecs.conj().T
-            rho = rho / np.trace(rho).real
-        assert np.max(np.abs(state.data - rho)) <= 1e-13
+        assert np.array_equal(state.data, rho), t
+    assert len(raw) == 4
 
 
 def test_open_run_diagonalises_no_state(monkeypatch):
@@ -629,8 +651,8 @@ def test_open_run_diagonalises_no_state(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    traj = lindblad_evolve(params, times=np.linspace(0.0, 10.0, 501))
-    assert len(traj.states) == 501
+    traj = lindblad_evolve(params, 10.0)
+    assert len(traj.states) == 1
     assert calls == []
 
 
@@ -709,7 +731,8 @@ def test_jc_and_css_states_pass_the_constructor():
 
 @pytest.mark.parametrize("times", [[0.0, 0.4, 1.5], [0.7]], ids=["grid", "one_point"])
 def test_lindblad_states_pass_the_constructor(times):
-    _assert_constructor_accepts(lindblad_evolve(_lossy(1.0, 0.6, 0.8j), times).states)
+    params = _lossy(1.0, 0.6, 0.8j)
+    _assert_constructor_accepts([lindblad_evolve(params, t).states[0] for t in times])
 
 
 def _random_mixed(dim, seed):
@@ -753,7 +776,8 @@ def test_evolved_states_are_not_validated_again(monkeypatch):
 
     monkeypatch.setattr(JointState, "__post_init__", counting)
     jc_trajectory(params, np.linspace(0.0, 3.0, 7))
-    lindblad_evolve(params, times=[0.0, 0.4, 1.5])
+    for t in (0.0, 0.4, 1.5):
+        lindblad_evolve(params, t)
     lindblad_observables(params, times=[0.0, 0.4, 1.5])
     fit_css(target)
     assert validated == []

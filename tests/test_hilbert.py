@@ -27,7 +27,6 @@ from catsim.hilbert import (
     parity_kernels,
     partial_trace,
     phonon_factor,
-    qubit_state,
 )
 from catsim.phase_space import raster_grid
 from reference import factored_fidelity, fock_state, purity
@@ -114,7 +113,7 @@ def test_bell_like_state_gives_maximally_mixed_qubit():
 def test_partial_trace_of_product_state():
     phonon = coherent_state(1.2, HilbertSpace(20))
     joint = JointState(HilbertSpace(20, has_qubit=True),
-                       np.kron(qubit_state(1.0, 0.0), phonon.data), "pure")
+                       np.kron([1.0, 0.0], phonon.data), "pure")
     rho_p = partial_trace(joint, "phonon")
     expected = np.outer(phonon.data, phonon.data.conj())
     assert np.allclose(rho_p.data, expected, atol=1e-12)
@@ -386,7 +385,7 @@ def test_displaced_parity_empty_and_joint_inputs():
     assert displaced_parity([fock_state(1, HilbertSpace(6))], []).shape == (1, 0)
     assert displaced_parity(_random_stack(5, 3), []).shape == (3, 0)
     joint = JointState(HilbertSpace(4, has_qubit=True),
-                       np.kron(qubit_state(1.0, 0.0), fock_state(0, HilbertSpace(4)).data),
+                       np.kron([1.0, 0.0], fock_state(0, HilbertSpace(4)).data),
                        "pure")
     with pytest.raises(DimensionMismatchError):
         displaced_parity([joint], [0.0])
@@ -448,10 +447,3 @@ def test_psd_certificate_rejects_nan():
     assert _psd_certified(rho)
     rho[2, 1] = rho[1, 2] = np.nan
     assert not _psd_certified(rho)
-
-
-def test_qubit_state_normalizes_and_rejects():
-    vec = qubit_state(1.0, 0.0)
-    assert np.allclose(vec, [1.0, 0.0])
-    with pytest.raises(StateValidationError):
-        qubit_state(1.0, 1.0)  # norm sqrt(2), outside tolerance

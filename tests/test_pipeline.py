@@ -76,8 +76,7 @@ def test_prepare_cat_tail_weight_at_default_cutoff(amplitude):
     assert np.trace(rho[-3:, -3:]).real <= 1e-14
     params = config.system_params(alpha0)
     space, rho0 = dynamics._start_state(params, n_max + 10)
-    joint = list(dynamics._exact_states(space, rho0, params,
-                                        np.array([0.0, config.t_cat])))[-1]
+    joint = dynamics._taylor_action(space, rho0, params, config.t_cat)
     joint = JointState(space, joint, "mixed")
     reference = partial_trace(joint, "phonon").data[:n_max + 1, :n_max + 1]
     assert np.max(np.abs(rho - reference)) <= 1e-8
