@@ -25,7 +25,7 @@ from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
 from .catfit import css_state, fit_analytical, fit_css
 from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
     characteristic_times, excited_population, jc_observables, \
-    jc_trajectory, lindblad_observables
+    lindblad_observables
 from .errors import CatsimError, ConfigError, FitError
 from .hilbert import HilbertSpace, coherent_state, default_cutoff
 from .phase_space import decayed_css_wigner, negativity, raster_grid, wigner
@@ -139,7 +139,8 @@ def _experiment_fields():
 #   stack, 0.85 MB at the defaults (~78x, ~200x for the benchmark).
 # simulate needs none: at its largest config (alpha0 6, n_times 10,000) an
 # open run, which holds only the k = 0 and k = 1 coherence blocks, peaks at
-# ~300 MiB, and a closed run holds 46 MB of pure states
+# ~300 MiB, and a closed run, which builds no state, peaks at ~140 MB of JC
+# series and its temporaries
 _SCAN_ROWS = 200_000
 _SCAN_LIMIT = f"n_phases * n_times must not exceed {_SCAN_ROWS} (the scan rows)"
 _KERNEL_STACK_BYTES = 64 * 2 ** 20
@@ -327,44 +328,44 @@ def _cmd_simulate(cfg, out_dir, seed, log):
     if abs(norm_sq - 1.0) > 1e-6:
         raise ConfigError(
             f"config fields c_g, c_e: |c_g|^2 + |c_e|^2 = {norm_sq:g}, must be 1")
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     if cfg["closed"]:
         params = SystemParams(g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=c_g,
                               c_e=c_e)
-        traj = jc_trajectory(params, times)
+        traj = jc_observables(params, cfg["t_max"], cfg["n_times"])
     else:
         params = ExperimentConfig(
             g0=cfg["g0"], t1_phonon=cfg["t1_phonon"], t1_qubit=cfg["t1_qubit"],
             t2_qubit=cfg["t2_qubit"]).system_params(cfg["alpha0"], c_g, c_e)
-        traj = lindblad_observables(params, times)
+        traj = lindblad_observables(params, cfg["t_max"], cfg["n_times"])
     io_utils.write_csv(out_dir / "trajectory.csv", ("t",) + OBSERVABLE_COLUMNS,
-                       zip(times, *(traj.observables[name]
-                                    for name in OBSERVABLE_COLUMNS)))
+                       zip(traj.times, *(traj.observables[name]
+                                         for name in OBSERVABLE_COLUMNS)))
     if abs(params.alpha0) > 0:
         ct = characteristic_times(params)
         io_utils.write_json(out_dir / "characteristic_times.json", {
             "t_collapse": ct.t_collapse, "t_revival": ct.t_R, "t_cat": ct.t_C,
         })
-    log(f"wrote trajectory.csv ({len(times)} times)")
+    log(f"wrote trajectory.csv ({len(traj.times)} times)")
 
 
 def _cmd_qubit_phase_scan(cfg, out_dir, seed, log):
     _check_budget("n_phases, n_times", cfg["n_phases"] * cfg["n_times"],
                   _SCAN_ROWS, _SCAN_LIMIT)
-    times = np.linspace(0.0, cfg["t_max"], cfg["n_times"])
     phases = np.linspace(0.0, 2.0 * math.pi, cfg["n_phases"])
-    observables = [
+    runs = [
         jc_observables(SystemParams(
             g0=cfg["g0"], alpha0=cfg["alpha0"], c_g=1.0 / math.sqrt(2.0),
             c_e=complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)),
-            times).observables
+            cfg["t_max"], cfg["n_times"])
         for phase in phases]
+    times = runs[0].times
     names = ("P_e", "sx", "sy", "sz")
     # one row per (phase, time), phase-major
     io_utils.write_csv(out_dir / "phase_scan.csv", ("phase", "time") + names,
                        zip(np.repeat(phases, len(times)),
                            np.tile(times, len(phases)),
-                           *(np.concatenate([obs[name] for obs in observables])
+                           *(np.concatenate([run.observables[name]
+                                             for run in runs])
                              for name in names)))
     log(f"wrote phase_scan.csv ({len(phases) * len(times)} rows)")
 

@@ -3,7 +3,9 @@
 Closed-system evolution uses the exact Fock-basis solution of the resonant
 JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and |e,n-1>), so
 no integrator is involved; a trajectory evaluates it once over its time
-grid.  jc_trajectory returns the states and their observables,
+grid.  Every trajectory route takes (t_max, n_times) and runs on one grid,
+np.linspace(0, t_max, n_times), from the start state its SystemParams
+fixes at t = 0.  jc_trajectory returns the states and their observables,
 jc_observables the observables alone.  Open-system evolution solves the
 Lindblad master equation with collapse channels sqrt(kappa) a,
 sqrt(gamma) sigma-, and sqrt(gamma_phi/2) sigma_z exactly, by two routes.
@@ -16,9 +18,8 @@ excitation number N = n + q, so the Liouvillian splits into independent
 blocks, one per k (Buca & Prosen, NJP 14, 073007 (2012)); every
 observable column is linear in the k = 0 and k = 1 blocks.  In the frame
 rotated by a phase i on |e>, every block generator is real, so each
-block is propagated by one real matrix exponential per distinct time
-step.  Every route starts from the state its SystemParams fixes.  Closed
-and open trajectories take their observables from one routine,
+block is stepped along the uniform grid by one real matrix exponential.
+Closed and open trajectories take their observables from one routine,
 vectorised over states, with the Pauli expectations in closed form.
 Free decay of a phonon state alone is the amplitude-damping channel,
 applied in closed form by pipeline.free_decay.
@@ -144,10 +145,10 @@ def jc_evolve_exact(params: SystemParams, t: float, n_max: int | None = None) ->
     return JointState._trusted(HilbertSpace(n_max, has_qubit=True), psi.ravel(), "pure")
 
 
-def excited_population(params: SystemParams, times, n_max: int | None = None) -> np.ndarray:
-    """P_e(t) from the exact JC series, evaluated on a time grid."""
-    if n_max is None:
-        n_max = default_cutoff(params.alpha0)
+def excited_population(params: SystemParams, times) -> np.ndarray:
+    """P_e(t) from the exact JC series at n_max = default_cutoff(alpha0),
+    evaluated at the given times."""
+    n_max = default_cutoff(params.alpha0)
     check_truncation(params.alpha0, n_max)
     times = np.asarray(times, dtype=float)
     c, _ = coherent_amplitudes(params.alpha0, n_max)
@@ -166,13 +167,15 @@ def excited_population(params: SystemParams, times, n_max: int | None = None) ->
     return np.clip(pe, 0.0, 1.0)
 
 
-def _time_grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("the time grid is empty")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    return times
+def _time_grid(t_max: float, n_times: int) -> np.ndarray:
+    """Every trajectory's grid: n_times >= 1 points np.linspace(0, t_max),
+    from the start state at t = 0 to a finite t_max >= 0."""
+    t_max = float(t_max)
+    if not 0.0 <= t_max < math.inf:  # written so that a nan fails
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if not n_times >= 1:
+        raise ValueError(f"n_times must be >= 1, got {n_times}")
+    return np.linspace(0.0, t_max, n_times)
 
 
 def _observables(space: HilbertSpace, pops, red) -> dict:
@@ -193,32 +196,36 @@ def _observables(space: HilbertSpace, pops, red) -> dict:
             "sz": red[:, 1, 1].real - red[:, 0, 0].real}
 
 
-def _jc_run(params: SystemParams, times, n_max: int | None):
+def _jc_run(params: SystemParams, t_max: float, n_times: int):
     """(times, space, psi, observables) of the closed trajectory: the JC
-    series psi (T, dim) on the checked grid and its standard observables."""
-    times = _time_grid(times)
-    if n_max is None:
-        n_max = default_cutoff(params.alpha0)
+    series psi (T, dim) at n_max = default_cutoff(alpha0) on the grid and
+    its standard observables."""
+    times = _time_grid(t_max, n_times)
+    n_max = default_cutoff(params.alpha0)
     space = HilbertSpace(n_max, has_qubit=True)
     psi = _jc_series(params, times, n_max)
     red = np.einsum("tin,tjn->tij", psi, psi.conj())
     red = 0.5 * (red + red.conj().swapaxes(1, 2))
     red = red / np.trace(red, axis1=1, axis2=2).real[:, None, None]
-    psi = psi.reshape(len(times), -1)
+    psi = psi.reshape(n_times, -1)
     return times, space, psi, _observables(space, np.abs(psi) ** 2, red)
 
 
-def jc_observables(params: SystemParams, times) -> Trajectory:
-    """Closed-system observables with no state built (states is None): the
-    closed counterpart of lindblad_observables."""
-    times, _, _, obs = _jc_run(params, times, None)
+def jc_observables(params: SystemParams, t_max: float, n_times: int) -> Trajectory:
+    """Closed-system observables on the grid _time_grid(t_max, n_times),
+    with no state built (states is None): the closed counterpart of
+    lindblad_observables."""
+    times, _, _, obs = _jc_run(params, t_max, n_times)
     return Trajectory(times=times, states=None, observables=obs)
 
 
-def jc_trajectory(params: SystemParams, times, n_max: int | None = None) -> Trajectory:
+def jc_trajectory(params: SystemParams, t_max: float, n_times: int) -> Trajectory:
     """Closed-system trajectory: jc_observables' columns and the state at
     every time."""
-    times, space, psi, obs = _jc_run(params, times, n_max)
+    # nothing in the package calls this route: it stays because the
+    # benchmark harness patches it by name, and the tests use its states as
+    # the per-state reference
+    times, space, psi, obs = _jc_run(params, t_max, n_times)
     states = [JointState._trusted(space, vec, "pure") for vec in psi]
     return Trajectory(times=times, states=states, observables=obs)
 
@@ -230,26 +237,6 @@ def _excitations(space: HilbertSpace) -> np.ndarray:
     """
     index = np.arange(space.dim)
     return index % space.phonon_dim + index // space.phonon_dim
-
-
-def _distinct_steps(times: np.ndarray):
-    """The grid's steps, merging steps that differ only by float rounding.
-
-    Returns (steps, which): each group's mean step, and the group index of
-    every step.  A linspace grid has a few distinct float steps that all
-    round the same value; they share one propagator.
-    """
-    dt = np.diff(times)
-    tol = 8.0 * np.finfo(float).eps * np.abs(times).max()
-    which = np.empty(len(dt), dtype=int)
-    first = -np.inf
-    group = -1
-    for i in np.argsort(dt):
-        if dt[i] - first > tol:
-            first = dt[i]
-            group += 1
-        which[i] = group
-    return np.bincount(which, dt) / np.bincount(which), which
 
 
 def _start_state(params: SystemParams, n_max: int):
@@ -266,8 +253,10 @@ def _start_state(params: SystemParams, n_max: int):
 _QUARTER_TURNS = np.array([1.0, 1j, -1j])
 
 
-def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders):
-    """The coherence-order blocks k in orders of rho(t) on the time grid.
+def _block_series(space: HilbertSpace, rho0, params: SystemParams,
+                  t_max: float, n_times: int, orders):
+    """The coherence-order blocks k in orders of rho(t) on the grid
+    _time_grid(t_max, n_times).
 
     Builds the lossy JC master equation on rho0's qubit (x) phonon space:
     collapse channels sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and
@@ -281,8 +270,8 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders
     g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^dag L, and the sigma- jump,
     rotated to -i sigma-, enters S_k as (-i)(+i) = 1.  A block starts from
     ph rho0[rows, cols], ph = i^(q_row - q_col), and is stepped in place
-    with one real exp(S_k dt) per distinct step, acting on its elements as
-    real (re, im) pairs; the end multiplies it by conj(ph).
+    by one real exp(S_k h), h = t_max / (n_times - 1), acting on its
+    elements as real (re, im) pairs; the end multiplies it by conj(ph).
 
     Returns (blocks, series): blocks[b] = (rows, cols) lists block b's
     elements in row-major order, and series (T, total size) holds every
@@ -302,12 +291,12 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders
     for g, L in collapse:
         drift = drift - 0.5 * g * (L.T @ L)
 
-    steps, which = _distinct_steps(times)
+    step = t_max / (n_times - 1) if n_times > 1 else 0.0
     excitations = _excitations(space)
     order = excitations[:, None] - excitations[None, :]
     qubit = np.arange(space.dim) // space.phonon_dim
     blocks = [np.nonzero(order == k) for k in orders]
-    series = np.empty((len(times), sum(len(r) for r, _ in blocks)), dtype=complex)
+    series = np.empty((n_times, sum(len(r) for r, _ in blocks)), dtype=complex)
     stop = 0
     for rows, cols in blocks:
         block = slice(stop, stop + len(rows))
@@ -316,12 +305,12 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams, times, orders
             + (rows[:, None] == rows) * drift[np.ix_(cols, cols)]
         for g, L in collapse:
             gen += g * L[np.ix_(rows, rows)] * L[np.ix_(cols, cols)]
-        props = [expm(gen * h) for h in steps]
+        prop = expm(gen * step)
         ph = _QUARTER_TURNS[qubit[rows] - qubit[cols]]
         series[0, block] = ph * rho0[rows, cols]
-        pairs = series[:, block].view(float).reshape(len(times), -1, 2)
-        for t, w in enumerate(which):
-            np.matmul(props[w], pairs[t], out=pairs[t + 1])
+        pairs = series[:, block].view(float).reshape(n_times, -1, 2)
+        for t in range(n_times - 1):
+            np.matmul(prop, pairs[t], out=pairs[t + 1])
         series[:, block] *= ph.conj()
     return blocks, series
 
@@ -471,10 +460,11 @@ def _lambda_min(a, b, c):
     return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(c))
 
 
-def lindblad_observables(params: SystemParams, times) -> Trajectory:
-    """Observables of the lossy JC trajectory, with no state built.
+def lindblad_observables(params: SystemParams, t_max: float, n_times: int) -> Trajectory:
+    """Observables of the lossy JC trajectory on the grid
+    _time_grid(t_max, n_times), with no state built.
 
-    The run starts from params' state, as lindblad_evolve's does.  Every
+    Like every route, the run starts from params' state at t = 0.  Every
     observable column is linear in the coherence-order blocks k = 0 and
     k = 1 of rho: the Fock-basis populations (P_e, n_mean) lie on the
     k = 0 diagonal, and the qubit coherence
@@ -487,9 +477,9 @@ def lindblad_observables(params: SystemParams, times) -> Trajectory:
     principal submatrix of rho, and the qubit reduction, whose Bloch vector
     is then longer than 1 + 2e-7; both bounds are closed forms.
     """
-    times = _time_grid(times)
+    times = _time_grid(t_max, n_times)
     space, rho0 = _start_state(params, default_cutoff(params.alpha0))
-    blocks, series = _block_series(space, rho0, params, times, (0, 1))
+    blocks, series = _block_series(space, rho0, params, t_max, n_times, (0, 1))
     (rows, cols), (rows1, cols1) = blocks
     zero, one = series[:, :len(rows)], series[:, len(rows):]
     pops = zero[:, rows == cols].real
@@ -514,7 +504,7 @@ def lindblad_observables(params: SystemParams, times) -> Trajectory:
             f"excitation sector at t = {times[k]:.4g}")
 
     pd = space.phonon_dim
-    red = np.empty((len(times), 2, 2), dtype=complex)
+    red = np.empty((n_times, 2, 2), dtype=complex)
     red[:, 0, 0] = pops[:, :pd].sum(axis=1)
     red[:, 1, 1] = pops[:, pd:].sum(axis=1)
     red[:, 1, 0] = one[:, rows1 - cols1 == pd].sum(axis=1) / tr

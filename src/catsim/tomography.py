@@ -256,9 +256,12 @@ def sample_wigner(state: JointState, betas, model: ReadoutModel,
     """Simulate a Wigner tomography run over `betas`, one readout per point.
 
     The true parities are displaced_parity's, exact for the truncated state
-    at every beta.  Per-point generators are derived as seed XOR point
-    index, so points can be sampled in any order (or in parallel) with
-    identical results.
+    at every beta.  Point i draws from its own generator, seeded with
+    seed ^ (i + 1), so points can be sampled in any order (or in parallel)
+    with identical results.  Those seeds collide across runs: point i of
+    seed s and point j of seed s' share a stream whenever
+    s ^ (i + 1) == s' ^ (j + 1), as point 1 of seed 0 and point 0 of seed 3
+    do.
     """
     betas = np.asarray(betas, dtype=complex).ravel()
     if normalization is None:

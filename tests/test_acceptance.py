@@ -20,7 +20,7 @@ from catsim.dynamics import (
     characteristic_times,
     excited_population,
     jc_evolve_exact,
-    jc_trajectory,
+    jc_observables,
 )
 from catsim.hilbert import (
     HilbertSpace,
@@ -99,9 +99,8 @@ def test_collapse_and_revival_times():
 def test_qubit_purity_extrema():
     params = SystemParams(g0=G0, alpha0=1.75, c_g=1.0, c_e=0.0)
     ct = characteristic_times(params)
-    times = np.linspace(0.05, 5.0, 300)
-    traj = jc_trajectory(params, times)
-    gamma = np.asarray(traj.observables["purity"])
+    traj = jc_observables(params, 5.0, 301)
+    times, gamma = traj.times, traj.observables["purity"]
 
     early = times < 2.0
     t_min = float(times[early][np.argmin(gamma[early])])

@@ -130,7 +130,7 @@ def test_qubit_phase_scan_rows_are_phase_major(tmp_path, capsys):
         c_e = complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0)
         obs = dynamics.jc_trajectory(dynamics.SystemParams(
             g0=SCHEMAS["qubit-phase-scan"]["g0"].default, alpha0=1.0,
-            c_g=1.0 / math.sqrt(2.0), c_e=c_e), times).observables
+            c_g=1.0 / math.sqrt(2.0), c_e=c_e), 1.0, 4).observables
         for i, t in enumerate(times):
             lines.append(",".join("%.17g" % v for v in (
                 phase, t, obs["P_e"][i], obs["sx"][i], obs["sy"][i],
@@ -159,12 +159,15 @@ def test_qubit_phase_scan_builds_no_state(tmp_path, capsys, monkeypatch):
                      str(tmp_path / "scan"), "--quiet")
     assert code == 0
     assert calls == {}
-    # the counters see the closed simulate, which keeps its states
+    # nor does the closed simulate, which writes the same observables
     cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
                                   "t_max": 1.0, "n_times": 4})
     code, _, _ = run(capsys, "simulate", "--config", cfg, "--out",
                      str(tmp_path / "closed"), "--quiet")
     assert code == 0
+    assert calls == {}
+    # the counters see jc_trajectory, which keeps its states
+    dynamics.jc_trajectory(dynamics.SystemParams(g0=1.0, alpha0=1.0), 1.0, 4)
     assert calls == {"_trusted": 4}
     JointState(hilbert.HilbertSpace(1), np.array([1.0, 0.0]), "pure")
     assert calls["__post_init__"] == 1
@@ -588,10 +591,10 @@ def test_joint_size_budgets_are_config_errors(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command,solver,payload", [
     ("simulate", "lindblad_observables", {"alpha0": 6.0, "closed": False}),
     # simulate has no joint budget: an open run holds two coherence blocks
-    # and a closed run pure states, both linear in each field
+    # and a closed run the JC series, both linear in each field
     ("simulate", "lindblad_observables",
      {"alpha0": 6.0, "closed": False, "n_times": 10_000}),
-    ("simulate", "jc_trajectory", {"alpha0": 6.0, "n_times": 10_000}),
+    ("simulate", "jc_observables", {"alpha0": 6.0, "n_times": 10_000}),
     ("qubit-phase-scan", "jc_observables", {"alpha0": 1.0}),
 ], ids=["open_default_n_times", "open_max_config", "closed_max_n_times",
         "phase_scan_defaults"])

@@ -42,7 +42,7 @@ G0 = math.sqrt(2.0) / 0.9
 def test_vacuum_rabi_from_excited_qubit():
     params = SystemParams(g0=2.0, alpha0=0.0, c_g=0.0, c_e=1.0)
     times = np.linspace(0.0, 3.0, 200)
-    pe = excited_population(params, times, n_max=4)
+    pe = excited_population(params, times)
     assert np.allclose(pe, np.cos(2.0 * times) ** 2, atol=1e-12)
 
 
@@ -138,6 +138,15 @@ def test_lindblad_zero_rates_matches_exact():
     assert list(traj.times) == [t_c] and len(traj.states) == 1
     exact = jc_evolve_exact(params, t_c)
     assert fidelity(traj.states[0], exact) > 1.0 - 1e-6
+    # the time contract: open and closed trajectories of one grid start from
+    # one state at t = 0 and agree in every column
+    for alpha in (1.5, 2.0, 3.0):
+        params = SystemParams(g0=G0, alpha0=alpha, c_g=0.6, c_e=0.8j)
+        open_run = lindblad_observables(params, 10.0, 501)
+        closed_run = jc_observables(params, 10.0, 501)
+        assert np.array_equal(open_run.times, closed_run.times)
+        for name, closed in closed_run.observables.items():
+            assert np.max(np.abs(open_run.observables[name] - closed)) <= 1e-12, name
 
 
 def test_damped_coherent_state_analytic_oracle():
@@ -157,8 +166,7 @@ def test_revival_contrast_decreases_with_phonon_loss():
     for kappa in (0.0, 0.01, 0.05):
         params = SystemParams(g0=G0, alpha0=2.0, kappa_phonon=kappa)
         t_r = characteristic_times(params).t_R
-        times = np.linspace(0.0, 1.25 * t_r, 220)
-        traj = lindblad_observables(params, times=times)
+        traj = lindblad_observables(params, 1.25 * t_r, 220)
         contrasts.append(revival_contrast(traj.times, traj.observables["P_e"], t_r))
     assert contrasts[0] > contrasts[1] > contrasts[2]
 
@@ -166,7 +174,7 @@ def test_revival_contrast_decreases_with_phonon_loss():
 def test_closed_system_energy_conservation():
     # <sigma_z>/2 + <n> is conserved by the exchange interaction
     params = SystemParams(g0=G0, alpha0=2.0, c_g=0.6, c_e=0.8)
-    traj = jc_trajectory(params, np.linspace(0.0, 6.0, 40))
+    traj = jc_observables(params, 6.0, 40)
     energy = traj.observables["sz"] / 2.0 + traj.observables["n_mean"]
     assert np.max(np.abs(energy - energy[0])) < 1e-8
 
@@ -280,30 +288,29 @@ def test_jc_trajectory_observables_match_per_state_reference(theta, phi,
     params = SystemParams(g0=G0, alpha0=r * np.exp(1j * arg),
                           c_g=math.cos(theta / 2.0),
                           c_e=math.sin(theta / 2.0) * np.exp(1j * phi))
-    traj = jc_trajectory(params, np.linspace(0.0, 9.0, 37))
+    traj = jc_trajectory(params, 9.0, 37)
     _assert_matches_reference(traj.observables, traj.states)
 
 
 def test_lindblad_observables_match_per_state_reference():
     # dual route: the two-block observables against the per-state reference
     # of lindblad_evolve's states, all three channels on
-    times = [0.0, 0.15, 0.9, 1.0, 2.7, 4.0, 6.5]
     for alpha in (1.5, 3.0):
         params = _lossy(alpha, 0.6, 0.8j)
-        traj = lindblad_observables(params, times)
+        traj = lindblad_observables(params, 6.5, 11)
         assert traj.states is None
-        assert list(traj.times) == times
+        assert np.array_equal(traj.times, np.linspace(0.0, 6.5, 11))
         _assert_matches_reference(
-            traj.observables, [lindblad_evolve(params, t).states[0] for t in times])
+            traj.observables,
+            [lindblad_evolve(params, t).states[0] for t in traj.times])
 
 
 def test_jc_observables_are_the_trajectory_columns_without_states():
     params = SystemParams(g0=G0, alpha0=2.0 + 0.5j, c_g=0.6, c_e=0.8j)
-    times = np.linspace(0.0, 8.0, 17)
-    traj = jc_observables(params, times)
+    traj = jc_observables(params, 8.0, 17)
     assert traj.states is None
-    assert list(traj.times) == list(times)
-    reference = jc_trajectory(params, times).observables
+    assert np.array_equal(traj.times, np.linspace(0.0, 8.0, 17))
+    reference = jc_trajectory(params, 8.0, 17).observables
     assert set(traj.observables) == set(reference)
     for name, series in traj.observables.items():
         assert series.tobytes() == reference[name].tobytes(), name
@@ -341,9 +348,8 @@ def test_closed_form_paulis_equal_the_trace_bit_for_bit():
 
 def test_jc_evolve_exact_matches_trajectory_states():
     params = SystemParams(g0=G0, alpha0=2.0 + 0.5j, c_g=0.6, c_e=0.8j)
-    times = np.linspace(0.0, 8.0, 17)
-    traj = jc_trajectory(params, times)
-    for t, state in zip(times, traj.states):
+    traj = jc_trajectory(params, 8.0, 17)
+    for t, state in zip(traj.times, traj.states):
         exact = jc_evolve_exact(params, t)
         assert np.max(np.abs(exact.data - state.data)) <= 1e-15
 
@@ -353,7 +359,7 @@ def test_truncated_jc_norm_names_first_failing_time():
     # norm deficit passes 1e-6 first at the grid's second point
     params = SystemParams(g0=1.0, alpha0=1.0, c_g=0.0, c_e=1.0)
     with pytest.raises(IntegrationError, match=r"at t = 0\.5;"):
-        jc_trajectory(params, np.linspace(0.0, 3.0, 7), n_max=4)
+        dynamics._jc_series(params, np.linspace(0.0, 3.0, 7), 4)
 
 
 def test_nan_amplitudes_fail_the_jc_norm_check(monkeypatch):
@@ -362,7 +368,7 @@ def test_nan_amplitudes_fail_the_jc_norm_check(monkeypatch):
     monkeypatch.setattr(dynamics, "coherent_amplitudes",
                         lambda alpha, n_max: (np.full(n_max + 1, np.nan), 0.0))
     with pytest.raises(IntegrationError, match=r"^truncated JC state norm nan at t = 0;"):
-        jc_observables(SystemParams(g0=G0, alpha0=1.0), [0.0, 1.0])
+        jc_observables(SystemParams(g0=G0, alpha0=1.0), 1.0, 2)
 
 
 @pytest.mark.parametrize("field", ["g0", "alpha0", "c_g", "c_e", "kappa_phonon",
@@ -386,7 +392,8 @@ def test_system_params_normalise_or_reject_qubit_amplitudes():
 
 def test_lindblad_one_point_grid_returns_initial_state():
     # t = 0 returns the start state exactly, with its trace restored; a
-    # one-point grid of the observables route reads that state's columns
+    # one-point grid of the observables route is t = 0 and reads that
+    # state's columns
     params = SystemParams(g0=G0, alpha0=1.0, c_g=0.6, c_e=0.8,
                           kappa_phonon=0.1)
     psi = np.kron(np.array([0.6, 0.8], dtype=complex),
@@ -396,7 +403,9 @@ def test_lindblad_one_point_grid_returns_initial_state():
     assert list(traj.times) == [0.0]
     assert np.array_equal(traj.states[0].data, rho0 / np.trace(rho0).real)
     assert np.max(np.abs(traj.states[0].data - rho0)) < 1e-15
-    obs = lindblad_observables(params, times=[0.5]).observables
+    one_point = lindblad_observables(params, 0.5, 1)
+    assert list(one_point.times) == [0.0]
+    obs = one_point.observables
     assert obs["P_e"][0] == pytest.approx(0.64, abs=1e-14)
     assert obs["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
     _assert_matches_reference(obs, traj.states)
@@ -406,8 +415,8 @@ def test_lindblad_one_point_grid_returns_initial_state():
                                     "lindblad_observables"])
 def test_empty_time_grid_is_rejected(evolve):
     params = SystemParams(g0=G0, alpha0=1.0)
-    with pytest.raises(ValueError):
-        getattr(dynamics, evolve)(params, times=[])
+    with pytest.raises(ValueError, match=r"^n_times must be >= 1, got 0$"):
+        getattr(dynamics, evolve)(params, 1.0, 0)
 
 
 @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
@@ -416,11 +425,16 @@ def test_lindblad_evolve_rejects_a_negative_or_nonfinite_time(t):
         lindblad_evolve(_lossy(1.0, 1.0, 0.0), t)
 
 
-def test_lindblad_rejects_unordered_grid():
+def test_trajectory_routes_reject_a_bad_grid():
+    # the grid runs from t = 0 to a finite t_max >= 0; each check is
+    # written so that a nan fails it
     params = _lossy(1.0, 1.0, 0.0)
-    for times in ([1.0, 0.0], [0.0, 0.5, 0.5]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            lindblad_observables(params, times)
+    for route in (jc_trajectory, jc_observables, lindblad_observables):
+        for t_max in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^t_max must be finite and >= 0, got "):
+                route(params, t_max, 5)
+        with pytest.raises(ValueError, match=r"^n_times must be >= 1, got -3$"):
+            route(params, 1.0, -3)
 
 
 def _lossy(alpha, c_g, c_e):
@@ -453,16 +467,13 @@ def test_rounded_linspace_steps_share_one_propagator(monkeypatch):
 
     # _block_series imports expm when it runs, so it picks up the patch
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-    grid = np.linspace(0.0, 10.0, 501)
-    assert len(np.unique(np.diff(grid))) > 1  # rounding gives several steps
-    steps, which = dynamics._distinct_steps(grid)
-    assert len(steps) == 1 and not which.any()
-    lindblad_observables(params, times=grid)  # blocks k = 0 and 1
-    assert len(calls) == 2
-    calls.clear()
-    lindblad_observables(params, times=[0.0, 0.5, 1.0, 3.0, 5.0])
-    assert len(calls) == 2 * 2
-    calls.clear()
+    # rounding gives the grid several distinct steps; one propagator steps
+    # each of the blocks k = 0 and 1 along all of them
+    assert len(np.unique(np.diff(np.linspace(0.0, 10.0, 501)))) > 1
+    for t_max, n_times in ((10.0, 501), (5.0, 5), (5.0, 1)):
+        lindblad_observables(params, t_max, n_times)
+        assert len(calls) == 2
+        calls.clear()
     # lindblad_evolve applies the Liouvillian to rho and forms no propagator
     lindblad_evolve(params, 5.0)
     assert calls == []
@@ -476,34 +487,29 @@ def test_open_observables_hold_one_series_of_memory():
     space, _ = dynamics._start_state(params, default_cutoff(params.alpha0))
     excitations = dynamics._excitations(space)
     order = excitations[:, None] - excitations[None, :]
-    times = np.linspace(0.0, 10.0, 2001)
-    series_bytes = len(times) * np.count_nonzero((order == 0) | (order == 1)) \
+    series_bytes = 2001 * np.count_nonzero((order == 0) | (order == 1)) \
         * np.dtype(complex).itemsize
-    lindblad_observables(params, times)  # imports and caches outside the count
+    lindblad_observables(params, 10.0, 2001)  # imports and caches outside the count
     tracemalloc.start()
     try:
-        lindblad_observables(params, times)
+        lindblad_observables(params, 10.0, 2001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * series_bytes
 
 
-def _block_expm_states(space, rho0, params, times):
-    """Reference for _taylor_action's raw states: every coherence-order
-    block k >= 0 propagated by its matrix exponential, the k < 0 blocks
-    their conjugates."""
-    dim = space.dim
-    blocks, series = dynamics._block_series(space, rho0, params, times,
+def _block_expm_state(space, rho0, params, t):
+    """Reference for _taylor_action's raw state at t: every coherence-order
+    block k >= 0 propagated over [0, t] by its matrix exponential, the k < 0
+    blocks their conjugates."""
+    blocks, series = dynamics._block_series(space, rho0, params, t, 2,
                                             range(space.n_max + 2))
     rows, cols = (np.concatenate(idx) for idx in zip(*blocks))
-    states = []
-    for values in series:
-        rho = np.empty((dim, dim), dtype=complex)
-        rho[cols, rows] = values.conj()
-        rho[rows, cols] = values  # written last: k = 0 keeps its own elements
-        states.append(rho)
-    return states
+    rho = np.empty((space.dim, space.dim), dtype=complex)
+    rho[cols, rows] = series[-1].conj()
+    rho[rows, cols] = series[-1]  # written last: k = 0 keeps its own elements
+    return rho
 
 
 def _cat_preparation(alpha, n_max):
@@ -527,8 +533,7 @@ def test_taylor_action_matches_block_expm(case):
     else:
         params, start, times = _cat_preparation(*case)
     states = [dynamics._taylor_action(*start, params, t) for t in times]
-    reference = _block_expm_states(*start, params, np.array(times))
-    assert len(states) == len(reference) == len(times)
+    reference = [_block_expm_state(*start, params, t) for t in times]
     for rho, ref in zip(states, reference):
         assert np.max(np.abs(rho - ref)) <= 1e-13
     assert np.max(np.abs(states[-1] - states[0])) > 0.1
@@ -677,7 +682,7 @@ def test_two_block_trace_drift_is_an_error(monkeypatch):
 
     _corrupt_block_series(monkeypatch, drift)
     with pytest.raises(IntegrationError, match=r"^trace drift 1\.000e-01 at t = 1$"):
-        lindblad_observables(params, times=[0.0, 1.0, 2.0])
+        lindblad_observables(params, 2.0, 3)
 
 
 def test_two_block_negative_sector_eigenvalue_is_an_error(monkeypatch):
@@ -697,7 +702,7 @@ def test_two_block_negative_sector_eigenvalue_is_an_error(monkeypatch):
     with pytest.raises(IntegrationError,
                        match=r"^negative eigenvalue -3\.\d{3}e-01 below -1e-7 in "
                              r"an excitation sector at t = 2$"):
-        lindblad_observables(params, times=[0.0, 1.0, 2.0])
+        lindblad_observables(params, 2.0, 3)
 
 
 def test_two_block_bloch_vector_beyond_one_is_an_error(monkeypatch):
@@ -711,7 +716,7 @@ def test_two_block_bloch_vector_beyond_one_is_an_error(monkeypatch):
     _corrupt_block_series(monkeypatch, stretched)
     with pytest.raises(IntegrationError,
                        match=r"^qubit Bloch vector of length 1\.\d+ > 1 .* at t = 1$"):
-        lindblad_observables(params, times=[0.0, 1.0])
+        lindblad_observables(params, 1.0, 2)
 
 
 def _assert_constructor_accepts(states):
@@ -724,7 +729,7 @@ def _assert_constructor_accepts(states):
 
 def test_jc_and_css_states_pass_the_constructor():
     params = SystemParams(g0=G0, alpha0=1.5, c_g=0.6, c_e=0.8j)
-    _assert_constructor_accepts(jc_trajectory(params, np.linspace(0.0, 3.0, 7)).states)
+    _assert_constructor_accepts(jc_trajectory(params, 3.0, 7).states)
     _assert_constructor_accepts([jc_evolve_exact(params, 1.1)])
     _assert_constructor_accepts([css_state(1.2, -1.2j, 0.4, HilbertSpace(12))])
 
@@ -775,9 +780,9 @@ def test_evolved_states_are_not_validated_again(monkeypatch):
         check(state)
 
     monkeypatch.setattr(JointState, "__post_init__", counting)
-    jc_trajectory(params, np.linspace(0.0, 3.0, 7))
+    jc_trajectory(params, 3.0, 7)
     for t in (0.0, 0.4, 1.5):
         lindblad_evolve(params, t)
-    lindblad_observables(params, times=[0.0, 0.4, 1.5])
+    lindblad_observables(params, 1.5, 3)
     fit_css(target)
     assert validated == []
