@@ -11,10 +11,18 @@ estimate T1 / (2 D^2).
     PYTHONPATH=src python3 scripts/preset_summary.py --out summary_out
 
 Per-preset Wigner rasters come from `catsim wigner` with state "pipeline".
+A CSS fit flagged degenerate prints no D: its D is no cat size.  BLAS runs
+single-threaded unless the environment already sets its thread count: the
+pipeline's matrices are small enough that a thread pool slows them down.
 """
 
 import argparse
+import os
 from pathlib import Path
+
+# before numpy loads, which reads these once
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 import numpy as np
 
@@ -42,9 +50,12 @@ def main():
         tau_ref = tau_cat_large_alpha(fit.D, config.t1_phonon)
         rows.append((amp, alpha0, decay.negativities[0], fit.D, fit.fidelity,
                      decay.fit.tau_cat, tau_ref))
-        print(f"A = {amp:.2f}: alpha0 = {alpha0:.2f}, D = {fit.D:.3f}, "
+        size = ("CSS fit degenerate (no cat size)" if fit.degenerate
+                else f"D = {fit.D:.3f}")
+        estimate = "" if fit.degenerate else f" (large-cat estimate {tau_ref:.2f} us)"
+        print(f"A = {amp:.2f}: alpha0 = {alpha0:.2f}, {size}, "
               f"delta = {decay.negativities[0]:.3f}, tau_cat = "
-              f"{decay.fit.tau_cat:.2f} us (large-cat estimate {tau_ref:.2f} us)")
+              f"{decay.fit.tau_cat:.2f} us{estimate}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,16 +17,21 @@ a fine grid by one FFT of the c_k, and polishes the best one by Newton
 steps on the polynomial, so fit_analytical is a 1-D search over alpha: a
 bracket grid over (0, max_amplitude(n_max)], then bounded Brent.
 
-The CSS fit scores raw amplitude vectors: _coherent_pair builds both
-truncated coherent components in one expression, and for a fixed pair
-(u, v) the fidelity of N(u + e^{i t} v) to rho is a ratio of two
-sinusoids in t, maximised in closed form by _css_phase.  Because that
-phase is optimal, the gradient of F(alpha1, alpha2) is its partial
-gradient at that phase (the envelope theorem), which _css_gradient
+The CSS fit scores raw amplitude vectors: _coherent_rows builds truncated
+coherent vectors for any number of amplitudes in one expression, and for a
+fixed pair (u, v) of them the fidelity of N(u + e^{i t} v) to rho is a
+ratio of two sinusoids in t, maximised in closed form by _css_phase.
+Because that phase is optimal, the gradient of F(alpha1, alpha2) is its
+partial gradient at that phase (the envelope theorem), which _css_gradient
 evaluates exactly from the same pair and the same rho [u, v - u] product.
-BFGS therefore searches (alpha1, alpha2) on that gradient; the reported
-fidelity comes from one public hilbert.fidelity(css_state(...), rho) at
-the optimum.
+One BFGS run searches (alpha1, alpha2) on that gradient, started from the
+two highest peaks of rho's Husimi Q function, which the same kernel
+evaluates on a grid as one (N x d)(d x d) product; the reported fidelity
+comes from one public hilbert.fidelity(css_state(...), rho) at the
+optimum.  As alpha2 -> alpha1 the CSS family tends to a displaced
+single-phonon state, not a cat, so a fit whose F barely beats the same
+pair shrunk to D = CSS_SHRUNK_D is flagged `degenerate`: its D is then
+no cat size.
 
 A fit's `converged` means first-order stationarity was met at the
 reported optimum: the CSS gradient, or dF/dtheta after the polish with
@@ -68,26 +73,48 @@ FIT_MAXITER = 200
 # theta grid of the analytical profile (at least), and alpha bracket grid
 _THETA_GRID = 1024
 _ALPHA_GRID = 24
-# Newton polish of theta: step cap, and the step below which it stops
+# Newton polish of theta: step cap, and the step below which it stops; the
+# step cap also bounds the CSS stationarity polish
 _NEWTON_STEPS = 6
 _NEWTON_XTOL = 1e-12
+# fit_css's start: local maxima of Husimi Q on a _Q_POINTS^2 grid over
+# [-_Q_HALF_WIDTH, _Q_HALF_WIDTH]^2 (step 0.15); a lone peak starts the pair
+# at peak +/- _LONE_PEAK_SPLIT, and a peak past the truncation wall moves
+# radially onto _WALL_PULL of it
+_Q_POINTS = 41
+_Q_HALF_WIDTH = 3.0
+_LONE_PEAK_SPLIT = 0.5
+_WALL_PULL = 0.95
+# the degenerate-limit test of a CSS fit: the optimum's pair shrunk about
+# its centre to D = CSS_SHRUNK_D, and the fidelity gap below which F counts as
+# flat in D (measured: 0.0012 on a flat landscape, >= 0.178 on the cats of
+# the comparison corpus in tests/reference.py)
+CSS_SHRUNK_D = 1e-3
+CSS_FLAT_TOL = 0.01
+
+
+def _coherent_rows(alphas, n_max: int) -> np.ndarray:
+    """(K, n_max + 1): alpha^n / sqrt(n!) for each of K amplitudes, unnormalised.
+
+    Row k is e^{|alpha_k|^2 / 2} <n|alpha_k> on 0..n_max, built as
+    exp(n log alpha - log(n!) / 2) for every amplitude in one expression.
+    log 0 would make the n = 0 term NaN (0 * -inf), so a vacuum row is set
+    to |0> explicitly.  The one coherent-state kernel of the fits: the CSS
+    pair renormalises two rows, the Husimi-Q grid weights many by
+    e^{-|beta|^2}.
+    """
+    n, log_fact = _fock_table(n_max)
+    rows = np.multiply.outer([cmath.log(alpha or 1.0) for alpha in alphas], n)
+    rows -= 0.5 * log_fact
+    np.exp(rows, out=rows)
+    rows[np.asarray(alphas) == 0] = n == 0
+    return rows
 
 
 def _coherent_pair(alpha1: complex, alpha2: complex, n_max: int) -> np.ndarray:
-    """(2, n_max + 1): the renormalised truncated coherent vectors of alpha1, alpha2.
-
-    alpha^n / sqrt(n!) = exp(n log alpha - log(n!) / 2) for both amplitudes
-    in one expression; the renormalisation absorbs e^{-|alpha|^2/2}.  log 0
-    would make the n = 0 term NaN (0 * -inf), so a vacuum component is set
-    to |0> explicitly.
-    """
-    n, log_fact = _fock_table(n_max)
-    logs = [cmath.log(alpha1 or 1.0), cmath.log(alpha2 or 1.0)]
-    pair = np.exp(np.multiply.outer(logs, n) - 0.5 * log_fact)
-    if alpha1 == 0 or alpha2 == 0:
-        for row, alpha in zip(pair, (alpha1, alpha2)):
-            if alpha == 0:
-                row[:] = n == 0
+    """(2, n_max + 1): the renormalised truncated coherent vectors of alpha1, alpha2;
+    the renormalisation absorbs e^{-|alpha|^2/2}."""
+    pair = _coherent_rows((alpha1, alpha2), n_max)
     pair /= np.sqrt((pair.view(float) ** 2).sum(axis=1, keepdims=True))
     return pair
 
@@ -311,6 +338,8 @@ class CssFit:
     n_evals: int  # value-and-gradient evaluations over all starts
     n_capped: int  # starts stopped by the iteration cap
     grad_norm: float  # largest |dF/dx| component at the optimum
+    shrink_gap: float  # F less that of the pair shrunk to D = CSS_SHRUNK_D (0 if D is smaller)
+    degenerate: bool  # D <= CSS_SHRUNK_D or shrink_gap < CSS_FLAT_TOL: D is no cat size
 
 
 def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
@@ -385,8 +414,13 @@ def _css_objective(x: np.ndarray, rho: np.ndarray):
 def _css_search(rho: np.ndarray, starts):
     """Best BFGS result over the starts, on _css_objective.
 
+    BFGS stops once its line search can no longer lower -F measurably, which
+    near the optimum can leave |dF/dx| just above FIT_GTOL; quasi-Newton
+    steps x - H g with BFGS's final inverse Hessian H then polish the
+    stationarity on the exact gradient alone, each kept only while it stays
+    admissible and shrinks the gradient, at most _NEWTON_STEPS of them.
     Returns (x, converged, evaluations, capped starts, gradient norm) of the
-    best start; converged needs BFGS's gtol met at an admissible point.
+    best start; converged needs |dF/dx| <= FIT_GTOL at an admissible point.
     """
     from scipy.optimize import minimize
 
@@ -399,39 +433,101 @@ def _css_search(rho: np.ndarray, starts):
                        options={"gtol": FIT_GTOL, "maxiter": FIT_MAXITER})
         n_evals += res.nfev
         n_capped += int(res.nit >= FIT_MAXITER)
-        key = (res.fun, tuple(np.round(res.x, 10)))
+        x, fun, grad = res.x, res.fun, res.jac
+        for _ in range(_NEWTON_STEPS):
+            if np.max(np.abs(grad)) <= FIT_GTOL:
+                break
+            y = x - res.hess_inv @ grad
+            fun_y, grad_y = _css_objective(y, rho)
+            n_evals += 1
+            if not (_css_admissible(complex(y[0], y[1]), complex(y[2], y[3]), n_max)
+                    and np.max(np.abs(grad_y)) < np.max(np.abs(grad))):
+                break
+            x, fun, grad = y, fun_y, grad_y
+        key = (fun, tuple(np.round(x, 10)))
         if best is None or key < best[0]:
-            best = (key, res)
-    res = best[1]
-    a1, a2 = complex(res.x[0], res.x[1]), complex(res.x[2], res.x[3])
-    converged = bool(res.success) and _css_admissible(a1, a2, n_max)
-    return res.x, converged, n_evals, n_capped, float(np.max(np.abs(res.jac)))
+            best = (key, x, grad)
+    _, x, grad = best
+    grad_norm = float(np.max(np.abs(grad)))
+    converged = grad_norm <= FIT_GTOL and _css_admissible(
+        complex(x[0], x[1]), complex(x[2], x[3]), n_max)
+    return x, converged, n_evals, n_capped, grad_norm
+
+
+def _husimi_peaks(rho: np.ndarray) -> np.ndarray:
+    """The local maxima of the Husimi Q function of rho on the start grid,
+    highest first.
+
+    Q(beta) = <beta|rho|beta> / pi (Husimi, Proc. Phys.-Math. Soc. Jpn. 22,
+    264 (1940)) at every grid point is one (N x d)(d x d) product over the
+    _coherent_rows of the grid; the constant 1 / pi is left out.  A point is
+    a maximum when no neighbour of its 8 is higher.
+    """
+    axis = np.linspace(-_Q_HALF_WIDTH, _Q_HALF_WIDTH, _Q_POINTS)
+    betas = (axis + 1j * axis[:, None]).ravel()
+    rows = _coherent_rows(betas, len(rho) - 1)
+    q = np.exp(-np.abs(betas) ** 2) * np.einsum("kn,kn->k", rows.conj() @ rho, rows).real
+    q = q.reshape(_Q_POINTS, _Q_POINTS)
+    padded = np.pad(q, 1, constant_values=-np.inf)
+    peak = np.ones(q.shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            peak &= q >= padded[di:di + _Q_POINTS, dj:dj + _Q_POINTS]
+    which = np.flatnonzero(peak)
+    return betas[which[np.argsort(-q.ravel()[which], kind="stable")]]
+
+
+def _husimi_start(rho: np.ndarray):
+    """fit_css's one start (Re a1, Im a1, Re a2, Im a2): the two highest
+    Husimi-Q peaks, or a lone peak +/- _LONE_PEAK_SPLIT, each moved radially
+    onto _WALL_PULL max_amplitude(n_max) if it lies past the wall."""
+    peaks = _husimi_peaks(rho)[:2]
+    if len(peaks) == 1:
+        peaks = [peaks[0] + _LONE_PEAK_SPLIT, peaks[0] - _LONE_PEAK_SPLIT]
+    wall = max_amplitude(len(rho) - 1)
+    a1, a2 = (p if abs(p) <= wall else _WALL_PULL * wall * p / abs(p) for p in peaks)
+    return a1.real, a1.imag, a2.real, a2.imag
+
+
+def _css_fit(rho: JointState, starts) -> CssFit:
+    """The CssFit of the best of _css_search's runs from the starts.
+
+    The pair is put in its canonical order (_canonical_pair) before its
+    closed-form phase (_css_phase) is solved.  The degenerate-limit test
+    shrinks the pair about its centre, along its axis, to D = CSS_SHRUNK_D,
+    scores that pair at its own best phase (one _css_phase), and flags the
+    fit when F exceeds that by less than CSS_FLAT_TOL, or when D itself is
+    at most CSS_SHRUNK_D (the |a1 - a2| guard included).
+    """
+    rho_data = rho.density_matrix()
+    x, converged, n_evals, n_capped, grad_norm = _css_search(rho_data, starts)
+    a1, a2 = _canonical_pair(complex(x[0], x[1]), complex(x[2], x[3]))
+    vartheta, _ = _css_phase(a1, a2, rho_data)
+    vartheta %= 2 * math.pi
+    f = fidelity(css_state(a1, a2, vartheta, rho.space), rho)
+    d = abs(a1 - a2) / 2.0
+    shrink_gap = 0.0
+    if d > CSS_SHRUNK_D:
+        shift = CSS_SHRUNK_D * (a1 - a2) / abs(a1 - a2)
+        centre = (a1 + a2) / 2.0
+        shrink_gap = f - _css_phase(centre + shift, centre - shift, rho_data)[1]
+    return CssFit(alpha1=a1, alpha2=a2, vartheta=vartheta, fidelity=f, D=d,
+                  converged=converged, n_evals=n_evals, n_capped=n_capped,
+                  grad_norm=grad_norm, shrink_gap=shrink_gap,
+                  degenerate=d <= CSS_SHRUNK_D or shrink_gap < CSS_FLAT_TOL)
 
 
 def fit_css(rho: JointState) -> CssFit:
     """Maximize fidelity of rho to N(|a1> + e^{i t}|a2>) over (a1, a2, t).
 
-    BFGS searches (a1, a2) from 16 starts on the exact envelope gradient
-    (_css_gradient); t is the closed-form best phase of each pair
-    (_css_phase), solved after the pair is put in its canonical order
-    (_canonical_pair).  The reported fidelity is the public
-    hilbert.fidelity of css_state at the optimum, which cross-checks the
-    closed form.
+    One BFGS run searches (a1, a2) on the exact envelope gradient
+    (_css_gradient), started from the two highest peaks of rho's Husimi Q
+    function (_husimi_start); t is the closed-form best phase of each pair
+    (_css_phase).  The reported fidelity is the public hilbert.fidelity of
+    css_state at the optimum, which cross-checks the closed form.
+    `degenerate` says when F is flat in D, so that D is no cat size
+    (_css_fit).
     """
     if rho.space.has_qubit:
         raise DimensionMismatchError("fit_css expects a phonon-only state")
-    space = rho.space
-    rho_data = rho.density_matrix()
-    starts = []
-    for r in (0.75, 1.25, 1.75, 2.25):
-        for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-            a1 = r * np.exp(1j * phi)
-            starts.append((a1.real, a1.imag, -a1.real, -a1.imag))
-    x, converged, n_evals, n_capped, grad_norm = _css_search(rho_data, starts)
-    a1, a2 = _canonical_pair(complex(x[0], x[1]), complex(x[2], x[3]))
-    vartheta, _ = _css_phase(a1, a2, rho_data)
-    vartheta %= 2 * math.pi
-    return CssFit(alpha1=a1, alpha2=a2, vartheta=vartheta,
-                  fidelity=fidelity(css_state(a1, a2, vartheta, space), rho),
-                  D=abs(a1 - a2) / 2.0, converged=converged,
-                  n_evals=n_evals, n_capped=n_capped, grad_norm=grad_norm)
+    return _css_fit(rho, [_husimi_start(rho.density_matrix())])

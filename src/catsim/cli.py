@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, io_utils
 from .acoustics import AcousticMode, delocalization, half_wavelength_mass, \
     mass_model
-from .catfit import css_state, fit_analytical, fit_css
+from .catfit import CSS_FLAT_TOL, CSS_SHRUNK_D, css_state, fit_analytical, \
+    fit_css
 from .dynamics import OBSERVABLE_COLUMNS, SystemParams, \
     characteristic_times, excited_population, jc_observables, \
     lindblad_observables
@@ -422,7 +423,18 @@ def _cmd_tomo(cfg, out_dir, seed, log):
         print(f"catsim: warning: MLE not converged after {mle.iterations} "
               f"iterations: stationarity gap {mle.stationarity_gap:.2e} > "
               f"{MLE_GAP_TOL:.0e}", file=sys.stderr)
+    if mle.n_data < mle.n_params:
+        print(f"catsim: warning: reconstruction is under-determined: "
+              f"{mle.n_data} parity points for {mle.n_params} density-matrix "
+              f"parameters (d^2 - 1 at recon_n_max {cfg['recon_n_max']})",
+              file=sys.stderr)
     fc = fit_css(mle.state)
+    if fc.degenerate:
+        print(f"catsim: warning: the CSS fit is degenerate: F {fc.fidelity:.4f} "
+              f"lies within {CSS_FLAT_TOL:g} of the fidelity at D = "
+              f"{CSS_SHRUNK_D:g} (gap {fc.shrink_gap:.1e}), the limit of a "
+              f"displaced single-phonon state, so its D is no cat size",
+              file=sys.stderr)
     fa = fit_analytical(mle.state, 1.0, 0.0, econf.t_cat, econf.g0)
     io_utils.write_json(out_dir / "reconstruction.json", {
         "drive_amplitude": cfg["drive_amplitude"],
@@ -440,7 +452,8 @@ def _cmd_tomo(cfg, out_dir, seed, log):
             "fidelity": fa.fidelity,
         },
     })
-    log(f"wrote samples.csv and reconstruction.json (D = {fc.D:.3f}; MLE "
+    size = "CSS fit degenerate, no cat size" if fc.degenerate else f"D = {fc.D:.3f}"
+    log(f"wrote samples.csv and reconstruction.json ({size}; MLE "
         f"{mle.iterations} iterations, stationarity gap "
         f"{mle.stationarity_gap:.2e}; fit_css {fc.n_evals} evaluations, "
         f"{fc.n_capped} capped, |dF/dalpha| {fc.grad_norm:.1e}; fit_analytical "

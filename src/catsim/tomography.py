@@ -281,7 +281,9 @@ class MleResult:
 
     log_likelihoods holds l(x) of the iterate before the first step and after
     each step (iterations + 1 entries); it never decreases.  converged is true
-    iff stationarity_gap <= the tol of the call.
+    iff stationarity_gap <= the tol of the call.  n_data < n_params means
+    the data cannot determine the state: many density matrices then share
+    the maximum likelihood.
     """
 
     state: JointState
@@ -289,6 +291,8 @@ class MleResult:
     converged: bool
     iterations: int
     stationarity_gap: float  # lambda_max(R)/Tr(R rho) - 1 at state; 0 at the ML estimate
+    n_data: int  # N, the displaced-parity points fitted
+    n_params: int  # d^2 - 1, the real parameters of a d x d density matrix
 
 
 def _flat_kernels(betas, dim: int) -> np.ndarray:
@@ -440,4 +444,5 @@ def mle_reconstruct(samples: WignerSampleSet, space: HilbertSpace,
     state = JointState(space, x, "mixed")
     return MleResult(state=state, log_likelihoods=np.array(ll),
                      converged=gap <= tol, iterations=len(ll) - 1,
-                     stationarity_gap=gap)
+                     stationarity_gap=gap, n_data=len(samples.betas),
+                     n_params=dim * dim - 1)

@@ -3,7 +3,9 @@
 No command computes these, so they live with the tests: the Fock state,
 the purity, the fidelity to a low-rank state given by its factor, the
 Gaussian envelope of P_e, the counter-rotating JC branches Phi+/- and the
-revival contrast of a P_e series.
+revival contrast of a P_e series.  The CSS fit's former 16-start grid
+search is kept as the reference for its Husimi-Q start, with the fixed
+corpus of states the two are compared on.
 """
 
 import math
@@ -11,6 +13,8 @@ import warnings
 
 import numpy as np
 
+from catsim.catfit import CssFit, _css_fit
+from catsim.dynamics import lindblad_evolve
 from catsim.errors import DimensionMismatchError, TruncationError
 from catsim.hilbert import (
     HilbertSpace,
@@ -19,6 +23,9 @@ from catsim.hilbert import (
     coherent_amplitudes,
     default_cutoff,
 )
+from catsim.phase_space import raster_grid
+from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat, simulate_tomography
+from catsim.tomography import ReadoutModel
 
 
 def fock_state(n: int, space: HilbertSpace) -> JointState:
@@ -99,3 +106,61 @@ def revival_contrast(times, pe, t_r: float) -> float:
     window = (times >= 0.8 * t_r) & (times <= 1.2 * t_r)
     seg = np.asarray(pe, dtype=float)[window]
     return float(seg.max() - seg.min())
+
+
+# the CSS fit's start grid before its Husimi-Q start: 4 radii x 4 angles,
+# each start a pair (a, -a)
+GRID_STARTS = [(a.real, a.imag, -a.real, -a.imag)
+               for a in (r * np.exp(1j * phi) for r in (0.75, 1.25, 1.75, 2.25)
+                         for phi in np.arange(4) * math.pi / 4)]
+
+
+def fit_css_grid(rho: JointState) -> CssFit:
+    """fit_css as it ran from the 16 GRID_STARTS: the best of 16 BFGS runs."""
+    return _css_fit(rho, GRID_STARTS)
+
+
+def traced_cat(drive: float) -> JointState:
+    """The phonon state at the cat time with the qubit traced out.
+
+    prepare_cat post-selects the qubit on |+x>; this is the trace itself,
+    einsum("inim->nm") over the joint density matrix.
+    """
+    config = ExperimentConfig()
+    joint = lindblad_evolve(config.system_params(drive_alpha(drive)), config.t_cat).states[0]
+    pd = joint.space.phonon_dim
+    red = np.einsum("inim->nm", joint.data.reshape(2, pd, 2, pd))
+    red = 0.5 * (red + red.conj().T)
+    return JointState(HilbertSpace(joint.space.n_max), red / np.trace(red).real, "mixed")
+
+
+# the comparison corpus of the CSS fit: the MLE states of 8 sampling seeds at
+# (drive, recon_n_max) below, with tomo's default readout and raster, and the
+# +x (prepare_cat) and traced states of the three drives
+CORPUS_MLE = [(0.25, 20), (0.30, 20), (0.35, 20), (0.30, 12)]
+CORPUS_SEEDS = range(8)
+CORPUS_DRIVES = (0.25, 0.30, 0.35)
+
+
+def corpus_state(name: str) -> JointState:
+    """One corpus state by name: "plusx_<drive>", "traced_<drive>" or
+    "mle_<drive>_<recon_n_max>_<seed>"."""
+    kind, drive, *rest = name.split("_")
+    drive = float(drive)
+    if kind == "plusx":
+        return prepare_cat(drive_alpha(drive), ExperimentConfig())
+    if kind == "traced":
+        return traced_cat(drive)
+    n_max, seed = map(int, rest)
+    model = ReadoutModel(contrast=0.9, offset=0.02, shots=500, seed=seed)
+    _, mle = simulate_tomography(prepare_cat(drive_alpha(drive), ExperimentConfig()),
+                                 model, raster_grid(2.2, 11), recon_n_max=n_max)
+    return mle.state
+
+
+def corpus_names() -> list[str]:
+    """All 38 corpus names, in a fixed order."""
+    names = [f"{kind}_{drive:.2f}" for drive in CORPUS_DRIVES for kind in ("plusx", "traced")]
+    names += [f"mle_{drive:.2f}_{n_max}_{seed}" for drive, n_max in CORPUS_MLE
+              for seed in CORPUS_SEEDS]
+    return names

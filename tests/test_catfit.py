@@ -9,9 +9,11 @@ from catsim.catfit import (
     _analytical_factor,
     _analytical_profile,
     _coherent_pair,
+    _coherent_rows,
     _css_gradient,
     _css_phase,
     _css_search,
+    _husimi_peaks,
     _theta_profile,
     analytical_target,
     css_state,
@@ -23,11 +25,14 @@ from catsim.hilbert import (
     HilbertSpace,
     JointState,
     coherent_amplitudes,
+    coherent_state,
+    displacement_operator,
     fidelity,
     max_amplitude,
 )
 from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat
-from reference import factored_fidelity
+from reference import GRID_STARTS, corpus_state, factored_fidelity, fit_css_grid, \
+    traced_cat
 
 G0 = math.sqrt(2.0) / 0.9
 SPACE = HilbertSpace(26)
@@ -86,8 +91,8 @@ def _reference_fit_analytical(rho, c_g, c_e, t_c, g0):
 
 
 def _reference_fit_css_pair(rho):
-    """Reference: Nelder-Mead over (a1, a2) from the 16 starts of fit_css,
-    each pair scored at its closed-form phase.  Returns (a1, a2, F)."""
+    """Reference: Nelder-Mead over (a1, a2) from the 16 GRID_STARTS, each
+    pair scored at its closed-form phase.  Returns (a1, a2, F)."""
     n_max = rho.space.n_max
 
     def objective(x):
@@ -98,10 +103,7 @@ def _reference_fit_css_pair(rho):
             return 1.0
         return -_css_phase(a1, a2, rho.data)[1]
 
-    starts = [(a.real, a.imag, -a.real, -a.imag)
-              for a in (r * np.exp(1j * phi) for r in (0.75, 1.25, 1.75, 2.25)
-                        for phi in np.arange(4) * math.pi / 4)]
-    x, f, *_ = _multistart(objective, starts)
+    x, f, *_ = _multistart(objective, GRID_STARTS)
     return complex(x[0], x[1]), complex(x[2], x[3]), f
 
 
@@ -267,7 +269,7 @@ def test_css_fit_reports_the_public_fidelity():
 
 def _reference_fit_css(rho):
     """The 5-parameter route: Nelder-Mead over (a1, a2, t), scored by the
-    public fidelity of css_state, from the same 16 starts."""
+    public fidelity of css_state, from the 16 GRID_STARTS."""
     space = rho.space
 
     def objective(x):
@@ -278,10 +280,7 @@ def _reference_fit_css(rho):
             return 1.0
         return -fidelity(css_state(a1, a2, x[4], space), rho)
 
-    starts = [(a.real, a.imag, -a.real, -a.imag, 0.0)
-              for a in (r * np.exp(1j * phi) for r in (0.75, 1.25, 1.75, 2.25)
-                        for phi in np.arange(4) * math.pi / 4)]
-    x, f, *_ = _multistart(objective, starts)
+    x, f, *_ = _multistart(objective, [start + (0.0,) for start in GRID_STARTS])
     return complex(x[0], x[1]), complex(x[2], x[3]), x[4] % (2 * math.pi), f
 
 
@@ -394,6 +393,76 @@ def test_css_search_never_converges_off_the_admissible_region():
         assert not converged
     _, converged, *_ = _css_search(rho, [(0.75, 0.0, -0.75, 0.0)])
     assert converged
+
+
+def test_coherent_rows_are_the_unnormalised_coherent_amplitudes():
+    # e^{-|a|^2/2} times a row is <n|a> on the truncated space: the
+    # renormalised coherent_amplitudes scaled back by sqrt(1 - deficit)
+    alphas = [0.0, 1.2 - 0.4j, -2.5j]
+    rows = _coherent_rows(alphas, 20)
+    for row, alpha in zip(rows, alphas):
+        amps, deficit = coherent_amplitudes(alpha, 20)
+        exact = amps * math.sqrt(1.0 - deficit)
+        assert np.max(np.abs(math.exp(-abs(alpha) ** 2 / 2) * row - exact)) <= 1e-14
+
+
+def test_husimi_peaks_sit_at_the_components():
+    # Q of a mixture of two distant coherent states peaks at their
+    # amplitudes (grid points here), the heavier component first
+    space = HilbertSpace(30)
+    a, b = 1.5 + 0.6j, -1.2 - 0.9j
+    rho = 0.4 * coherent_state(a, space).density_matrix() \
+        + 0.6 * coherent_state(b, space).density_matrix()
+    assert np.max(np.abs(_husimi_peaks(rho)[:2] - [b, a])) <= 1e-12
+
+
+# a fixed subset of the corpus of reference.corpus_names(): at drive 0.30,
+# recon_n_max 12 and sampling seed 1 one lobe's Q peak lies past the
+# truncation wall (|beta| <= 1.732), so the start must be pulled inside
+CORPUS_SUBSET = ["mle_0.30_12_1", "mle_0.25_20_2", "mle_0.35_20_0", "plusx_0.30",
+                 "traced_0.35"]
+
+
+@pytest.mark.parametrize("name", CORPUS_SUBSET)
+def test_css_fit_matches_grid_reference_on_corpus(name):
+    rho = corpus_state(name)
+    fit, ref = fit_css(rho), fit_css_grid(rho)
+    assert abs(fit.D - ref.D) <= 1e-4
+    assert abs(fit.fidelity - ref.fidelity) <= 1e-6
+    assert fit.converged and not fit.degenerate and not ref.degenerate
+    assert fit.n_evals < ref.n_evals
+    if name == "mle_0.30_12_1":
+        assert np.max(np.abs(_husimi_peaks(rho.data)[:2])) > max_amplitude(12)
+        assert fit.n_evals <= 60
+
+
+def test_css_fit_flags_a_displaced_single_phonon_state():
+    # N(|a> - |a + delta>) -> D(a)|1> as delta -> 0: F rises toward 1 only
+    # as D falls toward 0, so D is no cat size
+    space = HilbertSpace(20)
+    vec = displacement_operator(0.6 + 0.3j, space.dim)[:, 1]
+    fit = fit_css(JointState(space, vec / np.linalg.norm(vec), "pure"))
+    assert fit.degenerate
+    assert fit.fidelity > 0.99
+
+
+@pytest.mark.parametrize("vartheta", [0.0, math.pi])
+def test_css_fit_recovers_a_unit_cat_unflagged(vartheta):
+    fit = fit_css(css_state(1.0, -1.0, vartheta, HilbertSpace(20)))
+    assert fit.D == pytest.approx(1.0, abs=1e-4)
+    assert fit.fidelity > 1.0 - 1e-9
+    assert fit.converged and not fit.degenerate
+    assert fit.shrink_gap > 0.05
+
+
+def test_traced_cat_at_drive_025_is_flagged_under_both_searches():
+    # the qubit traced out at drive 0.25: F is flat in D, so the Husimi-Q
+    # start stops at one D and the 16 grid starts at another, and both are
+    # flagged
+    rho = traced_cat(0.25)
+    fit, ref = fit_css(rho), fit_css_grid(rho)
+    assert fit.degenerate and ref.degenerate
+    assert abs(fit.D - ref.D) > 0.1 and abs(fit.fidelity - ref.fidelity) < 1e-3
 
 
 def test_theta_profile_is_the_scan_maximum():

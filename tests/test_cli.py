@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -267,6 +268,9 @@ def test_seed_changes_samples(tmp_path, capsys):
 
 SMALL_TOMO = {"schema_version": 1, "drive_amplitude": 0.25, "n_grid": 5,
               "recon_n_max": 6, "shots": 50}
+UNDER_DETERMINED = ("catsim: warning: reconstruction is under-determined: 25 "
+                    "parity points for 48 density-matrix parameters (d^2 - 1 "
+                    "at recon_n_max 6)\n")
 
 
 def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
@@ -294,8 +298,9 @@ def test_tomo_logs_fit_work_counts(tmp_path, capsys, monkeypatch):
     met = "met" if fa.alpha_converged else "not met"
     assert (f"capped, |dF/dtheta| {fa.theta_slope:.1e}, alpha tolerance {met})"
             in out)
-    # the MLE meets its gap threshold: no warning, and the gap is recorded
-    assert err == ""
+    # the MLE meets its gap threshold, so the one warning is that 5^2 = 25
+    # points cannot determine a 7 x 7 density matrix; the gap is recorded
+    assert err == UNDER_DETERMINED
     rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
     assert rec["mle_converged"] is True
     assert 0.0 <= rec["mle_stationarity_gap"] <= tomography.MLE_GAP_TOL
@@ -324,8 +329,38 @@ def test_tomo_warns_when_mle_is_unconverged(tmp_path, capsys, monkeypatch):
     assert rec["mle_converged"] is False and rec["mle_iterations"] == 1
     gap = rec["mle_stationarity_gap"]
     assert gap > tomography.MLE_GAP_TOL
-    assert err == (f"catsim: warning: MLE not converged after 1 iterations: "
-                   f"stationarity gap {gap:.2e} > 1e-07\n")
+    # the one-step iterate is near the maximally mixed start, which no cat
+    # fits, so the CSS fit is flagged degenerate too
+    mle_line = (f"catsim: warning: MLE not converged after 1 iterations: "
+                f"stationarity gap {gap:.2e} > 1e-07\n")
+    assert err.startswith(mle_line + UNDER_DETERMINED)
+    assert err[len(mle_line + UNDER_DETERMINED):].startswith(
+        "catsim: warning: the CSS fit is degenerate: ")
+    assert err.count("\n") == 3
+
+
+def test_tomo_warns_on_a_degenerate_css_fit(tmp_path, capsys, monkeypatch):
+    # a degenerate fit's D is no cat size: stderr says why, the log prints
+    # no D, and reconstruction.json keeps its layout
+    fits = []
+
+    def degenerate(rho):
+        fits.append(dataclasses.replace(cli_fit_css(rho), degenerate=True))
+        return fits[-1]
+
+    cli_fit_css = cli.fit_css
+    monkeypatch.setattr(cli, "fit_css", degenerate)
+    cfg = write_config(tmp_path, SMALL_TOMO)
+    code, out, err = run(capsys, "tomo", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert code == 0
+    (fit,) = fits
+    assert err == UNDER_DETERMINED + (
+        f"catsim: warning: the CSS fit is degenerate: F {fit.fidelity:.4f} lies "
+        f"within 0.01 of the fidelity at D = 0.001 (gap {fit.shrink_gap:.1e}), the "
+        f"limit of a displaced single-phonon state, so its D is no cat size\n")
+    assert "(CSS fit degenerate, no cat size; MLE " in out and "D =" not in out
+    rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
+    assert set(rec["css_fit"]) == {"alpha1", "alpha2", "vartheta", "D", "fidelity"}
 
 
 @pytest.mark.parametrize("field", ["t1_phonon", "t1_qubit", "t2_qubit"])

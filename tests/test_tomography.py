@@ -251,6 +251,13 @@ def test_mle_vacuum_reconstruction():
     assert np.all(np.diff(result.log_likelihoods) >= 0.0)
 
 
+def test_mle_reports_data_and_parameter_counts():
+    # 9^2 = 81 points for an 11 x 11 density matrix (120 parameters): the
+    # reconstruction is under-determined, and says so by its counts
+    result = _roundtrip(coherent_state(0.7, HilbertSpace(20)), shots=100, seed=3)
+    assert (result.n_data, result.n_params) == (81, 120)
+
+
 def test_mle_error_decreases_with_shots():
     space = HilbertSpace(40)
     state = coherent_state(0.7, space)
