@@ -19,7 +19,9 @@ shows whether a change keeps every output byte-identical.  Given two trees,
 runs both and prints one line per output file: `same` when the bytes agree,
 else the largest numeric difference and where it is (a JSON key path or a
 CSV row and column), so a roundoff-only move reads as such instead of as a
-bare hash mismatch.  One tree takes about fifteen seconds on one core.
+bare hash mismatch.  It exits 1 when any file is not `same` or exists in
+only one tree, and 0 otherwise.  One tree takes about fifteen seconds on
+one core.
 """
 
 import argparse
@@ -118,7 +120,7 @@ def compare(old: Path, new: Path) -> str:
             f"{a[worst]!r} -> {b[worst]!r} ({len(moved)} of {len(a)} values differ)")
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree", nargs="?", default=Path(__file__).resolve().parents[1],
                     type=Path, help="source tree holding src/catsim "
@@ -131,15 +133,19 @@ def main():
         if args.new_tree is None:
             for label, path in outputs(args.tree.resolve(), work):
                 print(f"{label} {hashlib.sha256(path.read_bytes()).hexdigest()}")
-            return
+            return 0
         old = dict(outputs(args.tree.resolve(), work / "old"))
         new = dict(outputs(args.new_tree.resolve(), work / "new"))
+        moved = False
         for label in sorted(old.keys() | new.keys()):
             if label not in old or label not in new:
-                print(f"{label} only in {'new' if label in new else 'old'} tree")
+                verdict = f"only in {'new' if label in new else 'old'} tree"
             else:
-                print(f"{label} {compare(old[label], new[label])}")
+                verdict = compare(old[label], new[label])
+            moved |= verdict != "same"
+            print(f"{label} {verdict}")
+        return int(moved)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -44,9 +44,11 @@ class AcousticMode:
     density: float = SAPPHIRE_DENSITY
 
     def __post_init__(self):
-        if self.w0_um <= 0 or self.length_um <= 0:
-            raise ValueError("w0 and L must be positive")
-        if self.m < 1 or self.p < 0:
+        # each check is written so that a nan fails it
+        for name in ("w0_um", "length_um", "c33", "density"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not (self.m >= 1 and self.p >= 0):
             raise ValueError("need m >= 1 and p >= 0")
 
     @classmethod

@@ -1,9 +1,11 @@
 """Fits of reconstructed phonon states to cat-state target families.
 
 Two target families: the analytical phonon state left by the resonant JC
-interaction (traced over the qubit, with a free phase-space rotation), and
-two-component coherent-state superpositions.  Cat size D is half the
-phase-space distance between the fitted coherent components.
+interaction, reduced as hilbert.partial_trace reduces the pipeline's state
+(the sum of the qubit blocks, the +x post-selection), with a free
+phase-space rotation; and two-component coherent-state superpositions.
+Cat size D is half the phase-space distance between the fitted coherent
+components.
 
 The analytical target is the reduction of a pure joint state, so the fits
 handle it as its low-rank phonon factor V (hilbert.phonon_factor) and
@@ -17,16 +19,17 @@ a fine grid by one FFT of the c_k, and polishes the best one by Newton
 steps on the polynomial, so fit_analytical is a 1-D search over alpha: a
 bracket grid over (0, max_amplitude(n_max)], then bounded Brent.
 
-The CSS fit scores raw amplitude vectors: _coherent_rows builds truncated
-coherent vectors for any number of amplitudes in one expression, and for a
-fixed pair (u, v) of them the fidelity of N(u + e^{i t} v) to rho is a
-ratio of two sinusoids in t, maximised in closed form by _css_phase.
+The CSS fit scores raw amplitude vectors from hilbert.coherent_amplitudes,
+the package's one coherent-state kernel, which renormalises truncated
+coherent vectors for any number of amplitudes at once.  For a fixed pair
+(u, v) of them the fidelity of N(u + e^{i t} v) to rho is a ratio of two
+sinusoids in t, maximised in closed form by _css_phase.
 Because that phase is optimal, the gradient of F(alpha1, alpha2) is its
 partial gradient at that phase (the envelope theorem), which _css_gradient
 evaluates exactly from the same pair and the same rho [u, v - u] product.
 One BFGS run searches (alpha1, alpha2) on that gradient, started from the
-two highest peaks of rho's Husimi Q function, which the same kernel
-evaluates on a grid as one (N x d)(d x d) product; the reported fidelity
+two highest peaks of rho's Husimi Q function, which the same kernel's rows
+evaluate on a grid as one (N x d)(d x d) product; the reported fidelity
 comes from one public hilbert.fidelity(css_state(...), rho) at the
 optimum.  As alpha2 -> alpha1 the CSS family tends to a displaced
 single-phonon state, not a cat, so a fit whose F barely beats the same
@@ -58,6 +61,7 @@ from .hilbert import (
     HilbertSpace,
     JointState,
     _fock_table,
+    coherent_amplitudes,
     fidelity,
     max_amplitude,
     phonon_factor,
@@ -91,32 +95,6 @@ _WALL_PULL = 0.95
 # the comparison corpus in tests/reference.py)
 CSS_SHRUNK_D = 1e-3
 CSS_FLAT_TOL = 0.01
-
-
-def _coherent_rows(alphas, n_max: int) -> np.ndarray:
-    """(K, n_max + 1): alpha^n / sqrt(n!) for each of K amplitudes, unnormalised.
-
-    Row k is e^{|alpha_k|^2 / 2} <n|alpha_k> on 0..n_max, built as
-    exp(n log alpha - log(n!) / 2) for every amplitude in one expression.
-    log 0 would make the n = 0 term NaN (0 * -inf), so a vacuum row is set
-    to |0> explicitly.  The one coherent-state kernel of the fits: the CSS
-    pair renormalises two rows, the Husimi-Q grid weights many by
-    e^{-|beta|^2}.
-    """
-    n, log_fact = _fock_table(n_max)
-    rows = np.multiply.outer([cmath.log(alpha or 1.0) for alpha in alphas], n)
-    rows -= 0.5 * log_fact
-    np.exp(rows, out=rows)
-    rows[np.asarray(alphas) == 0] = n == 0
-    return rows
-
-
-def _coherent_pair(alpha1: complex, alpha2: complex, n_max: int) -> np.ndarray:
-    """(2, n_max + 1): the renormalised truncated coherent vectors of alpha1, alpha2;
-    the renormalisation absorbs e^{-|alpha|^2/2}."""
-    pair = _coherent_rows((alpha1, alpha2), n_max)
-    pair /= np.sqrt((pair.view(float) ** 2).sum(axis=1, keepdims=True))
-    return pair
 
 
 def _css_optimum(pair: np.ndarray, rho: np.ndarray):
@@ -166,7 +144,7 @@ def _css_phase(alpha1: complex, alpha2: complex, rho: np.ndarray):
     Returns (t, F), F clipped to [0, 1] as hilbert.fidelity clips it; see
     _css_optimum for the closed form.
     """
-    t, f2, *_ = _css_optimum(_coherent_pair(alpha1, alpha2, len(rho) - 1), rho)
+    t, f2, *_ = _css_optimum(coherent_amplitudes((alpha1, alpha2), len(rho) - 1)[0], rho)
     return t, math.sqrt(min(1.0, max(f2, 0.0)))
 
 
@@ -185,7 +163,7 @@ def _css_gradient(alpha1: complex, alpha2: complex, rho: np.ndarray):
     clipped at 1, so it is the function whose gradient is returned.
     """
     n_max = len(rho) - 1
-    pair = _coherent_pair(alpha1, alpha2, n_max)
+    pair = coherent_amplitudes((alpha1, alpha2), n_max)[0]
     t, f2, x, rho_x, norm_sq = _css_optimum(pair, rho)
     if not f2 > 0.0:
         return 0.0, np.zeros(4)
@@ -205,7 +183,7 @@ def css_state(alpha1: complex, alpha2: complex, vartheta: float,
     """Normalized superposition N(|alpha1> + e^{i vartheta} |alpha2>)."""
     if space.has_qubit:
         raise DimensionMismatchError("css_state builds phonon-only states")
-    c1, c2 = _coherent_pair(alpha1, alpha2, space.n_max)
+    c1, c2 = coherent_amplitudes((alpha1, alpha2), space.n_max)[0]
     vec = c1 + np.exp(1j * vartheta) * c2
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
@@ -460,13 +438,15 @@ def _husimi_peaks(rho: np.ndarray) -> np.ndarray:
 
     Q(beta) = <beta|rho|beta> / pi (Husimi, Proc. Phys.-Math. Soc. Jpn. 22,
     264 (1940)) at every grid point is one (N x d)(d x d) product over the
-    _coherent_rows of the grid; the constant 1 / pi is left out.  A point is
-    a maximum when no neighbour of its 8 is higher.
+    grid's renormalised coherent vectors, each weighted back by its norm
+    1 - deficit before renormalisation, since rho lives on 0..n_max; the
+    constant 1 / pi is left out.  A point is a maximum when no neighbour of
+    its 8 is higher.
     """
     axis = np.linspace(-_Q_HALF_WIDTH, _Q_HALF_WIDTH, _Q_POINTS)
     betas = (axis + 1j * axis[:, None]).ravel()
-    rows = _coherent_rows(betas, len(rho) - 1)
-    q = np.exp(-np.abs(betas) ** 2) * np.einsum("kn,kn->k", rows.conj() @ rho, rows).real
+    rows, deficit = coherent_amplitudes(betas, len(rho) - 1)
+    q = (1.0 - deficit) * np.einsum("kn,kn->k", rows.conj() @ rho, rows).real
     q = q.reshape(_Q_POINTS, _Q_POINTS)
     padded = np.pad(q, 1, constant_values=-np.inf)
     peak = np.ones(q.shape, dtype=bool)

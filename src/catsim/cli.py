@@ -255,7 +255,7 @@ def _load_config(path: str, command: str) -> dict:
     schema = SCHEMAS[command]
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -263,6 +263,8 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     unknown = sorted(set(data) - set(schema))

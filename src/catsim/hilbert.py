@@ -301,22 +301,23 @@ def _fock_table(n_max: int):
     return n, log_fact
 
 
-def coherent_amplitudes(alpha: complex, n_max: int):
+def coherent_amplitudes(alpha, n_max: int):
     """Truncated coherent-state amplitudes and the norm deficit of the tail.
 
-    Returns (amps, deficit) with amps renormalized on 0..n_max and
-    deficit = 1 - sum |c_n|^2 before renormalization.
+    The package's one coherent-state kernel.  alpha is one amplitude or an
+    array of K; returns (amps, deficit) with amps, of shape (n_max + 1,) or
+    (K, n_max + 1), the vectors e^{-|alpha|^2/2} alpha^n / sqrt(n!) on
+    0..n_max renormalized, and deficit = 1 - sum |c_n|^2 before
+    renormalization, a float or (K,).  A vacuum amplitude gives |0> and 0.0.
     """
     n, log_fact = _fock_table(n_max)
-    log_mag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha) if alpha != 0 else 1.0) - 0.5 * log_fact
-    if alpha == 0:
-        amps = np.zeros(n_max + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps, 0.0
-    amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    deficit = 1.0 - norm_sq
-    return amps / math.sqrt(norm_sq), deficit
+    alpha = np.asarray(alpha, dtype=complex)
+    size = np.abs(alpha)[..., None]
+    log_mag = -size ** 2 / 2.0 + n * np.log(np.where(size > 0, size, 1.0)) - 0.5 * log_fact
+    amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha)[..., None])
+    amps[alpha == 0] = n == 0
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    return amps / np.sqrt(norm_sq)[..., None], 1.0 - norm_sq
 
 
 def coherent_state(alpha: complex, space: HilbertSpace) -> JointState:
@@ -329,13 +330,11 @@ def coherent_state(alpha: complex, space: HilbertSpace) -> JointState:
 
 
 def phonon_factor(state: JointState) -> np.ndarray:
-    """Phonon factor V (phonon_dim x r) of a pure qubit (x) phonon state.
+    """Phonon factor V = psi_g + psi_e (phonon_dim x 1) of a pure qubit (x) phonon state.
 
-    partial_trace(state, "phonon") is V V^dag / Tr(V^dag V), and its
-    pure-input branch is built from this factor, so a low-rank route
-    through V (the analytical cat fit) sees the same reduction as the
-    generic one.  Like the mixed-input branch, the reduction sums the qubit blocks,
-    which leaves one column psi_g + psi_e; the trace over the qubit keeps
+    partial_trace of the state is V V^dag / Tr(V^dag V): both sum the qubit
+    blocks, so a low-rank route through V (the analytical cat fit) sees the
+    same reduction as partial_trace.  The trace over the qubit would keep
     them as two columns [psi_g psi_e].
     """
     if not state.space.has_qubit or state.kind != "pure":
@@ -344,28 +343,20 @@ def phonon_factor(state: JointState) -> np.ndarray:
     return blocks.sum(axis=0)[:, None]
 
 
-def partial_trace(state: JointState, keep: str) -> JointState:
-    """Trace out one factor of a joint state; keep is 'qubit' or 'phonon'."""
+def partial_trace(state: JointState) -> JointState:
+    """The phonon state of a qubit (x) phonon state: the sum of its qubit blocks.
+
+    rho_ph[n, m] = sum_ij rho[(i, n), (j, m)], renormalised: the phonon state
+    conditioned on the qubit outcome |+x> = (|g> + |e>) / sqrt(2), which is
+    not the trace over the qubit (that sums the two diagonal blocks only).
+    """
     if not state.space.has_qubit:
         raise DimensionMismatchError("partial_trace needs a qubit (x) phonon state")
-    if keep not in ("qubit", "phonon"):
-        raise ValueError("keep must be 'qubit' or 'phonon'")
     pd = state.space.phonon_dim
-    if keep == "qubit":
-        red = np.einsum("injn->ij", state.density_matrix().reshape(2, pd, 2, pd))
-        space = HilbertSpace(1, has_qubit=False)  # 2-level carrier
-        # Represent the qubit as a bare 2x2 matrix on a phonon-only space of
-        # dim 2 (n_max = 1); the qubit/phonon distinction is bookkeeping only.
-    else:
-        if state.kind == "pure":
-            factor = phonon_factor(state)
-            red = factor @ factor.conj().T
-        else:
-            red = np.einsum("injm->nm", state.data.reshape(2, pd, 2, pd))
-        space = HilbertSpace(state.space.n_max, has_qubit=False)
+    red = np.einsum("injm->nm", state.density_matrix().reshape(2, pd, 2, pd))
     red = 0.5 * (red + red.conj().T)
     red = red / np.trace(red).real
-    return JointState(space, red, "mixed")
+    return JointState(HilbertSpace(state.space.n_max), red, "mixed")
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -46,8 +46,9 @@ class ExperimentConfig:
     t2_qubit: float = T2_QUBIT_DEFAULT
 
     def __post_init__(self):
+        # each check is written so that a nan fails it
         for name in ("g0", "t_cat", "t1_phonon", "t1_qubit", "t2_qubit"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.t2_qubit > 2.0 * self.t1_qubit:
             raise ConfigError("t2_qubit must not exceed 2 * t1_qubit")
@@ -88,10 +89,11 @@ def prepare_cat(alpha0: float, config: ExperimentConfig) -> JointState:
 
     Evolves the lossy Jaynes-Cummings system of config.system_params(alpha0)
     from |g> (x) |alpha0> at n_max = default_cutoff(alpha0) to the cat
-    time, and traces out the qubit.
+    time, and sums the qubit blocks (hilbert.partial_trace): the phonon state
+    post-selected on the qubit outcome |+x>, not the trace over the qubit.
     """
     return partial_trace(lindblad_evolve(config.system_params(alpha0),
-                                         config.t_cat).states[0], "phonon")
+                                         config.t_cat).states[0])
 
 
 def _amplitude_damping(rho: np.ndarray, kappa_t: float) -> np.ndarray:

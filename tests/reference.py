@@ -1,11 +1,12 @@
 """Physics references that the tests compare the package against.
 
 No command computes these, so they live with the tests: the Fock state,
-the purity, the fidelity to a low-rank state given by its factor, the
-Gaussian envelope of P_e, the counter-rotating JC branches Phi+/- and the
-revival contrast of a P_e series.  The CSS fit's former 16-start grid
-search is kept as the reference for its Husimi-Q start, with the fixed
-corpus of states the two are compared on.
+the purity, the qubit reduction of a joint state, the fidelity to a
+low-rank state given by its factor, the Gaussian envelope of P_e, the
+counter-rotating JC branches Phi+/- and the revival contrast of a P_e
+series.  The CSS fit's former 16-start grid search is kept as the
+reference for its Husimi-Q start, with the fixed corpus of states the two
+are compared on.
 """
 
 import math
@@ -44,6 +45,16 @@ def purity(state: JointState) -> float:
         return 1.0
     rho = state.data
     return float(np.sum(np.abs(rho) ** 2))
+
+
+def qubit_reduction(state: JointState) -> JointState:
+    """The trace over the phonon of a qubit (x) phonon state, rho_q[i, j] =
+    sum_n rho[(i, n), (j, n)], as a mixed state on a two-level space."""
+    if not state.space.has_qubit:
+        raise DimensionMismatchError("qubit_reduction needs a qubit (x) phonon state")
+    pd = state.space.phonon_dim
+    red = np.einsum("injn->ij", state.density_matrix().reshape(2, pd, 2, pd))
+    return JointState(HilbertSpace(1), red, "mixed")
 
 
 def factored_fidelity(rho: np.ndarray, factor: np.ndarray) -> float:

@@ -26,7 +26,6 @@ from catsim.hilbert import (
     HilbertSpace,
     default_cutoff,
     fidelity,
-    partial_trace,
 )
 from catsim.phase_space import (
     decayed_css_wigner,
@@ -51,7 +50,7 @@ from catsim.tomography import (
     mle_reconstruct,
     sample_wigner,
 )
-from reference import revival_contrast
+from reference import qubit_reduction, revival_contrast
 
 G0 = math.sqrt(2.0) / 0.9
 
@@ -121,7 +120,7 @@ def test_cat_time_qubit_universality():
             c_g = math.cos(theta / 2.0)
             c_e = math.sin(theta / 2.0) * np.exp(1j * phi)
             params = SystemParams(g0=G0, alpha0=4.0, c_g=c_g, c_e=c_e)
-            rho_q = partial_trace(jc_evolve_exact(params, t_c), "qubit")
+            rho_q = qubit_reduction(jc_evolve_exact(params, t_c))
             overlap = float(np.real(minus_y.conj() @ rho_q.data @ minus_y))
             assert math.sqrt(overlap) > 0.99
 

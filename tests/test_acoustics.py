@@ -26,6 +26,13 @@ def test_longitudinal_index_selection():
     assert MODE.wavelength_um == pytest.approx(1.7, rel=2e-3)
 
 
+@pytest.mark.parametrize("field", ["w0_um", "length_um", "c33", "density"])
+def test_acoustic_mode_refuses_nan(field):
+    # a nan passes `x <= 0`, so each check is written to fail on it
+    with pytest.raises(ValueError, match=field):
+        AcousticMode(**{"w0_um": 27.0, "length_um": 435.0, "m": 512, field: math.nan})
+
+
 def test_hbar_is_scipy_codata_value():
     # the literal h / 2 pi must equal scipy's value bit for bit, so that the
     # mass outputs do not move

@@ -8,8 +8,6 @@ from catsim.catfit import (
     FIT_XATOL,
     _analytical_factor,
     _analytical_profile,
-    _coherent_pair,
-    _coherent_rows,
     _css_gradient,
     _css_phase,
     _css_search,
@@ -214,16 +212,14 @@ def test_css_degenerate_components_rejected():
 @pytest.mark.parametrize("a1, a2", [(0.0, 1.2), (1.2 + 0.3j, -1.0),
                                     (-0.7j, 0.0)])
 def test_css_state_matches_coherent_amplitudes(a1, a2):
-    # the pair builder against one coherent_amplitudes call per component,
-    # vacuum components included (log 0 would make the n = 0 term NaN)
+    # css_state, built from one two-row coherent_amplitudes call, against one
+    # call per component, vacuum components included
     vt = 0.8
     c1, _ = coherent_amplitudes(a1, SPACE.n_max)
     c2, _ = coherent_amplitudes(a2, SPACE.n_max)
     ref = c1 + np.exp(1j * vt) * c2
     ref /= np.linalg.norm(ref)
     assert np.max(np.abs(css_state(a1, a2, vt, SPACE).data - ref)) <= 1e-14
-    assert np.max(np.abs(_coherent_pair(a1, a2, SPACE.n_max)
-                         - np.array([c1, c2]))) <= 1e-14
 
 
 def _random_state(rng, space, rank):
@@ -393,17 +389,6 @@ def test_css_search_never_converges_off_the_admissible_region():
         assert not converged
     _, converged, *_ = _css_search(rho, [(0.75, 0.0, -0.75, 0.0)])
     assert converged
-
-
-def test_coherent_rows_are_the_unnormalised_coherent_amplitudes():
-    # e^{-|a|^2/2} times a row is <n|a> on the truncated space: the
-    # renormalised coherent_amplitudes scaled back by sqrt(1 - deficit)
-    alphas = [0.0, 1.2 - 0.4j, -2.5j]
-    rows = _coherent_rows(alphas, 20)
-    for row, alpha in zip(rows, alphas):
-        amps, deficit = coherent_amplitudes(alpha, 20)
-        exact = amps * math.sqrt(1.0 - deficit)
-        assert np.max(np.abs(math.exp(-abs(alpha) ** 2 / 2) * row - exact)) <= 1e-14
 
 
 def test_husimi_peaks_sit_at_the_components():

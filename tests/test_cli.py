@@ -62,6 +62,24 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"schema_version": 1, "alpha0": 1.0}\xff')
+    code, _, err = run(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # nested past the recursion limit, the JSON reader raises RecursionError
+    depth = sys.getrecursionlimit() + 10
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    code, _, err = run(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"schema_version": 1, "alpha0": 1.0,
                                   "bogus_knob": 3})

@@ -31,10 +31,9 @@ from catsim.hilbert import (
     coherent_state,
     default_cutoff,
     fidelity,
-    partial_trace,
 )
 from reference import excited_population_envelope, phi_states, purity, \
-    revival_contrast
+    qubit_reduction, revival_contrast
 
 G0 = math.sqrt(2.0) / 0.9
 
@@ -54,7 +53,7 @@ def test_series_matches_exact_state_route():
     pe_series = excited_population(params, times)
     for t, pe in zip(times, pe_series):
         joint = jc_evolve_exact(params, t)
-        rho_q = partial_trace(joint, "qubit")
+        rho_q = qubit_reduction(joint)
         assert abs(rho_q.data[1, 1].real - pe) < 1e-10
 
 
@@ -245,7 +244,7 @@ def test_cat_time_qubit_state_universality(theta, phi):
     params = SystemParams(g0=G0, alpha0=4.0, c_g=c_g, c_e=c_e)
     t_c = characteristic_times(params).t_C
     joint = jc_evolve_exact(params, t_c)
-    rho_q = partial_trace(joint, "qubit")
+    rho_q = qubit_reduction(joint)
     minus_y = np.array([1.0, -1j]) / math.sqrt(2.0)
     f = float(np.real(minus_y.conj() @ rho_q.data @ minus_y))
     assert f > 0.98
@@ -259,10 +258,10 @@ _PAULI = {
 
 
 def _reference_observables(state):
-    # one state at a time, through the generic partial trace and operators
+    # one state at a time, through the reference qubit reduction and operators
     number_op = OperatorSet(state.space).number_op
     row = {"n_mean": np.trace(number_op @ state.density_matrix()).real}
-    rho_q = partial_trace(state, "qubit")
+    rho_q = qubit_reduction(state)
     row["purity"] = purity(rho_q)
     row["P_e"] = rho_q.data[1, 1].real
     for name, sig in _PAULI.items():

@@ -29,7 +29,7 @@ from catsim.hilbert import (
     phonon_factor,
 )
 from catsim.phase_space import raster_grid
-from reference import factored_fidelity, fock_state, purity
+from reference import factored_fidelity, fock_state, purity, qubit_reduction
 
 
 def test_coherent_zero_is_vacuum():
@@ -80,6 +80,22 @@ def test_coherent_amplitudes_cached_table_is_bit_identical(n_max):
         assert deficit == 1.0 - norm_sq
 
 
+def test_coherent_amplitudes_rows_are_coherent_states():
+    # oracle on the one coherent-state kernel, K amplitudes in one call: at a
+    # cutoff whose tail is below 1e-15, |<a|b>|^2 = e^{-|a - b|^2}, and the
+    # truncated eigenrelation sqrt(n + 1) c_{n+1} = alpha c_n holds for n < n_max
+    alphas = np.array([0.0, 1.2 - 0.4j, -2.5j, 0.3 + 1.9j])
+    n_max = 60
+    rows, deficit = coherent_amplitudes(alphas, n_max)
+    assert rows.shape == (len(alphas), n_max + 1)
+    assert np.max(np.abs(deficit)) <= 1e-15
+    overlaps = np.abs(rows.conj() @ rows.T) ** 2
+    expected = np.exp(-np.abs(alphas[:, None] - alphas[None, :]) ** 2)
+    assert np.max(np.abs(overlaps - expected)) <= 1e-14
+    lowered = np.sqrt(np.arange(1, n_max + 1)) * rows[:, 1:]
+    assert np.max(np.abs(lowered - alphas[:, None] * rows[:, :-1])) <= 1e-14
+
+
 def test_coherent_amplitudes_table_is_read_only():
     coherent_amplitudes(0.5, 12)
     for table in _fock_table(12):
@@ -105,7 +121,7 @@ def test_bell_like_state_gives_maximally_mixed_qubit():
     vec[0] = 1.0 / math.sqrt(2.0)        # |g, 0>
     vec[space.phonon_dim + 1] = 1.0 / math.sqrt(2.0)  # |e, 1>
     state = JointState(space, vec, "pure")
-    rho_q = partial_trace(state, "qubit")
+    rho_q = qubit_reduction(state)
     assert np.allclose(rho_q.data, np.eye(2) / 2.0, atol=1e-12)
     assert purity(rho_q) == pytest.approx(0.5, abs=1e-12)
 
@@ -114,10 +130,10 @@ def test_partial_trace_of_product_state():
     phonon = coherent_state(1.2, HilbertSpace(20))
     joint = JointState(HilbertSpace(20, has_qubit=True),
                        np.kron([1.0, 0.0], phonon.data), "pure")
-    rho_p = partial_trace(joint, "phonon")
+    rho_p = partial_trace(joint)
     expected = np.outer(phonon.data, phonon.data.conj())
     assert np.allclose(rho_p.data, expected, atol=1e-12)
-    rho_q = partial_trace(joint, "qubit")
+    rho_q = qubit_reduction(joint)
     assert rho_q.data[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -176,7 +192,7 @@ def test_factored_fidelity_matches_generic_route(dim):
 
 @pytest.mark.parametrize("n_max", [1, 6, 30])
 def test_phonon_factor_is_the_phonon_reduction(n_max):
-    # both branches of partial_trace(., "phonon") and the factor must give
+    # partial_trace of a pure and of a mixed input and the factor must give
     # one reduction, so a change to it cannot reach one route only
     rng = np.random.default_rng(n_max)
     space = HilbertSpace(n_max, has_qubit=True)
@@ -185,11 +201,10 @@ def test_phonon_factor_is_the_phonon_reduction(n_max):
     factor = phonon_factor(psi)
     assert factor.shape[0] == space.phonon_dim
     from_factor = factor @ factor.conj().T / np.vdot(factor, factor).real
-    pure_branch = partial_trace(psi, "phonon").data
-    mixed_branch = partial_trace(
-        JointState(space, psi.density_matrix(), "mixed"), "phonon").data
-    assert np.max(np.abs(from_factor - pure_branch)) <= 1e-14
-    assert np.max(np.abs(from_factor - mixed_branch)) <= 1e-14
+    from_pure = partial_trace(psi).data
+    from_mixed = partial_trace(JointState(space, psi.density_matrix(), "mixed")).data
+    assert np.max(np.abs(from_factor - from_pure)) <= 1e-14
+    assert np.max(np.abs(from_factor - from_mixed)) <= 1e-14
 
 
 def test_phonon_factor_rejects_mixed_and_phonon_only_states():

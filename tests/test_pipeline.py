@@ -45,6 +45,13 @@ def test_experiment_config_rates():
         ExperimentConfig(t1_phonon=-1.0)
 
 
+@pytest.mark.parametrize("field", ["g0", "t_cat", "t1_phonon", "t1_qubit", "t2_qubit"])
+def test_experiment_config_refuses_nan(field):
+    # a nan passes `x <= 0`, so each check is written to fail on it
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: math.nan})
+
+
 def test_t2_beyond_twice_t1_is_a_config_error():
     # T2 = 1 / (1/(2 T1) + gamma_phi) cannot exceed 2 T1 without a negative
     # dephasing rate, so such a T2 is rejected instead of clamped
@@ -78,7 +85,7 @@ def test_prepare_cat_tail_weight_at_default_cutoff(amplitude):
     space, rho0 = dynamics._start_state(params, n_max + 10)
     joint = dynamics._taylor_action(space, rho0, params, config.t_cat)
     joint = JointState(space, joint, "mixed")
-    reference = partial_trace(joint, "phonon").data[:n_max + 1, :n_max + 1]
+    reference = partial_trace(joint).data[:n_max + 1, :n_max + 1]
     assert np.max(np.abs(rho - reference)) <= 1e-8
 
 

@@ -97,3 +97,28 @@ def test_digest_compare_reports_layout_difference(tmp_path):
     old = _write(tmp_path / "a.json", json.dumps({"D": 1.0}))
     new = _write(tmp_path / "b.json", json.dumps({"D": 1.0, "F": 0.9}))
     assert digest.compare(old, new).startswith("differs in layout: ")
+
+
+def _digest_main(monkeypatch, capsys, old, new):
+    """digest.main over two trees whose `outputs` are the files in them."""
+    monkeypatch.setattr(digest, "outputs", lambda tree, work: (
+        (path.name, path) for path in sorted(tree.iterdir())))
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", str(old), str(new)])
+    code = digest.main()
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_digest_exit_status_says_whether_anything_moved(tmp_path, monkeypatch, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    for tree in (old, new):
+        _write(tree / "a.json", json.dumps({"D": 1.5}))
+    assert _digest_main(monkeypatch, capsys, old, new) == (0, ["a.json same"])
+    _write(new / "a.json", json.dumps({"D": 1.5000000000000002}))
+    code, lines = _digest_main(monkeypatch, capsys, old, new)
+    assert code == 1 and lines[0].startswith("a.json max |diff|")
+    _write(new / "a.json", json.dumps({"D": 1.5}))
+    _write(old / "b.csv", "w\n0.5\n")
+    assert _digest_main(monkeypatch, capsys, old, new) == (
+        1, ["a.json same", "b.csv only in old tree"])
