@@ -8,17 +8,17 @@ np.linspace(0, t_max, n_times), from the start state its SystemParams
 fixes at t = 0.  jc_trajectory returns the states and their observables,
 jc_observables the observables alone.  Open-system evolution solves the
 Lindblad master equation with collapse channels sqrt(kappa) a,
-sqrt(gamma) sigma-, and sqrt(gamma_phi/2) sigma_z exactly, by two routes.
-lindblad_evolve returns one certified state at one time t: it advances
-rho over [0, t] by the truncated-Taylor action of the Liouvillian on rho
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and forms no
-propagator.  lindblad_observables builds no state: the Hamiltonian and all
-three channels conserve the coherence order k = N_row - N_col of the
-excitation number N = n + q, so the Liouvillian splits into independent
-blocks, one per k (Buca & Prosen, NJP 14, 073007 (2012)); every
-observable column is linear in the k = 0 and k = 1 blocks.  In the frame
-rotated by a phase i on |e>, every block generator is real, so each
-block is stepped along the uniform grid by one real matrix exponential.
+sqrt(gamma) sigma-, and sqrt(gamma_phi/2) sigma_z exactly, by two routes,
+both in the frame rotated by a phase i on |e>, where the Liouvillian is
+real.  lindblad_evolve returns one certified state at one time t by the
+truncated-Taylor action of the Liouvillian over [0, t] (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011)), seven diagonals on one real array;
+it forms no propagator.  lindblad_observables builds no state: the
+Hamiltonian and all three channels conserve the coherence order
+k = N_row - N_col of the excitation number N = n + q, so the Liouvillian
+splits into independent blocks, one per k (Buca & Prosen, NJP 14, 073007
+(2012)); every observable column is linear in the k = 0 and k = 1 blocks,
+each stepped along the uniform grid by one real matrix exponential.
 Closed and open trajectories take their observables from one routine,
 vectorised over states, with the Pauli expectations in closed form.
 Free decay of a phonon state alone is the amplitude-damping channel,
@@ -249,7 +249,8 @@ def _start_state(params: SystemParams, n_max: int):
 
 
 # i^(q_row - q_col) for q_row - q_col = 0, 1, -1 (a negative index reads
-# from the end): the phase U = diag(i^q) puts on an element of rho
+# from the end): the phase U = diag(i^q) puts on an element of rho, taking
+# it to the real frame of both open routes, _block_series and _taylor_action
 _QUARTER_TURNS = np.array([1.0, 1j, -1j])
 
 
@@ -332,43 +333,51 @@ _MAX_TAYLOR_STEPS = 1000
 
 
 def _liouvillian(params: SystemParams, d: int):
-    """The lossy JC Liouvillian L as a function on hermitian (2, d, 2, d)
-    arrays rho[q, n, p, m].
+    """The lossy JC Liouvillian L~ of _block_series' rotated frame, as a
+    function on real arrays P over the flat index of rho[q, n, p, m].
 
-    L rho = h rho + rho h^dag + c rho + kappa a rho a^dag
-    + gamma sigma- rho sigma+, with h = -i g0 (sigma+ a + sigma- a^dag) and c
-    the coefficients of the diagonal terms: -1/2 sum g (L^dag L rho +
-    rho L^dag L) and the sigma_z dephasing, which together give
-    -(kappa (n + m) + gamma (q + p)) / 2 - gamma_phi [q != p].  On a
-    hermitian rho, rho h^dag = (h rho)^dag, so h is applied once.
+    L~ P = A P + P A^T + kappa a P a^T + gamma sigma- P sigma+, with the
+    sigma_z dephasing, A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L.
+    On the flat index that is the coefficients -(kappa (n + m) + gamma
+    (q + p)) / 2 - gamma_phi [q != p] on the main diagonal and six
+    diagonals of constant offset, each one contiguous slice multiply-add
+    over the span of its nonzero weights: the two hops on the row and on
+    the column, the kappa jump and the gamma jump of the ee block into gg.
     """
     n = np.arange(d)
     decay = 0.5 * (params.kappa_phonon * n + params.gamma_qubit * np.arange(2)[:, None])
     coef = -(decay[:, :, None, None] + decay)
     coef[0, :, 1] -= params.gamma_phi
     coef[1, :, 0] -= params.gamma_phi
-    hop = -1j * params.g0 * np.sqrt(n[1:])[:, None, None]  # <e,n-1|h|g,n> = <g,n|h|e,n-1>
-    jump = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))[:, None, :]
+    root = params.g0 * np.sqrt(n[1:])
+    weights = np.zeros((6, 2, d, 2, d))
+    weights[0, 1, :-1] = root[:, None, None]   # sigma+ a: row (e, n) from (g, n + 1)
+    weights[1, 0, 1:] = -root[:, None, None]   # -sigma- a^dag: (g, n) from (e, n - 1)
+    weights[2, :, :, 1, :-1] = root            # the same two hops on the column
+    weights[3, :, :, 0, 1:] = -root
+    weights[4, :, :-1, :, :-1] = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))[:, None]
+    weights[5, 0, :, 0] = params.gamma_qubit   # (-i sigma-) rho~ (-i sigma-)^dag: ee into gg
+    offsets = (2 * d * (1 - d), 2 * d * (d - 1), 1 - d, d - 1, 2 * d + 1, 2 * d * d + d)
+    diagonals = []
+    for w, offset in zip(weights.reshape(6, -1), offsets):
+        nonzero = np.flatnonzero(w)
+        if nonzero.size:
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            diagonals.append((slice(lo, hi), slice(lo + offset, hi + offset), w[lo:hi]))
+    coef = coef.ravel()
 
-    def apply(rho):
-        h_rho = np.empty_like(rho)
-        h_rho[1, :-1] = hop * rho[0, 1:]
-        h_rho[0, 1:] = hop * rho[1, :-1]
-        h_rho[1, -1] = 0.0
-        h_rho[0, 0] = 0.0
-        out = coef * rho
-        out += h_rho
-        out += h_rho.conj().transpose(2, 3, 0, 1)
-        out[:, :-1, :, :-1] += jump * rho[:, 1:, :, 1:]
-        out[0, :, 0] += params.gamma_qubit * rho[1, :, 1]
+    def apply(packed):
+        out = coef * packed
+        for target, source, w in diagonals:
+            out[target] += w * packed[source]
         return out
 
     return apply
 
 
 def _liouvillian_norm(params: SystemParams, d: int) -> float:
-    """A bound on ||L||_1, the largest column sum of _liouvillian's L: h rho
-    and rho h^dag give 2 g0 sqrt(d), the diagonal its largest |c|, and the
+    """A bound on ||L||_1, the largest column sum of _liouvillian's L~: the
+    hops give 2 g0 sqrt(d), the main diagonal its largest |c|, and the
     jumps kappa (d - 1) + gamma.  In Python floats, a rate that overflows
     gives inf with no warning."""
     largest_c = params.kappa_phonon * (d - 1) + max(
@@ -377,21 +386,19 @@ def _liouvillian_norm(params: SystemParams, d: int) -> float:
             + params.kappa_phonon * (d - 1) + params.gamma_qubit)
 
 
-def _max_norm(x: np.ndarray) -> float:
-    """max(|Re x_i|, |Im x_i|) over a contiguous complex array: a norm, and
-    cheaper than max |x_i|, whose square roots it skips."""
-    return float(np.abs(x.view(float)).max())
-
-
 def _taylor_action(space: HilbertSpace, rho0, params: SystemParams, t: float):
     """rho(t) from rho0 by the truncated-Taylor action of the Liouvillian
     over [0, t] (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
+    It runs on one real array P = Re rho~ + Im rho~, rho~ = ph rho0.  L~
+    is real and keeps hermiticity, so it keeps the symmetric Re rho~ and
+    the antisymmetric Im rho~ apart: the packing is exact for a hermitian
+    rho0, and conj(ph) (sym P + i antisym P) is hermitian bit for bit.
     The interval takes s = ceil(||L||_1 t / 9.9) steps, at least one, each
     summing at most 55 terms and stopping once two successive terms fall
-    below 2^-53 of the partial sum, in _max_norm.  No propagator is formed.
-    An interval that would need more than _MAX_TAYLOR_STEPS steps, or whose
-    ||L||_1 t is not finite, is an IntegrationError before any step.
+    below 2^-53 of the partial sum in max |P_i|; no propagator is formed.
+    An interval that would need more than _MAX_TAYLOR_STEPS steps, or
+    whose ||L||_1 t is not finite, is an IntegrationError before any step.
     """
     d = space.phonon_dim
     norm_t = _liouvillian_norm(params, d) * t
@@ -403,20 +410,24 @@ def _taylor_action(space: HilbertSpace, rho0, params: SystemParams, t: float):
     tol = 2.0 ** -53
     steps = max(1, math.ceil(norm_t / _TAYLOR_THETA))
     h = t / steps
-    rho = rho0.reshape(2, d, 2, d)
+    qubit = np.arange(space.dim) // d
+    ph = _QUARTER_TURNS[qubit[:, None] - qubit]
+    packed = ph * rho0
+    packed = (packed.real + packed.imag).ravel()
     for _ in range(steps):
-        total, term = rho.copy(), rho
-        last = _max_norm(term)
+        total, term = packed.copy(), packed
+        last = np.abs(term).max()
         for j in range(1, _TAYLOR_TERMS + 1):
             term = apply(term)
             term *= h / j
             total += term
-            size = _max_norm(term)
-            if last + size <= tol * _max_norm(total):
+            size = np.abs(term).max()
+            if last + size <= tol * np.abs(total).max():
                 break
             last = size
-        rho = total
-    return rho.reshape(space.dim, space.dim)
+        packed = total
+    packed = packed.reshape(space.dim, space.dim)
+    return ph.conj() * (0.5 * (packed + packed.T) + 0.5j * (packed - packed.T))
 
 
 def lindblad_evolve(params: SystemParams, t: float) -> Trajectory:
@@ -428,18 +439,17 @@ def lindblad_evolve(params: SystemParams, t: float) -> Trajectory:
     sigma_z.  rho is advanced over [0, t] by one truncated-Taylor action of
     the Liouvillian (_taylor_action), with no propagator and no scipy
     routine; an interval too stiff for that is an IntegrationError.  The
-    state is hermitised, its trace checked against 1e-8 and restored, and
-    its eigenvalue bound certified as JointState's constructor would; a
-    state that fails is an IntegrationError, with no repair.  t = 0 returns
-    the start state.  Trajectories belong to lindblad_observables, which
-    builds no state.
+    state comes out hermitian; its trace is checked against 1e-8 and
+    restored, and its eigenvalue bound certified as JointState's
+    constructor would; a state that fails is an IntegrationError, with no
+    repair.  t = 0 returns the start state, exactly for a real one.
+    Trajectories belong to lindblad_observables, which builds no state.
     """
     t = float(t)
     if not 0.0 <= t < math.inf:  # written so that a nan fails
         raise ValueError(f"t must be finite and >= 0, got {t}")
     space, rho0 = _start_state(params, default_cutoff(params.alpha0))
     rho = _taylor_action(space, rho0, params, t)
-    rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= 1e-8:  # written so that a nan trace fails
         raise IntegrationError(f"trace drift {tr - 1.0:.3e} at t = {t:.4g}")

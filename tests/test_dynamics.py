@@ -538,6 +538,49 @@ def test_taylor_action_matches_block_expm(case):
     assert np.max(np.abs(states[-1] - states[0])) > 0.1
 
 
+@pytest.mark.parametrize("case", [*sorted(DRIVE_PRESETS.values()), "grid"],
+                         ids=["drive_0.25", "drive_0.30", "drive_0.35",
+                              "nonuniform_grid"])
+def test_taylor_action_is_exactly_hermitian(case):
+    # the unpack of the real packed array gives conj(rho)^T = rho bit for
+    # bit, for a real start and the complex c_e and alpha0 of the grid case
+    if case == "grid":
+        params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
+    else:
+        params = ExperimentConfig().system_params(case)
+    start = dynamics._start_state(params, default_cutoff(params.alpha0))
+    for t in (0.0, 0.9, 2.9, 6.5):
+        rho = dynamics._taylor_action(*start, params, t)
+        assert np.array_equal(rho, rho.conj().T), t
+
+
+def test_liouvillian_diagonals_match_dense_superoperator():
+    # oracle for every offset and sign of _liouvillian's diagonals: the dense
+    # rotated-frame Liouvillian in row-major vec, vec(A P B) = kron(A, B^T)
+    # vec(P), with drift A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L
+    # and jumps a, sigma- and sigma_z (the rotated jump -i sigma- enters as
+    # (-i)(+i) = 1)
+    d = 5
+    params = SystemParams(g0=1.3, kappa_phonon=0.2, gamma_qubit=0.3,
+                          gamma_phi=0.4)
+    ops = OperatorSet(HilbertSpace(d - 1, has_qubit=True))
+    a, a_dagger, sigma_plus, sigma_minus, sigma_z = (
+        op.real for op in (ops.a, ops.a_dagger, ops.sigma_plus,
+                           ops.sigma_minus, ops.sigma_z))
+    eye = np.eye(2 * d)
+    drift = params.g0 * (sigma_plus @ a - sigma_minus @ a_dagger)
+    jumps = 0.0
+    for g, L in ((params.kappa_phonon, a), (params.gamma_qubit, sigma_minus),
+                 (params.gamma_phi / 2.0, sigma_z)):
+        drift = drift - 0.5 * g * (L.T @ L)
+        jumps = jumps + g * np.kron(L, L)
+    superop = np.kron(drift, eye) + np.kron(eye, drift) + jumps
+    packed = np.random.default_rng(5).standard_normal(4 * d * d)
+    reference = superop @ packed
+    applied = dynamics._liouvillian(params, d)(packed)
+    assert np.max(np.abs(applied - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
 @pytest.mark.parametrize("rates,norm_dt", [
     ({"kappa_phonon": 1e300}, r"3\.800e\+301"),  # 2 kappa n_max, n_max 19
     ({"gamma_qubit": 1e300, "gamma_phi": 5e299}, r"2\.000e\+300"),
@@ -623,8 +666,8 @@ def test_small_negative_eigenvalue_is_an_error(monkeypatch):
 
 
 def test_certified_state_is_the_hermitised_taylor_action(monkeypatch):
-    # a certified state is _taylor_action's output, hermitised and
-    # renormalised, bit for bit
+    # a certified state is _taylor_action's output renormalised, bit for
+    # bit: that output is already hermitian, so hermitising it is an identity
     params = _lossy(2.0, 1.0, 0.0)
     raw = []
     taylor_action = dynamics._taylor_action

@@ -1,6 +1,7 @@
 """The scripts under scripts/: the preset summary runs end to end, and the
-output digest's run list and comparison are checked without running a tree
-(one digest run takes about fifteen seconds)."""
+output digest's run list and comparison and the bench pairs' summary are
+checked without running a tree (one digest run takes about fifteen seconds,
+one bench pair up to a minute)."""
 
 import csv
 import importlib.util
@@ -12,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from catsim import cli
 from catsim.pipeline import DRIVE_PRESETS, ExperimentConfig
@@ -28,6 +31,7 @@ def _load_script(name):
 
 
 digest = _load_script("output_digest")
+bench_pairs = _load_script("bench_pairs")
 
 
 def test_preset_summary_writes_one_finite_row_per_preset(tmp_path):
@@ -122,3 +126,53 @@ def test_digest_exit_status_says_whether_anything_moved(tmp_path, monkeypatch, c
     _write(old / "b.csv", "w\n0.5\n")
     assert _digest_main(monkeypatch, capsys, old, new) == (
         1, ["a.json same", "b.csv only in old tree"])
+
+
+def _bench_stdout(wall, setup, rss, correct=True):
+    """The last lines of one `bench/run.py --trace 0` run."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "setup_s": {"value": setup, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MiB"}}
+    return ("catsim bench: workload=decay seed=707 seconds=25.0 trace=0 passes=9\n"
+            "ops: attempted=9 failed=0 ops_failed_ratio=0\n"
+            + json.dumps({"correct": correct, "attempted": 9,
+                          "failed": 0 if correct else 1, "metrics": metrics}) + "\n")
+
+
+def test_bench_pairs_reads_the_last_line_and_refuses_an_incorrect_run():
+    assert bench_pairs.parse_metrics(_bench_stdout(0.0493, 0.215, 86.0)) == {
+        "wall_s": 0.0493, "setup_s": 0.215, "peak_rss_mb": 86.0}
+    with pytest.raises(ValueError, match="1 of 9 operations failed"):
+        bench_pairs.parse_metrics(_bench_stdout(0.0493, 0.215, 86.0, correct=False))
+
+
+def test_bench_pairs_marks_whole_poll_ticks_only():
+    assert bench_pairs.tick_mark(0.214 - 0.168) == " (+1 tick)"
+    assert bench_pairs.tick_mark(0.1655 - 0.2651) == " (-2 ticks)"
+    assert bench_pairs.tick_mark(0.023) == ""
+    assert bench_pairs.tick_mark(0.003) == ""
+
+
+def test_bench_pairs_summary_gives_medians_and_wins():
+    runs = [((0.0493, 0.215, 86.0), (0.0404, 0.165, 86.1)),
+            ((0.0493, 0.170, 86.0), (0.0410, 0.170, 86.0)),
+            ((0.0551, 0.168, 86.2), (0.0427, 0.172, 85.9))]
+    lines = bench_pairs.summary([
+        tuple(dict(zip(bench_pairs.METRICS, run)) for run in pair) for pair in runs])
+    assert lines == [
+        "pair 1: wall_s 0.0493 -> 0.0404  setup_s 0.2150 -> 0.1650 (-1 tick)  "
+        "peak_rss_mb 86.0000 -> 86.1000",
+        "pair 2: wall_s 0.0493 -> 0.0410  setup_s 0.1700 -> 0.1700  "
+        "peak_rss_mb 86.0000 -> 86.0000",
+        "pair 3: wall_s 0.0551 -> 0.0427  setup_s 0.1680 -> 0.1720  "
+        "peak_rss_mb 86.2000 -> 85.9000",
+        "median wall_s 0.0493 -> 0.0410 (-16.8%), quartiles [0.0493, 0.0522] -> "
+        "[0.0407, 0.0418], change lower in 3 of 3 pairs",
+        "median setup_s 0.1700 -> 0.1700 (+0.0%), quartiles [0.1690, 0.1925] -> "
+        "[0.1675, 0.1710], change lower in 1 of 3 pairs",
+        "median peak_rss_mb 86.0000 -> 86.0000 (+0.0%), quartiles [86.0000, 86.1000] -> "
+        "[85.9500, 86.0500], change lower in 1 of 3 pairs"]
+    assert bench_pairs.summary([({"wall_s": 1.0, "setup_s": 0.2, "peak_rss_mb": 80.0},
+                           {"wall_s": 0.5, "setup_s": 0.1, "peak_rss_mb": 80.0})])[-3] == (
+        "median wall_s 1.0000 -> 0.5000 (-50.0%), quartiles [1.0000, 1.0000] -> "
+        "[0.5000, 0.5000], change lower in 1 of 1 pairs")
