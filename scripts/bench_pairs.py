@@ -2,12 +2,12 @@
 """Alternating parent/change pairs of bench/run.py runs, with their summary.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \
-        --pairs N --seconds S [--seed 707]
+        --pairs N --seconds S
 
-Each pair runs `bench/run.py --trace 0` once in PARENT_TREE and once in
-CHANGE_TREE, each tree with its own harness and sources; odd pairs run the
-parent first and even pairs the change, so that a drift of the host's
-speed over minutes falls on both trees alike.  The script prints one line
+Each pair runs `bench/run.py --trace 0 --seed SEED` once in PARENT_TREE
+and once in CHANGE_TREE, each tree with its own harness and sources; odd
+pairs run the parent first and even pairs the change, so that a drift of
+the host's speed over minutes falls on both trees alike.  The script prints one line
 per pair with wall_s, setup_s and peak_rss_mb of both runs, then, per
 metric, each tree's median and quartiles over the pairs and the number of
 pairs in which the change reads lower (all three are lower-is-better).
@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+SEED = 707
 TICK_S = 0.05
 TICK_TOL_S = 0.005
 
@@ -61,11 +62,9 @@ def _pair_line(i: int, old: dict, new: dict) -> str:
 
 
 def summary(pairs: list) -> list:
-    """Report lines for [(parent metrics, change metrics), ...]: one per
-    pair, then one per metric with both medians and quartiles and the
-    change's wins."""
-    lines = [_pair_line(i, old, new)
-             for i, (old, new) in enumerate(pairs, start=1)]
+    """Report lines for [(parent metrics, change metrics), ...], one per
+    metric, with both medians and quartiles and the change's wins."""
+    lines = []
     for name in METRICS:
         old, new = ([run[name] for run in side] for side in zip(*pairs))
         wins = sum(c < p for p, c in zip(old, new))
@@ -87,7 +86,7 @@ def _quartiles(values: list) -> str:
 def run(tree: Path, args) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--seed", str(SEED), "--seconds", str(args.seconds),
          "--trace", "0"], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise ValueError(f"bench/run.py in {tree} exited with "
@@ -102,7 +101,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--seed", type=int, default=707)
     args = ap.parse_args(argv)
     pairs = []
     try:
@@ -118,9 +116,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
-    print(f"workload {args.workload}, seed {args.seed}, "
+    print(f"workload {args.workload}, seed {SEED}, "
           f"{args.seconds:g} s per run")
-    for line in summary(pairs)[len(pairs):]:
+    for line in summary(pairs):
         print(line)
     return 0
 

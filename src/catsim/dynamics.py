@@ -248,9 +248,8 @@ def _start_state(params: SystemParams, n_max: int):
     return HilbertSpace(n_max, has_qubit=True), np.outer(psi, psi.conj())
 
 
-# i^(q_row - q_col) for q_row - q_col = 0, 1, -1 (a negative index reads
-# from the end): the phase U = diag(i^q) puts on an element of rho, taking
-# it to the real frame of both open routes, _block_series and _taylor_action
+# i^(q_row - q_col) at q_row - q_col = 0, 1, -1 (negative reads from the end):
+# U = diag(i^q) on rho, the real frame of _block_series and _taylor_action
 _QUARTER_TURNS = np.array([1.0, 1j, -1j])
 
 
@@ -341,29 +340,27 @@ def _liouvillian(params: SystemParams, d: int):
     On the flat index that is the coefficients -(kappa (n + m) + gamma
     (q + p)) / 2 - gamma_phi [q != p] on the main diagonal and six
     diagonals of constant offset, each one contiguous slice multiply-add
-    over the span of its nonzero weights: the two hops on the row and on
-    the column, the kappa jump and the gamma jump of the ee block into gg.
+    from its first to its last nonzero weight: the two hops on the row and
+    on the column, the kappa jump and the gamma jump of the ee block into gg.
     """
     n = np.arange(d)
     decay = 0.5 * (params.kappa_phonon * n + params.gamma_qubit * np.arange(2)[:, None])
     coef = -(decay[:, :, None, None] + decay)
-    coef[0, :, 1] -= params.gamma_phi
-    coef[1, :, 0] -= params.gamma_phi
+    coef[[0, 1], :, [1, 0]] -= params.gamma_phi  # the qubit coherences ge, eg
     root = params.g0 * np.sqrt(n[1:])
-    weights = np.zeros((6, 2, d, 2, d))
-    weights[0, 1, :-1] = root[:, None, None]   # sigma+ a: row (e, n) from (g, n + 1)
-    weights[1, 0, 1:] = -root[:, None, None]   # -sigma- a^dag: (g, n) from (e, n - 1)
-    weights[2, :, :, 1, :-1] = root            # the same two hops on the column
-    weights[3, :, :, 0, 1:] = -root
-    weights[4, :, :-1, :, :-1] = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))[:, None]
-    weights[5, 0, :, 0] = params.gamma_qubit   # (-i sigma-) rho~ (-i sigma-)^dag: ee into gg
-    offsets = (2 * d * (1 - d), 2 * d * (d - 1), 1 - d, d - 1, 2 * d + 1, 2 * d * d + d)
-    diagonals = []
-    for w, offset in zip(weights.reshape(6, -1), offsets):
-        nonzero = np.flatnonzero(w)
-        if nonzero.size:
-            lo, hi = nonzero[0], nonzero[-1] + 1
-            diagonals.append((slice(lo, hi), slice(lo + offset, hi + offset), w[lo:hi]))
+    hop_row = np.repeat(root, 2 * d)
+    hop_col = np.tile(np.r_[root, np.zeros(d + 1)], 2 * d)[:-d - 1]
+    jump = np.zeros((2, d, 2, d))
+    jump[:, :-1, :, :-1] = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))[:, None]
+    spans = ((hop_row, 2 * d * d, 2 * d),   # sigma+ a: row (e, n) from (g, n + 1)
+             (-hop_row, 2 * d, 2 * d * d),  # -sigma- a^dag: (g, n) from (e, n - 1)
+             (hop_col, d, 1),               # the same two hops on the column
+             (-hop_col, 1, d),
+             (jump.ravel()[:-2 * d - 1], 0, 2 * d + 1),
+             # (-i sigma-) rho~ (-i sigma-)^dag: ee into gg
+             (np.tile(np.repeat([params.gamma_qubit, 0.0], d), d)[:-d], 0, 2 * d * d + d))
+    diagonals = [(slice(target, target + w.size), slice(source, source + w.size), w)
+                 for w, target, source in spans if w.any()]
     coef = coef.ravel()
 
     def apply(packed):
@@ -406,6 +403,8 @@ def _taylor_action(space: HilbertSpace, rho0, params: SystemParams, t: float):
         raise IntegrationError(
             f"||L||_1 dt = {norm_t:.3e} needs more than {_MAX_TAYLOR_STEPS} "
             f"Taylor steps at t = {t:.4g}")
+    if t == 0.0:  # no term to apply: rho0 itself, made exactly hermitian
+        return 0.5 * (rho0 + rho0.conj().T)
     apply = _liouvillian(params, d)
     tol = 2.0 ** -53
     steps = max(1, math.ceil(norm_t / _TAYLOR_THETA))
@@ -442,8 +441,9 @@ def lindblad_evolve(params: SystemParams, t: float) -> Trajectory:
     state comes out hermitian; its trace is checked against 1e-8 and
     restored, and its eigenvalue bound certified as JointState's
     constructor would; a state that fails is an IntegrationError, with no
-    repair.  t = 0 returns the start state, exactly for a real one.
-    Trajectories belong to lindblad_observables, which builds no state.
+    repair.  t = 0 returns the start state, bit for bit if it is exactly
+    hermitian.  Trajectories belong to lindblad_observables, which builds
+    no state.
     """
     t = float(t)
     if not 0.0 <= t < math.inf:  # written so that a nan fails

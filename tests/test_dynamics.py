@@ -408,6 +408,13 @@ def test_lindblad_one_point_grid_returns_initial_state():
     assert obs["P_e"][0] == pytest.approx(0.64, abs=1e-14)
     assert obs["n_mean"][0] == pytest.approx(1.0, abs=1e-12)
     _assert_matches_reference(obs, traj.states)
+    # a complex c_e and alpha0: np.outer's start is hermitian only to about
+    # 1e-17, and t = 0 returns it hermitised, with no Taylor round trip
+    params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
+    _, rho0 = dynamics._start_state(params, default_cutoff(params.alpha0))
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    assert np.array_equal(lindblad_evolve(params, 0.0).states[0].data,
+                          rho0 / np.trace(rho0).real)
 
 
 @pytest.mark.parametrize("evolve", ["jc_trajectory", "jc_observables",

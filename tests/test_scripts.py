@@ -157,15 +157,17 @@ def test_bench_pairs_summary_gives_medians_and_wins():
     runs = [((0.0493, 0.215, 86.0), (0.0404, 0.165, 86.1)),
             ((0.0493, 0.170, 86.0), (0.0410, 0.170, 86.0)),
             ((0.0551, 0.168, 86.2), (0.0427, 0.172, 85.9))]
-    lines = bench_pairs.summary([
-        tuple(dict(zip(bench_pairs.METRICS, run)) for run in pair) for pair in runs])
-    assert lines == [
+    pairs = [tuple(dict(zip(bench_pairs.METRICS, run)) for run in pair)
+             for pair in runs]
+    assert [bench_pairs._pair_line(i, *pair)
+            for i, pair in enumerate(pairs, start=1)] == [
         "pair 1: wall_s 0.0493 -> 0.0404  setup_s 0.2150 -> 0.1650 (-1 tick)  "
         "peak_rss_mb 86.0000 -> 86.1000",
         "pair 2: wall_s 0.0493 -> 0.0410  setup_s 0.1700 -> 0.1700  "
         "peak_rss_mb 86.0000 -> 86.0000",
         "pair 3: wall_s 0.0551 -> 0.0427  setup_s 0.1680 -> 0.1720  "
-        "peak_rss_mb 86.2000 -> 85.9000",
+        "peak_rss_mb 86.2000 -> 85.9000"]
+    assert bench_pairs.summary(pairs) == [
         "median wall_s 0.0493 -> 0.0410 (-16.8%), quartiles [0.0493, 0.0522] -> "
         "[0.0407, 0.0418], change lower in 3 of 3 pairs",
         "median setup_s 0.1700 -> 0.1700 (+0.0%), quartiles [0.1690, 0.1925] -> "
@@ -173,6 +175,6 @@ def test_bench_pairs_summary_gives_medians_and_wins():
         "median peak_rss_mb 86.0000 -> 86.0000 (+0.0%), quartiles [86.0000, 86.1000] -> "
         "[85.9500, 86.0500], change lower in 1 of 3 pairs"]
     assert bench_pairs.summary([({"wall_s": 1.0, "setup_s": 0.2, "peak_rss_mb": 80.0},
-                           {"wall_s": 0.5, "setup_s": 0.1, "peak_rss_mb": 80.0})])[-3] == (
+                           {"wall_s": 0.5, "setup_s": 0.1, "peak_rss_mb": 80.0})])[0] == (
         "median wall_s 1.0000 -> 0.5000 (-50.0%), quartiles [1.0000, 1.0000] -> "
         "[0.5000, 0.5000], change lower in 1 of 1 pairs")
