@@ -333,7 +333,9 @@ _MAX_TAYLOR_STEPS = 1000
 
 def _liouvillian(params: SystemParams, d: int):
     """The lossy JC Liouvillian L~ of _block_series' rotated frame, as a
-    function on real arrays P over the flat index of rho[q, n, p, m].
+    function on real arrays P over the flat index (q, p, n, m): the four
+    qubit blocks of rho[q n, p m] in turn, each holding its phonon indices
+    (n, m) row-major.
 
     L~ P = A P + P A^T + kappa a P a^T + gamma sigma- P sigma+, with the
     sigma_z dephasing, A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L.
@@ -341,24 +343,29 @@ def _liouvillian(params: SystemParams, d: int):
     (q + p)) / 2 - gamma_phi [q != p] on the main diagonal and six
     diagonals of constant offset, each one contiguous slice multiply-add
     from its first to its last nonzero weight: the two hops on the row and
-    on the column, the kappa jump and the gamma jump of the ee block into gg.
+    on the column, the kappa jump and the gamma jump of the ee block into
+    gg.  In this order only the column hops span a block of zero weights,
+    the one between their two qubit rows.
     """
     n = np.arange(d)
     decay = 0.5 * (params.kappa_phonon * n + params.gamma_qubit * np.arange(2)[:, None])
-    coef = -(decay[:, :, None, None] + decay)
-    coef[[0, 1], :, [1, 0]] -= params.gamma_phi  # the qubit coherences ge, eg
+    coef = -(decay[:, None, :, None] + decay[:, None])
+    coef[[0, 1], [1, 0]] -= params.gamma_phi  # the qubit coherences ge, eg
+    block = d * d
     root = params.g0 * np.sqrt(n[1:])
-    hop_row = np.repeat(root, 2 * d)
-    hop_col = np.tile(np.r_[root, np.zeros(d + 1)], 2 * d)[:-d - 1]
-    jump = np.zeros((2, d, 2, d))
-    jump[:, :-1, :, :-1] = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))[:, None]
-    spans = ((hop_row, 2 * d * d, 2 * d),   # sigma+ a: row (e, n) from (g, n + 1)
-             (-hop_row, 2 * d, 2 * d * d),  # -sigma- a^dag: (g, n) from (e, n - 1)
-             (hop_col, d, 1),               # the same two hops on the column
-             (-hop_col, 1, d),
-             (jump.ravel()[:-2 * d - 1], 0, 2 * d + 1),
+    along_n = np.r_[np.repeat(root, d), np.zeros(d)]  # one block's root[n], n < d - 1
+    along_m = np.tile(np.r_[root, 0.0], d)            # and its root[m], m < d - 1
+    hop_row = np.tile(along_n, 2)[:-d]
+    hop_col = np.r_[along_m, np.zeros(block), along_m][:-1]
+    jump = np.zeros((4, d, d))
+    jump[:, :-1, :-1] = params.kappa_phonon * np.sqrt(np.outer(n[1:], n[1:]))
+    spans = ((hop_row, 2 * block, d),   # sigma+ a: row (e, n) from (g, n + 1)
+             (-hop_row, d, 2 * block),  # -sigma- a^dag: (g, n) from (e, n - 1)
+             (hop_col, block, 1),       # the same two hops on the column
+             (-hop_col, 1, block),
+             (jump.ravel()[:-d - 1], 0, d + 1),
              # (-i sigma-) rho~ (-i sigma-)^dag: ee into gg
-             (np.tile(np.repeat([params.gamma_qubit, 0.0], d), d)[:-d], 0, 2 * d * d + d))
+             (np.full(block, params.gamma_qubit), 0, 3 * block))
     diagonals = [(slice(target, target + w.size), slice(source, source + w.size), w)
                  for w, target, source in spans if w.any()]
     coef = coef.ravel()
@@ -387,13 +394,16 @@ def _taylor_action(space: HilbertSpace, rho0, params: SystemParams, t: float):
     """rho(t) from rho0 by the truncated-Taylor action of the Liouvillian
     over [0, t] (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-    It runs on one real array P = Re rho~ + Im rho~, rho~ = ph rho0.  L~
-    is real and keeps hermiticity, so it keeps the symmetric Re rho~ and
-    the antisymmetric Im rho~ apart: the packing is exact for a hermitian
-    rho0, and conj(ph) (sym P + i antisym P) is hermitian bit for bit.
-    The interval takes s = ceil(||L||_1 t / 9.9) steps, at least one, each
-    summing at most 55 terms and stopping once two successive terms fall
-    below 2^-53 of the partial sum in max |P_i|; no propagator is formed.
+    It runs on one real array P = Re rho~ + Im rho~, rho~ = ph rho0, in
+    _liouvillian's qubit-block order.  L~ is real and keeps hermiticity, so
+    it keeps the symmetric Re rho~ and the antisymmetric Im rho~ apart: the
+    packing is exact for a hermitian rho0, and conj(ph) (sym P + i antisym
+    P) is hermitian bit for bit.  The interval takes s = ceil(||L||_1 t /
+    9.9) steps, at least one, each summing at most 55 terms and stopping
+    once two successive terms fall below 2^-53 of the partial sum in
+    max |P_i|; that maximum is taken only once twice the triangle bound
+    max |P_0| + sum max |term| lets the test pass, which leaves every stop
+    where it was.  No propagator is formed.
     An interval that would need more than _MAX_TAYLOR_STEPS steps, or
     whose ||L||_1 t is not finite, is an IntegrationError before any step.
     """
@@ -412,20 +422,24 @@ def _taylor_action(space: HilbertSpace, rho0, params: SystemParams, t: float):
     qubit = np.arange(space.dim) // d
     ph = _QUARTER_TURNS[qubit[:, None] - qubit]
     packed = ph * rho0
-    packed = (packed.real + packed.imag).ravel()
+    packed = (packed.real + packed.imag).reshape(2, d, 2, d).transpose(0, 2, 1, 3).ravel()
     for _ in range(steps):
         total, term = packed.copy(), packed
-        last = np.abs(term).max()
+        last = bound = np.abs(term).max()
         for j in range(1, _TAYLOR_TERMS + 1):
             term = apply(term)
             term *= h / j
             total += term
             size = np.abs(term).max()
-            if last + size <= tol * np.abs(total).max():
+            # bound >= max |total| by the triangle inequality, and twice it
+            # covers the rounding of <= 56 additions: the stop test cannot
+            # pass unless the first one does
+            bound += size
+            if last + size <= tol * 2.0 * bound and last + size <= tol * np.abs(total).max():
                 break
             last = size
         packed = total
-    packed = packed.reshape(space.dim, space.dim)
+    packed = packed.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(space.dim, space.dim)
     return ph.conj() * (0.5 * (packed + packed.T) + 0.5j * (packed - packed.T))
 
 

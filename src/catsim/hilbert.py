@@ -180,9 +180,11 @@ def displacement_operator(beta: complex, phonon_dim: int) -> np.ndarray:
     return (phases[:, None] * core) * phases.conj()[None, :]
 
 
-# distinct radii per Laguerre pass, and points per Horner sum, in displaced_parity; bounds
-# its temporaries to S x dim x _PARITY_BLOCK for a stack of S states
+# distinct radii per Laguerre table in displaced_parity, for a stack of S states: the
+# table holds dim^2 x _PARITY_BLOCK reals and the order sums S x dim x _PARITY_BLOCK
+# complex values; and points per Horner sum, whose temporaries hold S x _HORNER_POINTS
 _PARITY_BLOCK = 128
+_HORNER_POINTS = 512
 
 
 def _laguerre_rows(x: np.ndarray, dim: int):
@@ -208,9 +210,12 @@ def displaced_parity(states, betas) -> np.ndarray:
     PRA 15, 449 (1977)), <n+k|D(2 beta)|n> = G_n[k] z^k with z = e^{i arg beta} at
     x = 4|beta|^2 (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and with
     S_k = sum_n (-1)^n rho_{n,n+k} G_n[k], <Pi> = Re[S_0 + 2 sum_k z^k S_k], a Horner sum in z.
-    The recurrence for G runs once per block of distinct |beta| and serves the whole stack;
-    only the signed diagonals and the sums are per state: O(d^2 R + S d^2 R + S N d) at R
-    distinct |beta|.  A nan or inf beta is a ValueError.
+    The recurrence for G runs once per block of distinct |beta| and fills one table
+    G[k, n, r], zero past the edge, for the whole stack; the signed diagonals of all the
+    states are gathered once, and each block's sums S_k are one real BLAS product
+    (k, r, n) @ (k, n, 2S), Re and Im side by side.  O(d^2 R) for the recurrence and the
+    table, O(S d^2 R) in the product and O(S N d) in the Horner sums, at R distinct |beta|.
+    A nan or inf beta is a ValueError.
     """
     states = list(states)
     dims = {state.space.dim for state in states}
@@ -221,28 +226,40 @@ def displaced_parity(states, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=complex).ravel()
     if not np.isfinite(betas).all():
         raise ValueError("displaced_parity needs finite betas")
-    signed = np.array([state.density_matrix() for state in states])
-    signed[:, 1::2] *= -1.0  # row n of each state carries (-1)^n
+    n = np.arange(dim)
+    col = n + n[:, None]  # col[k, n] = n + k
+    # diagonals[k, n, s] = (-1)^n rho_s[n, n + k], zero past the edge, doubled for k > 0
+    diagonals = np.where(col[..., None] < dim, np.stack(
+        [state.density_matrix()[n, np.minimum(col, dim - 1)] for state in states], axis=-1), 0.0)
+    diagonals[:, 1::2] *= -1.0
+    diagonals[1:] *= 2.0
     size = np.abs(betas)
     radii, which = np.unique(size, return_inverse=True)
     z = np.exp(1j * np.angle(betas))
     out = np.empty((len(states), len(betas)))
+    width = min(len(radii), _PARITY_BLOCK)
+    # table[k, n, r] = G_n[k, r], zero past the edge; sums[k, r, s] = S_k of state s at
+    # radius r, its Re and Im side by side in one real (k, r, n) @ (k, n, 2S) product
+    table = np.zeros((dim, dim, width))
+    sums = np.empty((dim, width, 2 * len(states)))
     for lo in range(0, len(radii), _PARITY_BLOCK):
         chunk = radii[lo:lo + _PARITY_BLOCK]
-        sums = np.zeros((len(states), dim, len(chunk)), dtype=complex)
-        for n, g in enumerate(_laguerre_rows(4.0 * chunk ** 2, dim)):
-            sums[:, :dim - n] += signed[:, n, n:, None] * g
-        sums[:, 1:] *= 2.0
+        rows = table[:, :, :len(chunk)]
+        for m, g in enumerate(_laguerre_rows(4.0 * chunk ** 2, dim)):
+            rows[:dim - m, m] = g
+        block_sums = np.matmul(rows.transpose(0, 2, 1), diagonals.view(float),
+                               out=sums[:, :len(chunk)]).view(complex)
         # the points at these radii: chunk holds the values of size itself, so the
         # closed interval is exact
         block = np.flatnonzero((size >= chunk[0]) & (size <= chunk[-1]))
-        for start in range(0, len(block), _PARITY_BLOCK):
-            points = block[start:start + _PARITY_BLOCK]
-            local, zp = which[points] - lo, z[points]
-            acc = sums[:, -1, local]
+        for start in range(0, len(block), _HORNER_POINTS):
+            points = block[start:start + _HORNER_POINTS]
+            local, zp = which[points] - lo, z[points, None]
+            acc = block_sums[-1, local]
             for k in range(dim - 2, -1, -1):
-                acc = acc * zp + sums[:, k, local]
-            out[:, points] = acc.real
+                acc *= zp
+                acc += block_sums[k, local]
+            out[:, points] = acc.real.T
     return out
 
 

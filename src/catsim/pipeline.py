@@ -96,25 +96,32 @@ def prepare_cat(alpha0: float, config: ExperimentConfig) -> JointState:
                                          config.t_cat).states[0])
 
 
-def _amplitude_damping(rho: np.ndarray, kappa_t: float) -> np.ndarray:
-    """rho after phonon energy relaxation for a time t at rate kappa.
+def _amplitude_damping(rho: np.ndarray, kappa_ts: np.ndarray) -> np.ndarray:
+    """(T, d, d) stack of rho after phonon energy relaxation for each kappa t in
+    kappa_ts, all > 0.
 
     The bosonic amplitude-damping channel (Chuang, Leung & Yamamoto, PRA 56,
     1114 (1997)), exact on the truncated space: with eta = e^{-kappa t},
-    rho_mn(t) = sum_j sqrt(C(m+j,j) C(n+j,j)) eta^{(m+n)/2} (1-eta)^j rho_{m+j,n+j},
-    the term j being one outer product of weights w_j[m] over the shifted
-    block rho[j:, j:].
+    rho_mn(t) = eta^{(m+n)/2} sum_j (1-eta)^j B_j[m, n], where
+    B_j[m, n] = sqrt(C(m+j,j) C(n+j,j)) rho_{m+j,n+j}, zero past the edge.
+    The B_j are built once, and the sums over j for all the waits are one
+    real (T, d) @ (d, 2 d^2) product.
     """
     dim = len(rho)
     n, log_fact = _fock_table(dim - 1)
-    log_loss = math.log(-math.expm1(-kappa_t))  # log(1 - eta)
-    out = np.zeros_like(rho)
-    for j in range(dim):
-        m = n[:dim - j]
-        w = np.exp(0.5 * (log_fact[m + j] - log_fact[m] - log_fact[j]
-                          - kappa_t * m + j * log_loss))
-        out[:dim - j, :dim - j] += np.outer(w, w) * rho[j:, j:]
-    return out
+    j = n[:, None]
+    shift = np.minimum(n + j, dim - 1)
+    # root[j, m] = sqrt(C(m + j, j)), zero past the edge
+    root = np.where(n + j < dim, np.exp(0.5 * (log_fact[shift] - log_fact[n] - log_fact[j])),
+                    0.0)
+    stack = rho[shift[:, :, None], shift[:, None, :]]
+    stack *= root[:, :, None] * root[:, None, :]
+    kappa_ts = np.asarray(kappa_ts, dtype=float)[:, None]
+    loss = (-np.expm1(-kappa_ts)) ** n  # (1 - eta)^j, with 0^0 = 1
+    sums = (loss @ stack.reshape(dim, -1).view(float)).view(complex).reshape(-1, dim, dim)
+    half = np.exp(-0.5 * kappa_ts * n)  # eta^{m/2}
+    sums *= half[:, :, None] * half[:, None, :]
+    return sums
 
 
 def free_decay(rho_phonon: JointState, waits,
@@ -122,8 +129,9 @@ def free_decay(rho_phonon: JointState, waits,
     """Phonon-only energy relaxation of a prepared state over wait times.
 
     waits must start at 0 and be increasing; returns one density matrix per
-    wait, the amplitude-damping channel applied in closed form.  The wait 0
-    returns the input's density matrix exactly.
+    wait, the amplitude-damping channel applied in closed form to all the
+    nonzero waits at once.  The wait 0 returns the input's density matrix
+    exactly.
     """
     config = config or ExperimentConfig()
     waits = np.asarray(waits, dtype=float)
@@ -134,8 +142,8 @@ def free_decay(rho_phonon: JointState, waits,
     space = rho_phonon.space
     rho = rho_phonon.density_matrix()
     return [JointState(space, rho, "mixed")] + [
-        JointState(space, _amplitude_damping(rho, config.kappa_phonon * t), "mixed")
-        for t in waits[1:]]
+        JointState(space, decayed, "mixed")
+        for decayed in _amplitude_damping(rho, config.kappa_phonon * waits[1:])]
 
 
 def negativity_grid(extent: float = 3.0, n: int = 61):

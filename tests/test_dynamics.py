@@ -561,6 +561,53 @@ def test_taylor_action_is_exactly_hermitian(case):
         assert np.array_equal(rho, rho.conj().T), t
 
 
+def _taylor_exact_stop(space, rho0, params, t):
+    """_taylor_action with max |partial sum| taken at every term, the stop
+    test written out without its triangle-bound shortcut."""
+    d = space.phonon_dim
+    apply = dynamics._liouvillian(params, d)
+    norm_t = dynamics._liouvillian_norm(params, d) * t
+    steps = max(1, math.ceil(norm_t / dynamics._TAYLOR_THETA))
+    h = t / steps
+    qubit = np.arange(space.dim) // d
+    ph = dynamics._QUARTER_TURNS[qubit[:, None] - qubit]
+    packed = ph * rho0
+    packed = (packed.real + packed.imag).reshape(2, d, 2, d).transpose(0, 2, 1, 3).ravel()
+    for _ in range(steps):
+        total, term = packed.copy(), packed
+        last = np.abs(term).max()
+        for j in range(1, dynamics._TAYLOR_TERMS + 1):
+            term = apply(term) * (h / j)
+            total += term
+            size = np.abs(term).max()
+            if last + size <= 2.0 ** -53 * np.abs(total).max():
+                break
+            last = size
+        packed = total
+    packed = packed.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(space.dim, space.dim)
+    return ph.conj() * (0.5 * (packed + packed.T) + 0.5j * (packed - packed.T))
+
+
+@pytest.mark.parametrize("case", [*sorted(DRIVE_PRESETS.values()), "grid", "kappa"],
+                         ids=["drive_0.25", "drive_0.30", "drive_0.35",
+                              "nonuniform_grid", "phonon_loss_only"])
+def test_taylor_action_stops_where_the_exact_test_stops(case):
+    # the shortcut skips max |total| only where the stop test cannot pass, so
+    # every step sums the same terms and the state is the same bit for bit;
+    # with phonon loss alone the triangle bound is tight enough that half of
+    # it would skip a stop
+    if case == "grid":
+        params = _lossy(1.2 + 0.4j, 0.6, 0.8j)
+    elif case == "kappa":
+        params = SystemParams(g0=1.5, alpha0=1.0, kappa_phonon=0.3)
+    else:
+        params = ExperimentConfig().system_params(case)
+    start = dynamics._start_state(params, default_cutoff(params.alpha0))
+    for t in (0.9, 3.0, 6.5):
+        rho = dynamics._taylor_action(*start, params, t)
+        assert rho.tobytes() == _taylor_exact_stop(*start, params, t).tobytes(), t
+
+
 def test_liouvillian_diagonals_match_dense_superoperator():
     # oracle for every offset and sign of _liouvillian's diagonals: the dense
     # rotated-frame Liouvillian in row-major vec, vec(A P B) = kron(A, B^T)
@@ -584,8 +631,10 @@ def test_liouvillian_diagonals_match_dense_superoperator():
     superop = np.kron(drift, eye) + np.kron(eye, drift) + jumps
     packed = np.random.default_rng(5).standard_normal(4 * d * d)
     reference = superop @ packed
-    applied = dynamics._liouvillian(params, d)(packed)
-    assert np.max(np.abs(applied - reference)) <= 1e-14 * np.max(np.abs(reference))
+    # _liouvillian takes the same elements in the qubit-block order (q, p, n, m)
+    blocks = np.arange(4 * d * d).reshape(2, d, 2, d).transpose(0, 2, 1, 3).ravel()
+    applied = dynamics._liouvillian(params, d)(packed[blocks])
+    assert np.max(np.abs(applied - reference[blocks])) <= 1e-14 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("rates,norm_dt", [

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catsim import hilbert
+from catsim.cli import SCHEMAS
 from catsim.errors import (
     DimensionMismatchError,
     StateValidationError,
@@ -29,6 +32,8 @@ from catsim.hilbert import (
     phonon_factor,
 )
 from catsim.phase_space import raster_grid
+from catsim.pipeline import ExperimentConfig, drive_alpha, free_decay, negativity_grid, \
+    prepare_cat
 from reference import factored_fidelity, fock_state, purity, qubit_reduction
 
 
@@ -394,6 +399,28 @@ def test_displaced_parity_stack_matches_padded_reference(dim):
         ref = np.einsum("kij,ji->k", kernels, state.density_matrix()).real
         assert np.max(np.abs(row - ref)) <= 1e-12
         assert np.max(np.abs(row - displaced_parity([state], betas)[0])) <= 1e-15
+
+
+def test_displaced_parity_memory_stays_within_its_blocks():
+    # the default decay stack, 11 states at d = 32 on 3721 points: the Laguerre
+    # table, the order sums and the (S, N) result take 3.8 units of
+    # S x d x _PARITY_BLOCK complex values.  A variant that gathers every
+    # order's sums for 1024 points at once peaks at 19 units, and a decay run
+    # holds about 10 MiB more resident memory from its second pass on
+    config = ExperimentConfig()
+    decay = SCHEMAS["decay"]
+    waits = np.linspace(0.0, decay["wait_max"].default, decay["n_waits"].default)
+    states = free_decay(prepare_cat(drive_alpha(decay["drive_amplitude"].default), config),
+                        waits, config)
+    points = negativity_grid().points
+    tracemalloc.start()
+    try:
+        displaced_parity(states, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = len(states) * states[0].space.dim * hilbert._PARITY_BLOCK * 16
+    assert peak <= 5 * unit
 
 
 def test_displaced_parity_empty_and_joint_inputs():

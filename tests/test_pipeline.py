@@ -127,15 +127,21 @@ def _amplitude_damping(rho, eta):
 
 
 def test_free_decay_is_the_amplitude_damping_channel():
-    rng = np.random.default_rng(21)
-    g = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
-    rho = g @ g.conj().T
-    state = JointState(HilbertSpace(20), rho / np.trace(rho).real, "mixed")
+    # the stacked channel against the triple loop, with kappa t from 1e-12,
+    # where 1 - eta is tiny, through 1 to 50, where eta^((m+n)/2) underflows;
+    # the wait 0 is the input itself
     config = ExperimentConfig(t1_phonon=7.0)
-    waits = [0.0, 0.4, 3.0, 3.5, 11.0, 40.0]
-    for t, out in zip(waits, free_decay(state, waits, config)):
-        expected = _amplitude_damping(state.data, math.exp(-t / 7.0))
-        assert np.max(np.abs(out.data - expected)) <= 1e-13, t
+    waits = [0.0, 7e-12, 0.4, 3.0, 3.5, 7.0, 11.0, 40.0, 350.0]
+    for dim in (21, 32):
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        state = JointState(HilbertSpace(dim - 1), rho / np.trace(rho).real, "mixed")
+        decayed = free_decay(state, waits, config)
+        assert decayed[0].data.tobytes() == state.data.tobytes()
+        for t, out in zip(waits, decayed):
+            expected = _amplitude_damping(state.data, math.exp(-t / 7.0))
+            assert np.max(np.abs(out.data - expected)) <= 1e-15, (dim, t)
 
 
 def test_negativity_series_on_decaying_fock():
