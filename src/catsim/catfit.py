@@ -16,8 +16,8 @@ matrix G(theta) = V^dag R^dag rho R V = sum_k c_k e^{ik theta}, a
 trigonometric polynomial of degree n_max whose coefficient c_k sums the
 k-th diagonal of conj(V_a) rho V_b.  _theta_profile scores every theta of
 a fine grid by one FFT of the c_k, and polishes the best one by Newton
-steps on the polynomial, so fit_analytical is a 1-D search over alpha: a
-bracket grid over (0, max_amplitude(n_max)], then bounded Brent.
+steps on the polynomial, so fit_analytical is a 1-D search over alpha:
+one bounded Brent run over (0, max_amplitude(n_max)).
 
 The CSS fit scores raw amplitude vectors from hilbert.coherent_amplitudes,
 the package's one coherent-state kernel, which renormalises truncated
@@ -74,9 +74,8 @@ FIT_XATOL = 1e-5
 FIT_GTOL = 1e-8
 # iteration cap of each BFGS start and of the Brent search
 FIT_MAXITER = 200
-# theta grid of the analytical profile (at least), and alpha bracket grid
+# theta grid of the analytical profile (at least)
 _THETA_GRID = 1024
-_ALPHA_GRID = 24
 # Newton polish of theta: step cap, and the step below which it stops; the
 # step cap also bounds the CSS stationarity polish
 _NEWTON_STEPS = 6
@@ -324,17 +323,15 @@ def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
                    t_c: float, g0: float) -> AnalyticalFit:
     """Maximize fidelity of rho to the analytical JC target over (alpha, theta).
 
-    theta is profiled out by _theta_profile.  alpha is searched on a
-    _ALPHA_GRID-point grid over (0, max_amplitude(n_max)], then by bounded
-    Brent between the grid neighbours of the best grid point; the best
-    profiled point wins.
+    theta is profiled out by _theta_profile.  alpha is searched by one
+    bounded Brent run over (0, max_amplitude(n_max)), on which the profiled
+    fidelity has one maximum; the best profiled point wins.
     """
     from scipy.optimize import minimize_scalar
 
     if rho.space.has_qubit:
         raise DimensionMismatchError("fit_analytical expects a phonon-only state")
     rho_data = rho.density_matrix()
-    grid = np.linspace(0.0, max_amplitude(rho.space.n_max), _ALPHA_GRID + 1)
     profiled = []
 
     def profile(alpha):
@@ -342,8 +339,7 @@ def fit_analytical(rho: JointState, c_g: complex, c_e: complex,
         profiled.append((f, alpha, theta, slope))
         return -f
 
-    best = int(np.argmin([profile(alpha) for alpha in grid[1:]])) + 1
-    res = minimize_scalar(profile, bounds=(grid[best - 1], grid[min(best + 1, _ALPHA_GRID)]),
+    res = minimize_scalar(profile, bounds=(0.0, max_amplitude(rho.space.n_max)),
                           method="bounded",
                           options={"xatol": FIT_XATOL, "maxiter": FIT_MAXITER})
     f, alpha, theta, slope = max(profiled)

@@ -1,24 +1,28 @@
 """Resonant Jaynes-Cummings dynamics and Lindblad open-system evolution.
 
-Closed-system evolution uses the exact Fock-basis solution of the resonant
-JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and |e,n-1>), so
-no integrator is involved; a trajectory evaluates it once over its time
-grid.  Every trajectory route takes (t_max, n_times) and runs on one grid,
+Closed-system evolution uses the exact Fock-basis solution of the
+resonant JC interaction (Rabi frequency g0 sqrt(n) between |g,n> and
+|e,n-1>), so no integrator is involved; a trajectory evaluates it once
+over its time grid, and excited_population reads P_e from it.  Every
+trajectory route takes (t_max, n_times) and runs on one grid,
 np.linspace(0, t_max, n_times), from the start state its SystemParams
 fixes at t = 0.  jc_trajectory returns the states and their observables,
 jc_observables the observables alone.  Open-system evolution solves the
 Lindblad master equation with collapse channels sqrt(kappa) a,
-sqrt(gamma) sigma-, and sqrt(gamma_phi/2) sigma_z exactly, by two routes,
-both in the frame rotated by a phase i on |e>, where the Liouvillian is
-real.  lindblad_evolve returns one certified state at one time t by the
-truncated-Taylor action of the Liouvillian over [0, t] (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 488 (2011)), seven diagonals on one real array;
-it forms no propagator.  lindblad_observables builds no state: the
-Hamiltonian and all three channels conserve the coherence order
-k = N_row - N_col of the excitation number N = n + q, so the Liouvillian
-splits into independent blocks, one per k (Buca & Prosen, NJP 14, 073007
-(2012)); every observable column is linear in the k = 0 and k = 1 blocks,
-each stepped along the uniform grid by one real matrix exponential.
+sqrt(gamma) sigma-, and sqrt(gamma_phi/2) sigma_z exactly.  Its
+generator is written once, by _liouvillian: in the frame rotated by a
+phase i on |e>, where it is real, a main diagonal and six diagonals over
+one flat index.  Two routes consume it.  lindblad_evolve returns one
+certified state at one time t by the truncated-Taylor action of the
+Liouvillian over [0, t] (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)), the diagonals applied to one real array; it forms no
+propagator.  lindblad_observables builds no state: the Hamiltonian and
+all three channels conserve the coherence order k = N_row - N_col of the
+excitation number N = n + q, so the Liouvillian splits into independent
+blocks, one per k (Buca & Prosen, NJP 14, 073007 (2012)); every
+observable column is linear in the k = 0 and k = 1 blocks, each
+assembled from the diagonals and stepped along the uniform grid by one
+real matrix exponential.
 Closed and open trajectories take their observables from one routine,
 vectorised over states, with the Pauli expectations in closed form.
 Free decay of a phonon state alone is the amplitude-damping channel,
@@ -38,7 +42,6 @@ from .errors import IntegrationError, StateValidationError
 from .hilbert import (
     HilbertSpace,
     JointState,
-    OperatorSet,
     _psd_certified,
     check_truncation,
     coherent_amplitudes,
@@ -146,25 +149,11 @@ def jc_evolve_exact(params: SystemParams, t: float, n_max: int | None = None) ->
 
 
 def excited_population(params: SystemParams, times) -> np.ndarray:
-    """P_e(t) from the exact JC series at n_max = default_cutoff(alpha0),
-    evaluated at the given times."""
-    n_max = default_cutoff(params.alpha0)
-    check_truncation(params.alpha0, n_max)
-    times = np.asarray(times, dtype=float)
-    c, _ = coherent_amplitudes(params.alpha0, n_max)
-    n = np.arange(n_max)
-    omega = params.g0 * np.sqrt(n + 1.0)            # (n,)
-    phase = np.outer(times, omega)                  # (t, n)
-    cos2 = np.cos(phase) ** 2
-    sin2 = np.sin(phase) ** 2
-    cross = np.cos(phase) * np.sin(phase)
-    w_e = np.abs(c[:-1]) ** 2 * abs(params.c_e) ** 2
-    w_g = np.abs(c[1:]) ** 2 * abs(params.c_g) ** 2
-    w_x = 2.0 * np.imag(c[1:] * np.conj(c[:-1]) * params.c_g * np.conj(params.c_e))
-    pe = cos2 @ w_e + sin2 @ w_g + cross @ w_x
-    # n = n_max term contributes |c_nmax|^2 |c_e|^2 cos^2 via the diagonal
-    pe += np.abs(c[-1]) ** 2 * abs(params.c_e) ** 2 * np.cos(params.g0 * math.sqrt(n_max + 1.0) * times) ** 2
-    return np.clip(pe, 0.0, 1.0)
+    """P_e(t) = sum_n |psi_e(t)|^2 of the exact JC series (_jc_series, with
+    its truncation guard and norm check) at n_max = default_cutoff(alpha0),
+    at the given times, clipped to [0, 1]."""
+    psi = _jc_series(params, times, default_cutoff(params.alpha0))
+    return np.clip(np.sum(np.abs(psi[:, 1]) ** 2, axis=1), 0.0, 1.0)
 
 
 def _time_grid(t_max: float, n_times: int) -> np.ndarray:
@@ -249,7 +238,7 @@ def _start_state(params: SystemParams, n_max: int):
 
 
 # i^(q_row - q_col) at q_row - q_col = 0, 1, -1 (negative reads from the end):
-# U = diag(i^q) on rho, the real frame of _block_series and _taylor_action
+# U = diag(i^q) on rho, the real frame of _liouvillian
 _QUARTER_TURNS = np.array([1.0, 1j, -1j])
 
 
@@ -258,20 +247,16 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams,
     """The coherence-order blocks k in orders of rho(t) on the grid
     _time_grid(t_max, n_times).
 
-    Builds the lossy JC master equation on rho0's qubit (x) phonon space:
-    collapse channels sqrt(kappa_phonon) a, sqrt(gamma_qubit) sigma- and
-    sqrt(gamma_phi/2) sigma_z, and drift A = -iH - 1/2 sum g L^dag L, so
-    that d rho/dt = A rho + rho A^dag + sum g L rho L^dag.  The elements
-    rho[i, j] with N_i - N_j = k evolve on their own under
-    S_k[(i,j),(l,m)] = A_il d_jm + d_il conj(A_jm) + sum g L_il conj(L_jm).
-
-    Every S_k is taken in the rotated frame rho~ = U rho U^dag,
-    U = diag(i^q), a phase i on |e>, where it is real: the drift becomes
-    g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^dag L, and the sigma- jump,
-    rotated to -i sigma-, enters S_k as (-i)(+i) = 1.  A block starts from
-    ph rho0[rows, cols], ph = i^(q_row - q_col), and is stepped in place
-    by one real exp(S_k h), h = t_max / (n_times - 1), acting on its
-    elements as real (re, im) pairs; the end multiplies it by conj(ph).
+    The elements rho[i, j] with N_i - N_j = k evolve on their own, in the
+    rotated frame under the real block S_k of _liouvillian's L~.  S_k is
+    built from L~'s ingredients by index arithmetic: block element
+    (i, j) = (q d + n, p d + m) sits at L~'s flat index (q, p, n, m), which
+    gives S_k its main diagonal, and every nonzero weight of a diagonal
+    whose target lies in the block adds one entry; L~ keeps coherence order,
+    so its source lies in the block too.  A block starts from
+    ph rho0[rows, cols], ph = i^(q_row - q_col), and is stepped in place by
+    one real exp(S_k h), h = t_max / (n_times - 1), acting on its elements
+    as real (re, im) pairs; the end multiplies it by conj(ph).
 
     Returns (blocks, series): blocks[b] = (rows, cols) lists block b's
     elements in row-major order, and series (T, total size) holds every
@@ -279,32 +264,26 @@ def _block_series(space: HilbertSpace, rho0, params: SystemParams,
     """
     from scipy.linalg import expm
 
-    ops = OperatorSet(space)
-    a, a_dagger, sigma_plus, sigma_minus, sigma_z = (
-        op.real for op in (ops.a, ops.a_dagger, ops.sigma_plus,
-                           ops.sigma_minus, ops.sigma_z))
-    collapse = [(g, L) for g, L in ((params.kappa_phonon, a),
-                                    (params.gamma_qubit, sigma_minus),
-                                    (params.gamma_phi / 2.0, sigma_z))
-                if g > 0]
-    drift = params.g0 * (sigma_plus @ a - sigma_minus @ a_dagger)
-    for g, L in collapse:
-        drift = drift - 0.5 * g * (L.T @ L)
-
+    d = space.phonon_dim
+    coef, diagonals = _liouvillian(params, d)
     step = t_max / (n_times - 1) if n_times > 1 else 0.0
     excitations = _excitations(space)
     order = excitations[:, None] - excitations[None, :]
-    qubit = np.arange(space.dim) // space.phonon_dim
+    qubit = np.arange(space.dim) // d
     blocks = [np.nonzero(order == k) for k in orders]
     series = np.empty((n_times, sum(len(r) for r, _ in blocks)), dtype=complex)
     stop = 0
     for rows, cols in blocks:
         block = slice(stop, stop + len(rows))
         stop = block.stop
-        gen = drift[np.ix_(rows, rows)] * (cols[:, None] == cols) \
-            + (rows[:, None] == rows) * drift[np.ix_(cols, cols)]
-        for g, L in collapse:
-            gen += g * L[np.ix_(rows, rows)] * L[np.ix_(cols, cols)]
+        flat = (2 * qubit[rows] + qubit[cols]) * d * d + rows % d * d + cols % d
+        where = np.full(coef.size, -1)  # each flat index's place in the block
+        where[flat] = np.arange(len(rows))
+        gen = np.diag(coef[flat])
+        for target, source, w in diagonals:
+            to, fro = where[target], where[source]
+            hit = (w != 0) & (to >= 0)
+            gen[to[hit], fro[hit]] += w[hit]
         prop = expm(gen * step)
         ph = _QUARTER_TURNS[qubit[rows] - qubit[cols]]
         series[0, block] = ph * rho0[rows, cols]
@@ -332,20 +311,29 @@ _MAX_TAYLOR_STEPS = 1000
 
 
 def _liouvillian(params: SystemParams, d: int):
-    """The lossy JC Liouvillian L~ of _block_series' rotated frame, as a
-    function on real arrays P over the flat index (q, p, n, m): the four
-    qubit blocks of rho[q n, p m] in turn, each holding its phonon indices
-    (n, m) row-major.
+    """The lossy JC Liouvillian L~, the package's one lossy generator, on
+    real arrays P over the flat index (q, p, n, m): the four qubit blocks of
+    rho[q n, p m] in turn, each holding its phonon indices (n, m) row-major.
 
-    L~ P = A P + P A^T + kappa a P a^T + gamma sigma- P sigma+, with the
-    sigma_z dephasing, A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L.
+    L~ acts in the frame rho~ = U rho U^dag, U = diag(i^q), a phase i on
+    |e>, where it is real: L~ P = A P + P A^T + kappa a P a^T
+    + gamma sigma- P sigma+, with the sigma_z dephasing,
+    A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L, and the sigma- jump,
+    rotated to -i sigma-, entering as (-i)(+i) = 1.
     On the flat index that is the coefficients -(kappa (n + m) + gamma
     (q + p)) / 2 - gamma_phi [q != p] on the main diagonal and six
-    diagonals of constant offset, each one contiguous slice multiply-add
-    from its first to its last nonzero weight: the two hops on the row and
-    on the column, the kappa jump and the gamma jump of the ee block into
-    gg.  In this order only the column hops span a block of zero weights,
-    the one between their two qubit rows.
+    diagonals of constant offset, each one contiguous span from its first
+    to its last nonzero weight: the two hops on the row and on the column,
+    the kappa jump and the gamma jump of the ee block into gg.  In this
+    order only the column hops span a block of zero weights, the one
+    between their two qubit rows; a diagonal whose weights are all zero (a
+    zero rate) is left out.
+
+    Returns (coef, diagonals): coef the main diagonal, and diagonals a list
+    of (target, source, w), target and source slices of the flat index as
+    long as w, each adding w * P[source] to (L~ P)[target].  _taylor_action
+    applies them to one array, and _block_series assembles its
+    coherence-order blocks from them.
     """
     n = np.arange(d)
     decay = 0.5 * (params.kappa_phonon * n + params.gamma_qubit * np.arange(2)[:, None])
@@ -368,15 +356,7 @@ def _liouvillian(params: SystemParams, d: int):
              (np.full(block, params.gamma_qubit), 0, 3 * block))
     diagonals = [(slice(target, target + w.size), slice(source, source + w.size), w)
                  for w, target, source in spans if w.any()]
-    coef = coef.ravel()
-
-    def apply(packed):
-        out = coef * packed
-        for target, source, w in diagonals:
-            out[target] += w * packed[source]
-        return out
-
-    return apply
+    return coef.ravel(), diagonals
 
 
 def _liouvillian_norm(params: SystemParams, d: int) -> float:
@@ -415,7 +395,14 @@ def _taylor_action(space: HilbertSpace, rho0, params: SystemParams, t: float):
             f"Taylor steps at t = {t:.4g}")
     if t == 0.0:  # no term to apply: rho0 itself, made exactly hermitian
         return 0.5 * (rho0 + rho0.conj().T)
-    apply = _liouvillian(params, d)
+    coef, diagonals = _liouvillian(params, d)
+
+    def apply(packed):
+        out = coef * packed
+        for target, source, w in diagonals:
+            out[target] += w * packed[source]
+        return out
+
     tol = 2.0 ** -53
     steps = max(1, math.ceil(norm_t / _TAYLOR_THETA))
     h = t / steps

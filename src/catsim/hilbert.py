@@ -281,7 +281,9 @@ class OperatorSet:
 
     On a joint space the phonon operators are identity-padded on the
     qubit factor and vice versa; on a phonon-only space the qubit
-    operators are unavailable.
+    operators are unavailable.  Nothing in the package builds one: it
+    stays because the benchmark harness patches its __init__ by name, and
+    the tests use its dense operators as the reference for the Liouvillian.
     """
 
     def __init__(self, space: HilbertSpace):

@@ -2,11 +2,12 @@
 
 No command computes these, so they live with the tests: the Fock state,
 the purity, the qubit reduction of a joint state, the fidelity to a
-low-rank state given by its factor, the Gaussian envelope of P_e, the
-counter-rotating JC branches Phi+/- and the revival contrast of a P_e
-series.  The CSS fit's former 16-start grid search is kept as the
-reference for its Husimi-Q start, with the fixed corpus of states the two
-are compared on.
+low-rank state given by its factor, the closed form of the exact P_e and
+its Gaussian envelope, the counter-rotating JC branches Phi+/- and the
+revival contrast of a P_e series.  The CSS fit's former 16-start grid
+search is kept as the reference for its Husimi-Q start, and the
+analytical fit's former bracket grid as the reference for its one Brent
+run, with the fixed corpus of states the fits are compared on.
 """
 
 import math
@@ -14,7 +15,15 @@ import warnings
 
 import numpy as np
 
-from catsim.catfit import CssFit, _css_fit
+from catsim.catfit import (
+    FIT_GTOL,
+    FIT_MAXITER,
+    FIT_XATOL,
+    AnalyticalFit,
+    CssFit,
+    _analytical_profile,
+    _css_fit,
+)
 from catsim.dynamics import lindblad_evolve
 from catsim.errors import DimensionMismatchError, TruncationError
 from catsim.hilbert import (
@@ -23,6 +32,7 @@ from catsim.hilbert import (
     check_truncation,
     coherent_amplitudes,
     default_cutoff,
+    max_amplitude,
 )
 from catsim.phase_space import raster_grid
 from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat, simulate_tomography
@@ -67,6 +77,30 @@ def factored_fidelity(rho: np.ndarray, factor: np.ndarray) -> float:
     gram = factor.conj().T @ rho @ factor
     evals = np.linalg.eigvalsh(gram) / np.vdot(factor, factor).real
     return float(min(1.0, np.sum(np.sqrt(np.clip(evals, 0.0, None)))))
+
+
+def excited_population_closed_form(params, times) -> np.ndarray:
+    """P_e(t) of the exact JC solution, summed over the Fock pairs
+    {|g, n + 1>, |e, n>} in closed form at n_max = default_cutoff(alpha0).
+
+    Each pair contributes |c_n c_e|^2 cos^2 + |c_{n+1} c_g|^2 sin^2 of its
+    Rabi phase g0 sqrt(n + 1) t, plus the cross term
+    2 Im(c_{n+1} conj(c_n) c_g conj(c_e)) cos sin; |e, n_max>, whose
+    partner the space drops, adds |c_nmax c_e|^2 cos^2.
+    """
+    n_max = default_cutoff(params.alpha0)
+    check_truncation(params.alpha0, n_max)
+    times = np.asarray(times, dtype=float)
+    c, _ = coherent_amplitudes(params.alpha0, n_max)
+    phase = np.outer(times, params.g0 * np.sqrt(np.arange(n_max) + 1.0))
+    w_e = np.abs(c[:-1]) ** 2 * abs(params.c_e) ** 2
+    w_g = np.abs(c[1:]) ** 2 * abs(params.c_g) ** 2
+    w_x = 2.0 * np.imag(c[1:] * np.conj(c[:-1]) * params.c_g * np.conj(params.c_e))
+    pe = np.cos(phase) ** 2 @ w_e + np.sin(phase) ** 2 @ w_g \
+        + (np.cos(phase) * np.sin(phase)) @ w_x
+    pe += np.abs(c[-1]) ** 2 * abs(params.c_e) ** 2 \
+        * np.cos(params.g0 * math.sqrt(n_max + 1.0) * times) ** 2
+    return np.clip(pe, 0.0, 1.0)
 
 
 def excited_population_envelope(params, times) -> np.ndarray:
@@ -129,6 +163,38 @@ GRID_STARTS = [(a.real, a.imag, -a.real, -a.imag)
 def fit_css_grid(rho: JointState) -> CssFit:
     """fit_css as it ran from the 16 GRID_STARTS: the best of 16 BFGS runs."""
     return _css_fit(rho, GRID_STARTS)
+
+
+# the analytical fit's bracket grid before its one Brent run
+ALPHA_GRID = 24
+
+
+def fit_analytical_grid(rho: JointState, c_g: complex, c_e: complex,
+                        t_c: float, g0: float) -> AnalyticalFit:
+    """fit_analytical as it ran with a bracket grid: the profile at
+    ALPHA_GRID points over (0, max_amplitude(n_max)], then bounded Brent
+    between the grid neighbours of the best one; the best profiled point
+    wins."""
+    from scipy.optimize import minimize_scalar
+
+    rho_data = rho.density_matrix()
+    grid = np.linspace(0.0, max_amplitude(rho.space.n_max), ALPHA_GRID + 1)
+    profiled = []
+
+    def profile(alpha):
+        theta, f, slope = _analytical_profile(rho_data, alpha, c_g, c_e, t_c, g0)
+        profiled.append((f, alpha, theta, slope))
+        return -f
+
+    best = int(np.argmin([profile(alpha) for alpha in grid[1:]])) + 1
+    res = minimize_scalar(profile, bounds=(grid[best - 1], grid[min(best + 1, ALPHA_GRID)]),
+                          method="bounded",
+                          options={"xatol": FIT_XATOL, "maxiter": FIT_MAXITER})
+    f, alpha, theta, slope = max(profiled)
+    return AnalyticalFit(alpha_fit=float(alpha), theta=theta, fidelity=f,
+                         converged=bool(res.success) and slope <= FIT_GTOL,
+                         n_evals=len(profiled), n_capped=int(res.status == 1),
+                         theta_slope=slope, alpha_converged=bool(res.success))
 
 
 def traced_cat(drive: float) -> JointState:

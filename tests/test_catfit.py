@@ -29,8 +29,8 @@ from catsim.hilbert import (
     max_amplitude,
 )
 from catsim.pipeline import ExperimentConfig, drive_alpha, prepare_cat
-from reference import GRID_STARTS, corpus_state, factored_fidelity, fit_css_grid, \
-    traced_cat
+from reference import GRID_STARTS, corpus_names, corpus_state, factored_fidelity, \
+    fit_analytical_grid, fit_css_grid, traced_cat
 
 G0 = math.sqrt(2.0) / 0.9
 SPACE = HilbertSpace(26)
@@ -123,7 +123,7 @@ def test_analytical_self_fit_has_no_capped_starts():
 
 
 def test_analytical_objective_has_no_noise_floor():
-    # a noiseless target is fitted in ~31 theta profiles, and the objective
+    # a noiseless target is fitted in 9 theta profiles, and the objective
     # is smooth at the 1e-10 scale: off the optimum its values follow their
     # linear trend to roundoff, where the generic fidelity route jitters by
     # ~2e-8, far above the alpha search's resolution
@@ -133,7 +133,7 @@ def test_analytical_objective_has_no_noise_floor():
     fit = fit_analytical(rho, 1.0, 0.0, t_c, G0)
     assert fit.converged
     assert fit.n_capped == 0
-    assert fit.n_evals <= 60
+    assert fit.n_evals <= 9
     steps = np.arange(20)
     values = np.array([
         factored_fidelity(rho.data, _analytical_factor(
@@ -342,7 +342,7 @@ def test_analytical_fit_matches_nelder_mead_route(case):
     assert fit.fidelity >= f - 1e-8
     assert abs(fit.alpha_fit - alpha) <= FIT_XATOL
     assert abs((fit.theta - theta + math.pi) % (2 * math.pi) - math.pi) <= FIT_XATOL
-    assert fit.converged and fit.n_evals <= 60
+    assert fit.converged and fit.n_evals <= 9
 
 
 def _finite_difference(a1, a2, rho, h=1e-6):
@@ -421,6 +421,26 @@ def test_css_fit_matches_grid_reference_on_corpus(name):
         assert fit.n_evals <= 60
 
 
+def test_analytical_fit_matches_grid_reference_on_corpus():
+    # the one Brent run over the whole alpha interval against the former
+    # bracket grid, on every corpus state; the oracle that lets one run
+    # suffice: the profiled F(alpha) on a 120-point grid has one local
+    # maximum
+    config = ExperimentConfig()
+    args = (1.0, 0.0, config.t_cat, config.g0)
+    for name in corpus_names():
+        rho = corpus_state(name)
+        fit, ref = fit_analytical(rho, *args), fit_analytical_grid(rho, *args)
+        assert abs(fit.alpha_fit - ref.alpha_fit) <= FIT_XATOL, name
+        assert abs(fit.fidelity - ref.fidelity) <= 1e-9, name
+        assert fit.converged and fit.n_evals <= 12, name
+        grid = np.linspace(0.0, max_amplitude(rho.space.n_max), 121)[1:]
+        f = np.array([_analytical_profile(rho.density_matrix(), alpha, *args)[1]
+                      for alpha in grid])
+        padded = np.r_[-np.inf, f, -np.inf]
+        assert np.count_nonzero((f > padded[:-2]) & (f >= padded[2:])) == 1, name
+
+
 def test_css_fit_flags_a_displaced_single_phonon_state():
     # N(|a> - |a + delta>) -> D(a)|1> as delta -> 0: F rises toward 1 only
     # as D falls toward 0, so D is no cat size
@@ -473,8 +493,8 @@ def test_theta_profile_is_the_scan_maximum():
 
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_analytical_profile_at_max_amplitude(n_max):
-    # fit_analytical's alpha grid ends at max_amplitude(n_max), so the
-    # profile there is a number, and one ulp further the truncation guard
+    # fit_analytical's alpha search is bounded by max_amplitude(n_max), so
+    # the profile there is a number, and one ulp further the truncation guard
     # raises (sqrt(n_max / 4) squared exceeds n_max / 4 at these n_max)
     config = ExperimentConfig()
     rho = _random_state(np.random.default_rng(n_max), HilbertSpace(n_max), 2).data

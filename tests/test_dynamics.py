@@ -32,8 +32,8 @@ from catsim.hilbert import (
     default_cutoff,
     fidelity,
 )
-from reference import excited_population_envelope, phi_states, purity, \
-    qubit_reduction, revival_contrast
+from reference import excited_population_closed_form, excited_population_envelope, \
+    phi_states, purity, qubit_reduction, revival_contrast
 
 G0 = math.sqrt(2.0) / 0.9
 
@@ -45,16 +45,18 @@ def test_vacuum_rabi_from_excited_qubit():
     assert np.allclose(pe, np.cos(2.0 * times) ** 2, atol=1e-12)
 
 
-def test_series_matches_exact_state_route():
-    # dual route: closed-form P_e series vs full state evolution + trace
-    params = SystemParams(g0=G0, alpha0=2.0, c_g=1.0 / math.sqrt(2.0),
-                          c_e=1j / math.sqrt(2.0))
-    times = np.linspace(0.0, 8.0, 25)
-    pe_series = excited_population(params, times)
-    for t, pe in zip(times, pe_series):
-        joint = jc_evolve_exact(params, t)
-        rho_q = qubit_reduction(joint)
-        assert abs(rho_q.data[1, 1].real - pe) < 1e-10
+@pytest.mark.parametrize("params", [
+    SystemParams(g0=G0, alpha0=2.0 + 0.5j, c_g=0.6j, c_e=(0.6 + 0.8j) * 0.8),
+    SystemParams(g0=ExperimentConfig().g0, alpha0=1.3, c_g=0.0, c_e=1.0)],
+    ids=["complex_qubit", "calibrate_fock"])
+def test_excited_population_matches_closed_form(params):
+    # dual route: the JC series against the closed form of its Fock pairs,
+    # with the cross term on (complex c_g and c_e) and at calibrate fock's
+    # default case
+    times = np.linspace(0.0, 6.0 * math.pi / params.g0, 241)
+    pe = excited_population(params, times)
+    assert pe.shape == times.shape
+    assert np.max(np.abs(pe - excited_population_closed_form(params, times))) <= 1e-13
 
 
 def test_x_eigenstates_are_stationary_in_population():
@@ -561,11 +563,24 @@ def test_taylor_action_is_exactly_hermitian(case):
         assert np.array_equal(rho, rho.conj().T), t
 
 
+def _liouvillian_apply(params, d):
+    """P -> L~ P from _liouvillian's main diagonal and diagonals."""
+    coef, diagonals = dynamics._liouvillian(params, d)
+
+    def apply(packed):
+        out = coef * packed
+        for target, source, w in diagonals:
+            out[target] += w * packed[source]
+        return out
+
+    return apply
+
+
 def _taylor_exact_stop(space, rho0, params, t):
     """_taylor_action with max |partial sum| taken at every term, the stop
     test written out without its triangle-bound shortcut."""
     d = space.phonon_dim
-    apply = dynamics._liouvillian(params, d)
+    apply = _liouvillian_apply(params, d)
     norm_t = dynamics._liouvillian_norm(params, d) * t
     steps = max(1, math.ceil(norm_t / dynamics._TAYLOR_THETA))
     h = t / steps
@@ -608,15 +623,11 @@ def test_taylor_action_stops_where_the_exact_test_stops(case):
         assert rho.tobytes() == _taylor_exact_stop(*start, params, t).tobytes(), t
 
 
-def test_liouvillian_diagonals_match_dense_superoperator():
-    # oracle for every offset and sign of _liouvillian's diagonals: the dense
-    # rotated-frame Liouvillian in row-major vec, vec(A P B) = kron(A, B^T)
-    # vec(P), with drift A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L
-    # and jumps a, sigma- and sigma_z (the rotated jump -i sigma- enters as
-    # (-i)(+i) = 1)
-    d = 5
-    params = SystemParams(g0=1.3, kappa_phonon=0.2, gamma_qubit=0.3,
-                          gamma_phi=0.4)
+def _rotated_superoperator(params, d):
+    """The dense rotated-frame Liouvillian in row-major vec,
+    vec(A P B) = kron(A, B^T) vec(P), with drift
+    A = g0 (sigma+ a - sigma- a^dag) - 1/2 sum g L^T L and jumps a, sigma-
+    and sigma_z (the rotated jump -i sigma- enters as (-i)(+i) = 1)."""
     ops = OperatorSet(HilbertSpace(d - 1, has_qubit=True))
     a, a_dagger, sigma_plus, sigma_minus, sigma_z = (
         op.real for op in (ops.a, ops.a_dagger, ops.sigma_plus,
@@ -628,13 +639,52 @@ def test_liouvillian_diagonals_match_dense_superoperator():
                  (params.gamma_phi / 2.0, sigma_z)):
         drift = drift - 0.5 * g * (L.T @ L)
         jumps = jumps + g * np.kron(L, L)
-    superop = np.kron(drift, eye) + np.kron(eye, drift) + jumps
+    return np.kron(drift, eye) + np.kron(eye, drift) + jumps
+
+
+def test_liouvillian_diagonals_match_dense_superoperator():
+    # oracle for every offset and sign of _liouvillian's diagonals
+    d = 5
+    params = SystemParams(g0=1.3, kappa_phonon=0.2, gamma_qubit=0.3,
+                          gamma_phi=0.4)
     packed = np.random.default_rng(5).standard_normal(4 * d * d)
-    reference = superop @ packed
+    reference = _rotated_superoperator(params, d) @ packed
     # _liouvillian takes the same elements in the qubit-block order (q, p, n, m)
     blocks = np.arange(4 * d * d).reshape(2, d, 2, d).transpose(0, 2, 1, 3).ravel()
-    applied = dynamics._liouvillian(params, d)(packed[blocks])
+    applied = _liouvillian_apply(params, d)(packed[blocks])
     assert np.max(np.abs(applied - reference[blocks])) <= 1e-14 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("rates", [
+    {"kappa_phonon": 0.2, "gamma_qubit": 0.3, "gamma_phi": 0.4},
+    {"kappa_phonon": 0.0, "gamma_qubit": 0.3, "gamma_phi": 0.4},
+    {"kappa_phonon": 0.2, "gamma_qubit": 0.3, "gamma_phi": 0.0},
+    {"kappa_phonon": 0.2, "gamma_qubit": 0.0, "gamma_phi": 0.4}],
+    ids=["all_rates", "no_kappa", "no_gamma_phi", "no_gamma"])
+def test_block_generators_match_dense_superoperator(monkeypatch, rates):
+    # oracle for _block_series' index arithmetic: each S_k, captured as the
+    # matrix it exponentiates over a unit step, is the dense rotated-frame
+    # superoperator restricted to block k's elements; a zero rate drops
+    # its diagonal from _liouvillian
+    d = 6
+    params = SystemParams(g0=1.3, **rates)
+    space = HilbertSpace(d - 1, has_qubit=True)
+    generators = []
+    expm = scipy.linalg.expm
+
+    def capturing_expm(m):
+        generators.append(m.copy())
+        return expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", capturing_expm)
+    rho0 = np.eye(space.dim) / space.dim
+    blocks, _ = dynamics._block_series(space, rho0, params, 1.0, 2, (0, 1))
+    superop = _rotated_superoperator(params, d)
+    scale = np.max(np.abs(superop))
+    assert len(generators) == 2
+    for (rows, cols), gen in zip(blocks, generators):
+        vec = rows * space.dim + cols
+        assert np.max(np.abs(gen - superop[np.ix_(vec, vec)])) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("rates,norm_dt", [
