@@ -2,11 +2,11 @@
 """SHA-256 digests of the CLI outputs of a source tree at fixed configs and seed.
 
 Runs `simulate` (open at alpha0 2 and 3, closed at 2), `qubit-phase-scan`,
-`tomo`, `decay`, `wigner` (pipeline, coherent, css and decayed-css),
-`calibrate` (drive, parity and fock) and `mass`, each in a fresh interpreter
-with the tree's `src` on PYTHONPATH and single-threaded BLAS, and prints one
-`<run>/<file> <sha256>` line per output file.  Two trees that compute the same outputs print the
-same lines, so
+`tomo` (at drive 0.3 and at the CLI defaults), `decay`, `wigner` (pipeline,
+coherent, css and decayed-css), `calibrate` (drive, parity and fock) and
+`mass`, each in a fresh interpreter with the tree's `src` on PYTHONPATH and
+single-threaded BLAS, and prints one `<run>/<file> <sha256>` line per output
+file.  Two trees that compute the same outputs print the same lines, so
 
     python3 scripts/output_digest.py OLD_TREE > old.txt
     python3 scripts/output_digest.py NEW_TREE > new.txt
@@ -42,6 +42,8 @@ RUNS = [
     ("simulate_closed_a2", "simulate", {"alpha0": 2.0}),
     ("qubit_phase_scan", "qubit-phase-scan", {"alpha0": 2.0}),
     ("tomo", "tomo", {"drive_amplitude": 0.3, "recon_n_max": 12}),
+    # tomo at the CLI defaults (drive 0.35, recon_n_max 20)
+    ("tomo_default", "tomo", {}),
     ("decay", "decay", {"drive_amplitude": 0.35}),
     ("wigner_pipeline", "wigner", {"state": "pipeline"}),
     ("wigner_coherent", "wigner", {"state": "coherent", "alpha": 2.0}),

@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,9 @@ def _cmd_tomo(cfg, out_dir, seed, log):
               f"displaced single-phonon state, so its D is no cat size",
               file=sys.stderr)
     fa = fit_analytical(mle.state, 1.0, 0.0, econf.t_cat, econf.g0)
+    for name, fit in (("fit_css", fc), ("fit_analytical", fa)):
+        if fit.n_capped:
+            print(f"catsim: warning: {name} stopped at its iteration cap", file=sys.stderr)
     io_utils.write_json(out_dir / "reconstruction.json", {
         "drive_amplitude": cfg["drive_amplitude"],
         "alpha0": alpha0,
@@ -525,7 +529,11 @@ def _cmd_calibrate(cfg, out_dir, seed, log):
                 noisy = betas * (1.0 + cfg["noise"] * rng.standard_normal(len(amps)))
         except FloatingPointError as exc:
             raise FitError("drive calibration samples must be finite") from exc
-        fit = calibrate_drive(list(zip(amps, noisy)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)  # whatever -W says
+            fit = calibrate_drive(list(zip(amps, noisy)))
+        for w in caught:
+            print(f"catsim: warning: {w.message}", file=sys.stderr)
         io_utils.write_csv(out_dir / "drive_samples.csv",
                            ("amplitude", "beta_abs"), zip(amps, noisy))
         io_utils.write_json(out_dir / "drive_fit.json", {

@@ -378,34 +378,25 @@ def partial_trace(state: JointState) -> JointState:
     return JointState(HilbertSpace(state.space.n_max), red, "mixed")
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(mat)
-    if evals.min() < -1e-8:
-        raise StateValidationError(f"matrix not PSD (min eigenvalue {evals.min()})")
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
-
-
 def fidelity(rho: JointState, sigma: JointState) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    Two mixed states go through two d x d matrix square roots whose
-    roundoff eigenvalues (~1e-17) are clipped at 0; on rank-deficient
-    pairs the square roots of what survives leave a noise floor of ~1e-8
-    in the value.  The cat fits score their low-rank targets through the
-    factor instead (catfit._theta_profile), which is exact to roundoff.
+    For sigma = V V^dag, F = sum sqrt(mu) over the eigenvalues mu of V^dag
+    rho V (Jozsa, J. Mod. Opt. 41, 2315 (1994)), with V the vector of a pure
+    argument (F is symmetric) or sigma's eigenvectors scaled by the roots of
+    its eigenvalues: exact to roundoff on low-rank pairs, with no matrix
+    square root.  mu <= d eps is roundoff of unit-trace states and counts as 0.
     """
     if rho.space.dim != sigma.space.dim:
         raise DimensionMismatchError(
             f"fidelity between dims {rho.space.dim} and {sigma.space.dim}"
         )
-    if rho.kind == "pure" and sigma.kind == "pure":
-        return float(min(1.0, abs(np.vdot(rho.data, sigma.data))))
     if rho.kind == "pure":
-        val = np.vdot(rho.data, sigma.density_matrix() @ rho.data).real
-        return float(min(1.0, math.sqrt(max(val, 0.0))))
+        rho, sigma = sigma, rho
     if sigma.kind == "pure":
-        return fidelity(sigma, rho)
-    sr = _psd_sqrt(rho.data)
-    inner = _psd_sqrt(sr @ sigma.data @ sr)
-    return float(min(1.0, np.trace(inner).real))
+        factor = sigma.data[:, None]
+    else:
+        evals, evecs = np.linalg.eigh(sigma.data)
+        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    mu = np.linalg.eigvalsh(factor.conj().T @ rho.density_matrix() @ factor)
+    return float(min(1.0, np.sqrt(mu[mu > rho.space.dim * np.finfo(float).eps]).sum()))

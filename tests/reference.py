@@ -2,12 +2,13 @@
 
 No command computes these, so they live with the tests: the Fock state,
 the purity, the qubit reduction of a joint state, the fidelity to a
-low-rank state given by its factor, the closed form of the exact P_e and
-its Gaussian envelope, the counter-rotating JC branches Phi+/- and the
-revival contrast of a P_e series.  The CSS fit's former 16-start grid
-search is kept as the reference for its Husimi-Q start, and the
-analytical fit's former bracket grid as the reference for its one Brent
-run, with the fixed corpus of states the fits are compared on.
+low-rank state given by its factor, the generic fidelity by two matrix
+square roots, the closed form of the exact P_e and its Gaussian envelope,
+the counter-rotating JC branches Phi+/- and the revival contrast of a P_e
+series.  The CSS fit's former 16-start grid search is kept as the
+reference for its Husimi-Q start, and the analytical fit's former bracket
+grid as the reference for its one Brent run, with the fixed corpus of
+states the fits are compared on.
 """
 
 import math
@@ -25,7 +26,7 @@ from catsim.catfit import (
     _css_fit,
 )
 from catsim.dynamics import lindblad_evolve
-from catsim.errors import DimensionMismatchError, TruncationError
+from catsim.errors import DimensionMismatchError, StateValidationError, TruncationError
 from catsim.hilbert import (
     HilbertSpace,
     JointState,
@@ -77,6 +78,23 @@ def factored_fidelity(rho: np.ndarray, factor: np.ndarray) -> float:
     gram = factor.conj().T @ rho @ factor
     evals = np.linalg.eigvalsh(gram) / np.vdot(factor, factor).real
     return float(min(1.0, np.sum(np.sqrt(np.clip(evals, 0.0, None)))))
+
+
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix by eigh, roundoff eigenvalues clipped at 0."""
+    evals, evecs = np.linalg.eigh(mat)
+    if evals.min() < -1e-8:
+        raise StateValidationError(f"matrix not PSD (min eigenvalue {evals.min()})")
+    evals = np.clip(evals, 0.0, None)
+    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+
+
+def sqrtm_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Tr sqrt(sqrt(rho) sigma sqrt(rho)) of two density matrices, the
+    generic route: two d x d square roots whose clipped roundoff
+    eigenvalues leave a noise floor of ~1e-8 on rank-deficient pairs."""
+    sr = psd_sqrt(rho)
+    return float(min(1.0, np.trace(psd_sqrt(sr @ sigma @ sr)).real))
 
 
 def excited_population_closed_form(params, times) -> np.ndarray:

@@ -425,7 +425,8 @@ def test_analytical_fit_matches_grid_reference_on_corpus():
     # the one Brent run over the whole alpha interval against the former
     # bracket grid, on every corpus state; the oracle that lets one run
     # suffice: the profiled F(alpha) on a 120-point grid has one local
-    # maximum
+    # maximum.  The public fidelity to the fitted target, a rank-<=2 state,
+    # recomputes the fit's F to roundoff in either argument order
     config = ExperimentConfig()
     args = (1.0, 0.0, config.t_cat, config.g0)
     for name in corpus_names():
@@ -433,6 +434,9 @@ def test_analytical_fit_matches_grid_reference_on_corpus():
         fit, ref = fit_analytical(rho, *args), fit_analytical_grid(rho, *args)
         assert abs(fit.alpha_fit - ref.alpha_fit) <= FIT_XATOL, name
         assert abs(fit.fidelity - ref.fidelity) <= 1e-9, name
+        target = analytical_target(fit.alpha_fit, fit.theta, *args, rho.space)
+        assert abs(fidelity(rho, target) - fit.fidelity) <= 1e-12, name
+        assert abs(fidelity(target, rho) - fit.fidelity) <= 1e-12, name
         assert fit.converged and fit.n_evals <= 12, name
         grid = np.linspace(0.0, max_amplitude(rho.space.n_max), 121)[1:]
         f = np.array([_analytical_profile(rho.density_matrix(), alpha, *args)[1]

@@ -8,13 +8,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import catsim
-from catsim import __version__, cli, dynamics, hilbert, pipeline, tomography
+from catsim import __version__, catfit, cli, dynamics, hilbert, pipeline, tomography
 from catsim.cli import SCHEMAS, main
 from catsim.hilbert import JointState
 
@@ -273,6 +274,24 @@ def test_calibrate_drive_fit_does_not_depend_on_the_prefactor(tmp_path, capsys):
     assert fits[1]["C_fit"] == pytest.approx(1e-8 / 1.1 * fits[0]["C_fit"], rel=1e-9)
 
 
+@pytest.mark.parametrize("action", ["default", "error", "ignore"])
+def test_calibrate_prints_the_drive_fit_warning_in_cli_format(tmp_path, capsys,
+                                                              action):
+    # at noise 0.1 and seed 0 the samples fall by more than the noise: the
+    # warning reaches stderr once in the CLI's format, and the run exits 0,
+    # whatever the filters (python -W error::UserWarning included)
+    cfg = write_config(tmp_path, {"schema_version": 1, "kind": "drive",
+                                  "noise": 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, UserWarning)
+        code, _, err = run(capsys, "calibrate", "--config", cfg, "--seed", "0",
+                           "--out", str(tmp_path / "out"), "--quiet")
+    assert code == 0
+    assert err == ("catsim: warning: drive calibration data is non-monotone "
+                   "beyond noise\n")
+    assert (tmp_path / "out" / "drive_fit.json").exists()
+
+
 def test_seed_changes_samples(tmp_path, capsys):
     cfg = write_config(tmp_path, {"schema_version": 1, "kind": "drive"})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -379,6 +398,20 @@ def test_tomo_warns_on_a_degenerate_css_fit(tmp_path, capsys, monkeypatch):
     assert "(CSS fit degenerate, no cat size; MLE " in out and "D =" not in out
     rec = json.loads((tmp_path / "out" / "reconstruction.json").read_text())
     assert set(rec["css_fit"]) == {"alpha1", "alpha2", "vartheta", "D", "fidelity"}
+
+
+def test_tomo_warns_when_a_fit_hits_its_cap(tmp_path, capsys, monkeypatch):
+    # one iteration caps both searches: stderr says so under --quiet, which
+    # silences the log that carries the capped counts.  7^2 points determine
+    # the 7 x 7 reconstruction, so the cap warnings are the only ones
+    monkeypatch.setattr(catfit, "FIT_MAXITER", 1)
+    cfg = write_config(tmp_path, {**SMALL_TOMO, "drive_amplitude": 0.35,
+                                  "n_grid": 7})
+    code, out, err = run(capsys, "tomo", "--config", cfg, "--quiet",
+                         "--out", str(tmp_path / "out"))
+    assert code == 0 and out == ""
+    assert err == ("catsim: warning: fit_css stopped at its iteration cap\n"
+                   "catsim: warning: fit_analytical stopped at its iteration cap\n")
 
 
 @pytest.mark.parametrize("field", ["t1_phonon", "t1_qubit", "t2_qubit"])

@@ -20,7 +20,6 @@ from catsim.hilbert import (
     _fock_table,
     _laguerre_rows,
     _psd_certified,
-    _psd_sqrt,
     coherent_amplitudes,
     coherent_state,
     default_cutoff,
@@ -34,7 +33,8 @@ from catsim.hilbert import (
 from catsim.phase_space import raster_grid
 from catsim.pipeline import ExperimentConfig, drive_alpha, free_decay, negativity_grid, \
     prepare_cat
-from reference import factored_fidelity, fock_state, purity, qubit_reduction
+from reference import factored_fidelity, fock_state, psd_sqrt, purity, qubit_reduction, \
+    sqrtm_fidelity
 
 
 def test_coherent_zero_is_vacuum():
@@ -163,11 +163,17 @@ def test_fidelity_symmetric_mixed_inputs():
 
 
 def test_fidelity_pure_equals_mixed_route():
+    # a rank-1 pair is exact to roundoff whichever argument is given mixed
     space = HilbertSpace(15)
     psi = coherent_state(1.1, space)
     phi = coherent_state(-0.4, space)
-    as_mixed = JointState(space, phi.density_matrix(), "mixed")
-    assert fidelity(psi, as_mixed) == pytest.approx(fidelity(psi, phi), abs=1e-9)
+    exact = abs(np.vdot(psi.data, phi.data))
+    psi_mixed = JointState(space, psi.density_matrix(), "mixed")
+    phi_mixed = JointState(space, phi.density_matrix(), "mixed")
+    for rho, sigma in ((psi, phi), (psi, phi_mixed), (psi_mixed, phi),
+                       (psi_mixed, phi_mixed)):
+        assert abs(fidelity(rho, sigma) - exact) <= 1e-14
+        assert abs(fidelity(sigma, rho) - exact) <= 1e-14
 
 
 def _random_density(rng, dim):
@@ -178,10 +184,12 @@ def _random_density(rng, dim):
 
 @pytest.mark.parametrize("dim", [5, 13, 41])
 def test_factored_fidelity_matches_generic_route(dim):
-    # sigma = V V^dag / Tr(V^dag V): the generic route clips the roundoff
-    # eigenvalues of its rank-deficient square roots (~1e-8 of bias and
-    # jitter), the factored one is exact, so they agree to that floor for
-    # low-rank V and to roundoff for full-rank V
+    # sigma = V V^dag / Tr(V^dag V): the generic two-square-root reference
+    # clips the roundoff eigenvalues of its rank-deficient square roots
+    # (~1e-8 of bias and jitter), the factored route is exact, so they
+    # agree to that floor for low-rank V and to roundoff for full-rank V;
+    # hilbert.fidelity, which factors sigma by eigh, meets the reference's
+    # given factor to roundoff
     rng = np.random.default_rng(dim)
     space = HilbertSpace(dim - 1)
     rho = JointState(space, _random_density(rng, dim), "mixed")
@@ -190,9 +198,11 @@ def test_factored_fidelity_matches_generic_route(dim):
             + 1j * rng.standard_normal((dim, rank))
         sigma = factor @ factor.conj().T
         sigma = JointState(space, sigma / np.trace(sigma).real, "mixed")
-        got = factored_fidelity(rho.data, factor)
-        assert abs(got - fidelity(rho, sigma)) <= tol
-        assert abs(got - fidelity(sigma, rho)) <= tol
+        generic = sqrtm_fidelity(rho.data, sigma.data)
+        factored = factored_fidelity(rho.data, factor)
+        for got in (fidelity(rho, sigma), fidelity(sigma, rho)):
+            assert abs(got - generic) <= tol
+            assert abs(got - factored) <= 1e-13
 
 
 @pytest.mark.parametrize("n_max", [1, 6, 30])
@@ -225,7 +235,7 @@ def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     mat = m @ m.conj().T
-    root = _psd_sqrt(mat)
+    root = psd_sqrt(mat)
     assert np.linalg.norm(root @ root - mat) < 1e-9 * np.linalg.norm(mat)
 
 

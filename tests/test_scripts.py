@@ -61,6 +61,8 @@ def _branches(command):
 
 def test_digest_runs_cover_every_command_state_and_kind():
     assert {command for _, command, _ in digest.RUNS} == set(cli.COMMANDS)
+    # tomo at the CLI defaults, which no other run covers
+    assert ("tomo", {}) in [(command, cfg) for _, command, cfg in digest.RUNS]
     for command, field, body in (("wigner", "state", cli._cmd_wigner),
                                  ("calibrate", "kind", cli._cmd_calibrate)):
         accepted = _branches(body)
